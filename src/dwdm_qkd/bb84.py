@@ -10,7 +10,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .noise import ComponentParams, DomainError, LinkParams, compute_noise_budget
+from .noise import (
+    ComponentParams,
+    DomainError,
+    LinkParams,
+    NoiseBudget,
+    channel_transmittance,
+    check_finite_fields,
+    compute_noise_budget,
+)
 
 DEFAULT_MU_GRID = tuple(round(0.05 + 0.01 * i, 2) for i in range(96))  # 0.05..1.0
 
@@ -26,6 +34,7 @@ class Bb84Params:
     delta_t_s: float = 1e-9  # SPD gating window
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.mu <= 0:
             raise DomainError("mu must be positive")
         if not 0 <= self.e_det <= 0.5:
@@ -85,10 +94,9 @@ def bb84_point_from_rates(
 
 
 def _efficiency_and_background(
-    link: LinkParams, comp: ComponentParams, params: Bb84Params
+    link: LinkParams, comp: ComponentParams, params: Bb84Params, budget: NoiseBudget
 ) -> Tuple[float, float]:
-    budget = compute_noise_budget(link, comp, params.delta_t_s)
-    eta_ch = 10.0 ** (-link.alpha_db_per_km * link.fiber_length_km / 10.0)
+    eta_ch = channel_transmittance(link.fiber_length_km, link.alpha_db_per_km)
     eta = eta_ch * comp.eta_dmu * params.eta_bob
     y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
     return eta, y0
@@ -101,7 +109,8 @@ def bb84_point(
     mu: Optional[float] = None,
 ) -> Bb84Point:
     """Evaluate gains, QBERs and secure key rate at one distance."""
-    eta, y0 = _efficiency_and_background(link, comp, params)
+    budget = compute_noise_budget(link, comp, params.delta_t_s)
+    eta, y0 = _efficiency_and_background(link, comp, params, budget)
     return bb84_point_from_rates(
         link.fiber_length_km, eta, y0, params, params.mu if mu is None else mu
     )
@@ -114,12 +123,46 @@ def optimize_mu(
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
 ) -> Tuple[float, Bb84Point]:
     """Grid argmax of the key rate over mu; ties go to the smaller mu."""
+    budget = compute_noise_budget(link, comp, params.delta_t_s)
+    return _optimize_mu_with_budget(link, comp, params, budget, mu_grid)
+
+
+def _optimize_mu_with_budget(
+    link: LinkParams,
+    comp: ComponentParams,
+    params: Bb84Params,
+    budget: NoiseBudget,
+    mu_grid: Sequence[float] = DEFAULT_MU_GRID,
+) -> Tuple[float, Bb84Point]:
+    """optimize_mu given the link's noise budget, which the caller has already.
+
+    The scan computes only the rate at each mu and builds the Bb84Point for
+    the winner. Its expressions are those of bb84_point_from_rates with the
+    same operand order and grouping, the mu-independent ones taken out of the
+    loop, so every rate is bit-identical to that function's.
+    """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
-    eta, y0 = _efficiency_and_background(link, comp, params)
-    best_mu, best_point = None, None
+    eta, y0 = _efficiency_and_background(link, comp, params, budget)
+    e_det, f_ec = params.e_det, params.f_ec
+    y0_plus_1 = y0 + 1.0
+    y0_plus_eta = y0 + eta
+    e0_y0 = params.e0 * y0
+    e1_numerator = e0_y0 + e_det * eta
+    best_mu, best_rate = None, None
     for mu in mu_grid:
-        point = bb84_point_from_rates(link.fiber_length_km, eta, y0, params, mu)
-        if best_point is None or point.rate > best_point.rate:
-            best_mu, best_point = mu, point
-    return best_mu, best_point
+        exp_eta_mu = math.exp(-eta * mu)
+        exp_mu = math.exp(-mu)
+        q_mu = y0_plus_1 - exp_eta_mu
+        q1 = y0_plus_eta * mu * exp_mu
+        if q_mu <= 0 or q1 <= 0:
+            rate = 0.0
+        else:
+            e_mu = (e0_y0 + e_det * (1.0 - exp_eta_mu)) / q_mu
+            e1 = e1_numerator * mu * exp_mu / q1
+            h_mu = binary_entropy(min(e_mu, 0.5))
+            h_1 = binary_entropy(min(e1, 0.5))
+            rate = max(0.0, 0.5 * (q1 - f_ec * q_mu * h_mu - q1 * h_1))
+        if best_rate is None or rate > best_rate:
+            best_mu, best_rate = mu, rate
+    return best_mu, bb84_point_from_rates(link.fiber_length_km, eta, y0, params, best_mu)

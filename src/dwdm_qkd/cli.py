@@ -9,7 +9,7 @@ from typing import List, Optional
 
 from .bb84 import bb84_point, optimize_mu
 from .config import Config, ConfigError, default_config, parse_config
-from .gmcs import gmcs_point, total_excess_noise
+from .gmcs import PhysicalityError, gmcs_point, total_excess_noise
 from .noise import (
     DomainError,
     UnfittableError,
@@ -222,7 +222,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_bb84(args, config)
         if args.command == "gmcs":
             return cmd_gmcs(args, config)
-    except (ConfigError, DomainError, UnfittableError, KeyError, OSError) as exc:
+    except (
+        ConfigError,
+        DomainError,
+        PhysicalityError,
+        UnfittableError,
+        KeyError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

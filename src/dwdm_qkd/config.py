@@ -201,6 +201,10 @@ def serialize_config(config: Config) -> str:
     def g(x: float) -> str:
         return repr(float(x))
 
+    def g_db(x: float) -> str:
+        # a zero isolation is -inf dB, which parse_config maps back to 0
+        return g(10 * math.log10(x)) if x > 0 else "-inf"
+
     link, comp, bb84, gmcs = config.link, config.comp, config.bb84, config.gmcs
     lines = [
         "[link]",
@@ -215,8 +219,8 @@ def serialize_config(config: Config) -> str:
         "[components]",
         f"nf_db = {g(comp.nf_db)}",
         f"gain_g0 = {g(comp.gain_g0)}",
-        f"xi1_db = {g(10 * math.log10(comp.xi1))}",
-        f"xi2_db = {g(10 * math.log10(comp.xi2))}",
+        f"xi1_db = {g_db(comp.xi1)}",
+        f"xi2_db = {g_db(comp.xi2)}",
         f"eta_mux = {g(comp.eta_mux)}",
         f"eta_dmu = {g(comp.eta_dmu)}",
         f"delta_nu_hz = {g(comp.delta_nu_hz)}",

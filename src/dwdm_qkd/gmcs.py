@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .noise import DomainError
+from .noise import DomainError, check_finite_fields
 
 DISCRIMINANT_RTOL = 1e-9
 # roundoff in the root extraction can leave a symplectic eigenvalue a few
@@ -38,6 +38,7 @@ class GmcsParams:
     conservative: bool = False  # add sigma_meas to the excess-noise estimate
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.v_a <= 0:
             raise DomainError("v_a must be positive")
         if not 0 < self.eta_bob <= 1:
@@ -150,27 +151,30 @@ def secure_distance(
 ) -> float:
     """Largest distance with strictly positive rate, by scan then bisection.
 
-    Returns 0 when the rate is never positive; returns z_max_km (with a
-    warning) when the rate is still positive at the end of the scan.
+    rate_fn is called once at each point of a scan_step_km grid from 0 to
+    z_max_km, then once per bisection step between the last positive grid
+    point and the next one, until the bracket is at most tolerance_km wide.
+    Returns 0 when the rate is never positive on the grid; returns z_max_km
+    (with a warning) when it is still positive at z_max_km. When the rate
+    crosses zero more than once on the grid it warns and keeps the largest
+    root.
     """
     grid = [i * scan_step_km for i in range(int(z_max_km / scan_step_km) + 1)]
     if grid[-1] < z_max_km:
         grid.append(z_max_km)
-    positive = [z for z in grid if rate_fn(z) > 0]
-    if not positive:
+    signs = [rate_fn(z) > 0 for z in grid]
+    if not any(signs):
         return 0.0
-    if positive[-1] == grid[-1]:
+    if signs[-1]:
         warnings.warn(f"rate still positive at z_max = {z_max_km} km")
         return z_max_km
 
-    # detect multiple sign changes; keep the largest root
-    signs = [rate_fn(z) > 0 for z in grid]
     changes = sum(1 for i in range(1, len(signs)) if signs[i] != signs[i - 1])
     if changes > 1:
         warnings.warn("key rate crosses zero more than once; using largest root")
 
-    lo = positive[-1]
-    hi = next(z for z in grid if z > lo and rate_fn(z) <= 0)
+    last = max(i for i, positive in enumerate(signs) if positive)
+    lo, hi = grid[last], grid[last + 1]
     while hi - lo > tolerance_km:
         mid = 0.5 * (lo + hi)
         if rate_fn(mid) > 0:

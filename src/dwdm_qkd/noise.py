@@ -12,6 +12,7 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -34,6 +35,14 @@ class UnfittableError(ValueError):
     """The measurement set cannot determine the requested coefficient."""
 
 
+def check_finite_fields(params) -> None:
+    """Reject a dataclass whose float fields include a NaN or an infinity."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Fiber span and classical-traffic description.
@@ -51,8 +60,14 @@ class LinkParams:
     lambda_classical_nm: float = 1550.8
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.fiber_length_km < 0:
             raise DomainError("fiber_length_km must be >= 0")
+        if channel_transmittance(self.fiber_length_km, self.alpha_db_per_km) == 0:
+            raise DomainError(
+                f"fiber_length_km = {self.fiber_length_km} makes the channel "
+                "transmittance underflow to 0"
+            )
         if self.beta_raman < 0:
             raise DomainError("beta_raman must be >= 0")
         if self.classical_channel_count < 0:
@@ -88,6 +103,7 @@ class ComponentParams:
     nsp_exact: bool = False  # False: n_sp = NF/2 high-gain convention
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not (0 < self.eta_mux <= 1 and 0 < self.eta_dmu <= 1):
             raise DomainError("insertion transmittances must be in (0, 1]")
         if not (0 <= self.xi1 <= 1 and 0 <= self.xi2 <= 1):

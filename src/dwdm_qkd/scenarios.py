@@ -11,7 +11,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from .bb84 import Bb84Params, optimize_mu
+from .bb84 import Bb84Params, _optimize_mu_with_budget
 from .gmcs import GmcsParams, gmcs_point, secure_distance, total_excess_noise
 from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, channel_transmittance, compute_noise_budget
 
@@ -74,7 +74,7 @@ def _rate_at(scenario: Scenario, z_km: float, strict_eps_out: bool) -> Tuple[Noi
     det = scenario.detector
     if scenario.protocol == "BB84":
         budget = compute_noise_budget(link, comp, det.delta_t_s)
-        _, point = optimize_mu(link, comp, det)
+        _, point = _optimize_mu_with_budget(link, comp, det, budget)
         return budget, point.rate
 
     # homodyne path: the SPD-window reference for unmatched-mode noise uses
@@ -109,10 +109,15 @@ def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
         budget, rate = _rate_at(scenario, z, strict_eps_out)
         rows.append(SweepRow(z, budget, rate))
 
-    z_max = scenario.z_grid[-1]
-    dist = secure_distance(
-        lambda z: _rate_at(scenario, z, strict_eps_out)[1], z_max
-    )
+    # secure_distance's 1 km scan and bisection revisit distances the sweep
+    # has evaluated; _rate_at is deterministic, so reuse those rates
+    rate_by_z = {row.z_km: row.rate for row in rows}
+
+    def rate_fn(z: float) -> float:
+        rate = rate_by_z.get(z)
+        return _rate_at(scenario, z, strict_eps_out)[1] if rate is None else rate
+
+    dist = secure_distance(rate_fn, scenario.z_grid[-1])
     return SweepResult(
         scenario=scenario.name,
         rows=tuple(rows),

@@ -5,13 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dwdm_qkd.bb84 import (
+    DEFAULT_MU_GRID,
     Bb84Params,
     background_rate,
     bb84_point,
+    bb84_point_from_rates,
     binary_entropy,
     optimize_mu,
 )
-from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, compute_noise_budget
+from dwdm_qkd.noise import (
+    ComponentParams,
+    DomainError,
+    LinkParams,
+    channel_transmittance,
+    compute_noise_budget,
+)
 
 PARAMS = Bb84Params()  # e_det=0.003, Y0^0=5e-6, eta_bob=0.038, f=1.22
 COMP = ComponentParams()
@@ -142,3 +150,28 @@ class TestOptimizeMu:
         link = dataclasses.replace(MULTIPLEXED, fiber_length_km=40)
         _, point = optimize_mu(link, COMP, PARAMS)
         assert point.rate == 0.0
+
+    @pytest.mark.parametrize("channels", [0, 1])
+    @pytest.mark.parametrize("z", [0.0, 7.5, 25.0, 60.0, 80.0])
+    def test_equals_brute_force_over_point_builder(self, z, channels):
+        # the scan must return exactly the mu and the point of a first-max
+        # argmax over bb84_point_from_rates, not merely close ones
+        link = LinkParams(fiber_length_km=z, classical_channel_count=channels)
+        budget = compute_noise_budget(link, COMP, PARAMS.delta_t_s)
+        eta = channel_transmittance(z, link.alpha_db_per_km) * COMP.eta_dmu * PARAMS.eta_bob
+        y0 = background_rate(PARAMS.y0_base, PARAMS.eta_bob, budget.n_spd_window)
+        best_mu, best = None, None
+        for mu in DEFAULT_MU_GRID:
+            point = bb84_point_from_rates(z, eta, y0, PARAMS, mu)
+            if best is None or point.rate > best.rate:
+                best_mu, best = mu, point
+        assert optimize_mu(link, COMP, PARAMS) == (best_mu, best)
+        if channels:
+            assert best.rate == 0.0 and best_mu == DEFAULT_MU_GRID[0] == 0.05
+        elif z <= 60.0:
+            assert best.rate > 0.0
+
+    def test_out_of_range_qber_raises(self):
+        # a negative background error rate drives E_mu below 0
+        with pytest.raises(DomainError):
+            optimize_mu(MULTIPLEXED, COMP, dataclasses.replace(PARAMS, e0=-1.0))

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from dwdm_qkd import cli
 from dwdm_qkd.cli import main
 from dwdm_qkd.config import ConfigError, default_config, parse_config, serialize_config
+from dwdm_qkd.gmcs import PhysicalityError
 from dwdm_qkd.output import CSV_HEADER, emit, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import run_sweep, scenario_by_name
 
@@ -56,6 +58,17 @@ class TestConfig:
         )
         again = parse_config(serialize_config(config))
         assert again == config
+
+    def test_round_trip_zero_isolation(self):
+        config = parse_config("[components]\nxi1_db = -inf\nxi2_db = -inf\n")
+        assert config.comp.xi1 == config.comp.xi2 == 0.0
+        assert parse_config(serialize_config(config)) == config
+
+    def test_non_finite_value_names_key(self):
+        with pytest.raises(ConfigError, match="fiber_length_km"):
+            parse_config("[link]\nfiber_length_km = nan\n")
+        with pytest.raises(ConfigError, match="v_a"):
+            parse_config("[gmcs]\nv_a = inf\n")
 
 
 class TestOutput:
@@ -158,6 +171,39 @@ class TestCli:
         assert main(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["beta_raman"] == pytest.approx(2.85e-9, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gmcs", "--z", "inf"],
+            ["bb84", "--z", "inf"],
+            ["noise", "--z", "inf"],
+            ["noise", "--z", "nan"],
+            ["gmcs", "--z", "1e308"],
+            ["noise", "--z", "1e308"],
+            ["bb84", "--z", "1e308"],
+            ["--config", "{nan_config}", "noise", "--z", "20"],
+        ],
+    )
+    def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("[link]\nfiber_length_km = nan\n")
+        argv = [a.format(nan_config=cfg) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_physicality_error_is_an_error_line(self, monkeypatch, capsys):
+        def unphysical(*args, **kwargs):
+            raise PhysicalityError("negative discriminant for channel spectrum: -1.0")
+
+        monkeypatch.setattr(cli, "gmcs_point", unphysical)
+        assert main(["gmcs", "--z", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: negative discriminant")
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

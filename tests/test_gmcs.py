@@ -183,6 +183,32 @@ class TestSecureDistance:
         with pytest.warns(UserWarning):
             assert secure_distance(lambda z: 1.0, 30) == 30
 
+    @pytest.mark.parametrize(
+        "rate, z_max, bisections",
+        [
+            (lambda z: 10.3 - z, 20.0, 5),  # bracket [10, 11] halves to 1/32 km
+            (lambda z: 0.0, 20.0, 0),
+            (lambda z: 5.0 - z, 20.5, 5),  # z_max off the 1 km grid is scanned too
+        ],
+    )
+    def test_one_call_per_grid_point_and_bisection_step(self, rate, z_max, bisections):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return rate(z)
+
+        secure_distance(counting, z_max)
+        grid_points = int(z_max) + 1 + (z_max != int(z_max))
+        assert len(calls) == grid_points + bisections
+        assert len(set(calls)) == len(calls)
+
+    def test_warns_on_several_crossings_and_keeps_largest_root(self):
+        rate = lambda z: 1.0 if z < 3 or 10 < z < 15.5 else 0.0  # noqa: E731
+        with pytest.warns(UserWarning, match="more than once"):
+            dist = secure_distance(rate, 30)
+        assert dist == pytest.approx(15.5, abs=0.05)
+
     def test_38_channel_scenario_near_10km(self):
         det = PARAMS
         dist = secure_distance(lambda z: rate_at(z, m=38).rate, 80)

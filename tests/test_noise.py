@@ -21,6 +21,8 @@ from dwdm_qkd.noise import (
     sasrs_band_power,
     sasrs_per_mode,
 )
+from dwdm_qkd.bb84 import Bb84Params
+from dwdm_qkd.gmcs import GmcsParams
 from dwdm_qkd.units import PLANCK_H, SPEED_OF_LIGHT, dbm_to_watts, photon_energy
 
 TABLE_LINK = LinkParams(fiber_length_km=20.0)
@@ -40,6 +42,35 @@ class TestChannelTransmittance:
             channel_transmittance(-1, 0.21)
         with pytest.raises(DomainError):
             channel_transmittance(1, -0.21)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "params",
+        [LinkParams(), ComponentParams(), Bb84Params(), GmcsParams()],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_non_finite_float_field_named(self, params, bad):
+        names = [f.name for f in dataclasses.fields(params)]
+        floats = [n for n in names if isinstance(getattr(params, n), float)]
+        if isinstance(params, ComponentParams):
+            floats.append("gain_fixed")  # None by default, a float when set
+        assert floats
+        for name in floats:
+            with pytest.raises(DomainError, match=name):
+                dataclasses.replace(params, **{name: bad})
+
+    def test_gain_fixed_may_stay_unset(self):
+        assert ComponentParams(gain_fixed=None).gain_fixed is None
+
+    def test_underflowing_transmittance_rejected(self):
+        with pytest.raises(DomainError, match="fiber_length_km"):
+            LinkParams(fiber_length_km=1e308)
+        with pytest.raises(DomainError, match="fiber_length_km"):
+            LinkParams(fiber_length_km=20.0, alpha_db_per_km=1e300)
+        assert channel_transmittance(1500.0, 0.21) > 0
+        LinkParams(fiber_length_km=1500.0)
 
 
 class TestNsp:

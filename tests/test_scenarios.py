@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
 
 import pytest
 
+from dwdm_qkd.gmcs import secure_distance
 from dwdm_qkd.noise import DomainError
+from dwdm_qkd.output import sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import (
     ADJACENT_ISOLATION,
     Scenario,
+    _rate_at,
     builtin_scenarios,
     noise_crossover_km,
     run_sweep,
@@ -117,3 +121,41 @@ class TestRunSweep:
         for a, b in zip(loose.rows, strict.rows):
             if a.rate > 0:
                 assert abs(a.rate - b.rate) / a.rate < 1e-3
+
+
+# SHA-256 of sweep_to_csv + sweep_to_json for each built-in sweep, without and
+# with strict_eps_out. Built-in sweeps must stay bit-identical at 9
+# significant digits; a change that moves any emitted value must update these
+# on purpose.
+EMISSION_SHA256 = {
+    ("fig3-noise", False): "8be4b942908715c3a783ac5a19d1e97f3ca92f2b9a104a91277cb4c7903f7bbe",
+    ("bb84-0dBm", False): "41983bbd97ffe000baebe624e998b38f630b5c16b67c8b06b7e7cb336cdf5687",
+    ("gmcs-none", False): "ca783cc2aff7296e52e532a9801e0ef3d0172cda0b390d1f922c7cf8bf6cbe80",
+    ("gmcs-1ch-nonadj", False): "272c41be994c87f5ef820a1afb05868cfc4b3a6e2c5d6ceac972d9ac348cf46c",
+    ("gmcs-1ch-adj", False): "0f21de414aa7a55c4bf06f2680f911dae6c4fe42d74141369e897c16e4548602",
+    ("gmcs-38ch", False): "f3651176be5c1a4992136b8808c9b85748a0ddbda270b7102b55c3318e314e7f",
+    ("gmcs-1ch-100MHz-detector", False): "c62b2e4426a3ff6af49b40472e19ef920014b2cb4670b695d33c07e6e3e39a82",
+    ("fig3-noise", True): "8be4b942908715c3a783ac5a19d1e97f3ca92f2b9a104a91277cb4c7903f7bbe",
+    ("bb84-0dBm", True): "41983bbd97ffe000baebe624e998b38f630b5c16b67c8b06b7e7cb336cdf5687",
+    ("gmcs-none", True): "ca783cc2aff7296e52e532a9801e0ef3d0172cda0b390d1f922c7cf8bf6cbe80",
+    ("gmcs-1ch-nonadj", True): "6a3214dd028d89c01c6353c73f0d1ccd0755e494b75da96b22a652445fd7bb97",
+    ("gmcs-1ch-adj", True): "326f9d0ffe2b753c88f315d13844b4172b25a81f7692218b945b8fa47fcfe20f",
+    ("gmcs-38ch", True): "98f3165122f227ba7d548a61dae8c761f1e9b4edd0a8eab674c66c6ff8734361",
+    ("gmcs-1ch-100MHz-detector", True): "bae7514cefb2f86e03942b96f5360527fcbcecfdd2924b77464dd4a6247ea4fb",
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("name", NAMES)
+class TestBuiltinSweeps:
+    def test_emission_digest(self, name, strict):
+        result = run_sweep(scenario_by_name(name), strict_eps_out=strict)
+        text = sweep_to_csv(result) + sweep_to_json(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == EMISSION_SHA256[(name, strict)]
+
+    def test_secure_distance_matches_uncached_rates(self, name, strict):
+        scenario = scenario_by_name(name)
+        fresh = secure_distance(
+            lambda z: _rate_at(scenario, z, strict)[1], scenario.z_grid[-1]
+        )
+        assert run_sweep(scenario, strict_eps_out=strict).secure_distance_km == fresh
