@@ -39,6 +39,8 @@ class Bb84Params:
             raise DomainError("mu must be positive")
         if not 0 <= self.e_det <= 0.5:
             raise DomainError("e_det must be in [0, 0.5]")
+        if not 0 <= self.e0 <= 1:
+            raise DomainError("e0 must be in [0, 1]")
         if self.f_ec < 1:
             raise DomainError("f_ec must be >= 1")
         if not 0 < self.eta_bob <= 1:
@@ -139,30 +141,55 @@ def _optimize_mu_with_budget(
     The scan computes only the rate at each mu and builds the Bb84Point for
     the winner. Its expressions are those of bb84_point_from_rates with the
     same operand order and grouping, the mu-independent ones taken out of the
-    loop, so every rate is bit-identical to that function's.
+    loop, and binary_entropy(min(p, 0.5)) written out: 1.0 for p >= 0.5,
+    binary_entropy's own formula for 0 < p < 0.5, and binary_entropy(p)
+    itself otherwise, which gives 0.0 at 0 and raises DomainError for a
+    negative or NaN p. So every rate is bit-identical to that function's.
+
+    Rates are clamped at 0, so the scan starts from (mu_grid[0], 0.0) and
+    takes a mu only on a strictly larger rate: ties, and the all-zero case,
+    go to the earlier mu. A mu whose head = q1 - f_ec*q_mu*h(E_mu) has
+    0.5*head <= best_rate is skipped without computing e1 or its entropy.
+    The skip is exact: q1*h(e1) >= 0 and rounding is monotone, so
+    fl(head - q1*h(e1)) <= head, and the mu's rate is at most
+    max(0, 0.5*head) <= best_rate, which cannot win.
     """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
     eta, y0 = _efficiency_and_background(link, comp, params, budget)
     e_det, f_ec = params.e_det, params.f_ec
+    exp, log2 = math.exp, math.log2
+    neg_eta = -eta
     y0_plus_1 = y0 + 1.0
     y0_plus_eta = y0 + eta
     e0_y0 = params.e0 * y0
     e1_numerator = e0_y0 + e_det * eta
-    best_mu, best_rate = None, None
+    best_mu, best_rate = mu_grid[0], 0.0
     for mu in mu_grid:
-        exp_eta_mu = math.exp(-eta * mu)
-        exp_mu = math.exp(-mu)
+        exp_eta_mu = exp(neg_eta * mu)
+        exp_mu = exp(-mu)
         q_mu = y0_plus_1 - exp_eta_mu
         q1 = y0_plus_eta * mu * exp_mu
         if q_mu <= 0 or q1 <= 0:
-            rate = 0.0
+            continue
+        e_mu = (e0_y0 + e_det * (1.0 - exp_eta_mu)) / q_mu
+        if e_mu >= 0.5:
+            h_mu = 1.0
+        elif e_mu > 0:
+            h_mu = -e_mu * log2(e_mu) - (1 - e_mu) * log2(1 - e_mu)
         else:
-            e_mu = (e0_y0 + e_det * (1.0 - exp_eta_mu)) / q_mu
-            e1 = e1_numerator * mu * exp_mu / q1
-            h_mu = binary_entropy(min(e_mu, 0.5))
-            h_1 = binary_entropy(min(e1, 0.5))
-            rate = max(0.0, 0.5 * (q1 - f_ec * q_mu * h_mu - q1 * h_1))
-        if best_rate is None or rate > best_rate:
+            h_mu = binary_entropy(e_mu)
+        head = q1 - f_ec * q_mu * h_mu
+        if 0.5 * head <= best_rate:
+            continue
+        e1 = e1_numerator * mu * exp_mu / q1
+        if e1 >= 0.5:
+            h_1 = 1.0
+        elif e1 > 0:
+            h_1 = -e1 * log2(e1) - (1 - e1) * log2(1 - e1)
+        else:
+            h_1 = binary_entropy(e1)
+        rate = 0.5 * (head - q1 * h_1)
+        if rate > best_rate:
             best_mu, best_rate = mu, rate
     return best_mu, bb84_point_from_rates(link.fiber_length_km, eta, y0, params, best_mu)

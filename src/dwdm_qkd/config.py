@@ -13,7 +13,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
-from .noise import ComponentParams, DomainError, LinkParams
+from .noise import ComponentParams, DomainError, LinkParams, db_field_to_linear
+
+# the [scenario] grid is checked against this before it is built
+MAX_GRID_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -143,8 +146,12 @@ def parse_config(text: str) -> Config:
             nf_db=_get(comp_s, "components", "nf_db", float, 10 * math.log10(4.0)),
             gain_g0=_get(comp_s, "components", "gain_g0", float, 100.0),
             gain_fixed=float(gain_fixed_raw) if gain_fixed_raw else None,
-            xi1=10 ** (_get(comp_s, "components", "xi1_db", float, -80.0) / 10.0),
-            xi2=10 ** (_get(comp_s, "components", "xi2_db", float, -80.0) / 10.0),
+            xi1=db_field_to_linear(
+                "xi1_db", _get(comp_s, "components", "xi1_db", float, -80.0)
+            ),
+            xi2=db_field_to_linear(
+                "xi2_db", _get(comp_s, "components", "xi2_db", float, -80.0)
+            ),
             eta_mux=_get(comp_s, "components", "eta_mux", float, 0.71),
             eta_dmu=_get(comp_s, "components", "eta_dmu", float, 0.71),
             delta_nu_hz=_get(comp_s, "components", "delta_nu_hz", float, 75e9),
@@ -178,9 +185,18 @@ def parse_config(text: str) -> Config:
     z_min = _get(scen_s, "scenario", "z_min_km", float, 0.0)
     z_max = _get(scen_s, "scenario", "z_max_km", float, 80.0)
     z_step = _get(scen_s, "scenario", "z_step_km", float, 0.5)
+    for key, value in (("z_min_km", z_min), ("z_max_km", z_max), ("z_step_km", z_step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"scenario.{key}: must be finite, got {value}")
     if z_step <= 0 or z_max < z_min or z_min < 0:
         raise ConfigError("scenario.z_min_km/z_max_km/z_step_km: invalid grid")
-    n = int(round((z_max - z_min) / z_step))
+    steps = (z_max - z_min) / z_step
+    if not steps <= MAX_GRID_POINTS - 1:
+        raise ConfigError(
+            f"scenario.z_step_km: a {z_step} km step from {z_min} to {z_max} km "
+            f"gives more than {MAX_GRID_POINTS} grid points"
+        )
+    n = int(round(steps))
     z_grid = tuple(z_min + i * z_step for i in range(n + 1))
 
     return Config(link=link, comp=comp, bb84=bb84, gmcs=gmcs, z_grid=z_grid)

@@ -101,6 +101,13 @@ def _split_roots(s: float, p: float, label: str) -> Tuple[float, float]:
     return 0.5 * (s + root), 0.5 * (s - root)
 
 
+def _out_of_range(eta_ch: float, eps: float) -> DomainError:
+    return DomainError(
+        f"eta_ch = {eta_ch} with excess noise {eps} takes the covariance "
+        "matrix out of floating-point range"
+    )
+
+
 def gmcs_point(
     eta_ch: float,
     params: GmcsParams,
@@ -122,8 +129,11 @@ def gmcs_point(
 
     i_ab = 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
 
-    a = v * v * (1.0 - 2.0 * eta_ch) + 2.0 * eta_ch + eta_ch**2 * (v + chi_line) ** 2
-    b = eta_ch**2 * (v * chi_line + 1.0) ** 2
+    try:
+        a = v * v * (1.0 - 2.0 * eta_ch) + 2.0 * eta_ch + eta_ch**2 * (v + chi_line) ** 2
+        b = eta_ch**2 * (v * chi_line + 1.0) ** 2
+    except OverflowError:
+        raise _out_of_range(eta_ch, eps) from None
     sqrt_b = math.sqrt(b)
     denom = eta_ch * (v + chi_tot)
     c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / denom
@@ -139,6 +149,8 @@ def gmcs_point(
         - theta((sigma[2] - 1.0) / 2.0)
         - theta((sigma[3] - 1.0) / 2.0)
     )
+    if not math.isfinite(i_ab + chi_be):
+        raise _out_of_range(eta_ch, eps)
     rate = max(0.0, params.gamma * i_ab - chi_be)
     return GmcsPoint(z_km, eps, i_ab, max(0.0, chi_be), rate, sigma)
 

@@ -43,6 +43,14 @@ def check_finite_fields(params) -> None:
             raise DomainError(f"{f.name} must be finite, got {value}")
 
 
+def db_field_to_linear(name: str, db: float) -> float:
+    """db_to_linear(db), with a DomainError naming the field if it overflows."""
+    try:
+        return db_to_linear(db)
+    except OverflowError:
+        raise DomainError(f"{name} = {db} overflows a float in linear units") from None
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Fiber span and classical-traffic description.
@@ -68,6 +76,7 @@ class LinkParams:
                 f"fiber_length_km = {self.fiber_length_km} makes the channel "
                 "transmittance underflow to 0"
             )
+        db_field_to_linear("p_out_dbm", self.p_out_dbm)
         if self.beta_raman < 0:
             raise DomainError("beta_raman must be >= 0")
         if self.classical_channel_count < 0:
@@ -108,7 +117,7 @@ class ComponentParams:
             raise DomainError("insertion transmittances must be in (0, 1]")
         if not (0 <= self.xi1 <= 1 and 0 <= self.xi2 <= 1):
             raise DomainError("isolations must be in [0, 1]")
-        if db_to_linear(self.nf_db) < 1:
+        if db_field_to_linear("nf_db", self.nf_db) < 1:
             raise DomainError("linear noise figure must be >= 1")
         if self.gain_g0 < 1 or (self.gain_fixed is not None and self.gain_fixed < 1):
             raise DomainError("amplifier gain must be >= 1")
@@ -333,6 +342,14 @@ def compute_noise_budget(
         delta_t_hom = 1.0 / (2.0 * math.pi * detector_bandwidth_hz)
         n_unmatched = (delta_t_hom / delta_t_s) * n_spd
         eps_out = eta_bob * n_unmatched / n_lo
+    # a NaN or infinite source tally shows in one of these; at long links the
+    # gain schedule gain_g0 / eta_ch overflows while eta_ch is still nonzero.
+    # All are >= 0, so their sum is finite only if each one is.
+    if not math.isfinite(n_spd + n_matched + n_unmatched + eps_in + eps_out):
+        raise DomainError(
+            f"the noise budget at fiber_length_km = {link.fiber_length_km} "
+            "overflows a float"
+        )
 
     return NoiseBudget(
         n_ase_per_mode_at_a=n_ase_a,

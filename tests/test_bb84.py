@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dwdm_qkd.bb84 import (
     DEFAULT_MU_GRID,
@@ -27,6 +27,45 @@ MULTIPLEXED = LinkParams(classical_channel_count=1, p_out_dbm=0.0)
 UNMULTIPLEXED = LinkParams(classical_channel_count=0)
 
 
+def first_max_over_point_builder(link, params, mu_grid):
+    """Reference argmax: a Bb84Point per mu, the first of the largest rates."""
+    z = link.fiber_length_km
+    budget = compute_noise_budget(link, COMP, params.delta_t_s)
+    eta = channel_transmittance(z, link.alpha_db_per_km) * COMP.eta_dmu * params.eta_bob
+    y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
+    best_mu, best = None, None
+    for mu in mu_grid:
+        point = bb84_point_from_rates(z, eta, y0, params, mu)
+        if best is None or point.rate > best.rate:
+            best_mu, best = mu, point
+    return best_mu, best
+
+
+def adjacent_floats(mu, n):
+    """mu and the n - 1 floats above it: rates that tie or differ by rounding."""
+    grid = [mu]
+    for _ in range(n - 1):
+        grid.append(math.nextafter(grid[-1], math.inf))
+    return grid
+
+
+MU = st.floats(min_value=1e-3, max_value=3.0)
+MU_GRIDS = st.one_of(
+    st.just(DEFAULT_MU_GRID),
+    st.lists(MU, min_size=1, max_size=40).map(sorted),
+    st.lists(MU, min_size=1, max_size=40),
+    MU.map(lambda mu: (mu,)),
+    st.builds(adjacent_floats, MU, st.integers(min_value=2, max_value=40)),
+)
+VALID_PARAMS = st.builds(
+    Bb84Params,
+    e0=st.floats(min_value=0.0, max_value=1.0),
+    e_det=st.floats(min_value=0.0, max_value=0.5),
+    f_ec=st.floats(min_value=1.0, max_value=3.0),
+    y0_base=st.floats(min_value=1e-8, max_value=1e-3),
+)
+
+
 def rate_oracle(eta, y0, params, mu):
     """Straight-line evaluation of the gain/QBER/rate formulas."""
     q_mu = y0 + 1 - math.exp(-eta * mu)
@@ -49,6 +88,13 @@ class TestBackgroundRate:
 
     def test_cap_at_one(self):
         assert background_rate(0.5, 1.0, 10.0) == 1.0
+
+
+class TestBb84Params:
+    @pytest.mark.parametrize("e0", [-1.0, -1e-12, 1.0 + 1e-12, 2.0])
+    def test_e0_outside_unit_interval_named(self, e0):
+        with pytest.raises(DomainError, match="e0"):
+            Bb84Params(e0=e0)
 
 
 class TestBinaryEntropy:
@@ -175,3 +221,17 @@ class TestOptimizeMu:
         # a negative background error rate drives E_mu below 0
         with pytest.raises(DomainError):
             optimize_mu(MULTIPLEXED, COMP, dataclasses.replace(PARAMS, e0=-1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        VALID_PARAMS,
+        st.floats(min_value=0.0, max_value=150.0),
+        st.sampled_from([0, 1, 38]),
+        MU_GRIDS,
+    )
+    def test_equals_brute_force_on_random_inputs(self, params, z, channels, mu_grid):
+        # random valid parameters, distances and grids (sorted, unsorted,
+        # one point): the scan's skipped mus must never change the argmax
+        link = LinkParams(fiber_length_km=z, classical_channel_count=channels)
+        expected = first_max_over_point_builder(link, params, mu_grid)
+        assert optimize_mu(link, COMP, params, mu_grid) == expected

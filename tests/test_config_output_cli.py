@@ -5,7 +5,13 @@ import pytest
 
 from dwdm_qkd import cli
 from dwdm_qkd.cli import main
-from dwdm_qkd.config import ConfigError, default_config, parse_config, serialize_config
+from dwdm_qkd.config import (
+    MAX_GRID_POINTS,
+    ConfigError,
+    default_config,
+    parse_config,
+    serialize_config,
+)
 from dwdm_qkd.gmcs import PhysicalityError
 from dwdm_qkd.output import CSV_HEADER, emit, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import run_sweep, scenario_by_name
@@ -69,6 +75,40 @@ class TestConfig:
             parse_config("[link]\nfiber_length_km = nan\n")
         with pytest.raises(ConfigError, match="v_a"):
             parse_config("[gmcs]\nv_a = inf\n")
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-9", "1.5"])
+    def test_e0_outside_unit_interval_names_key(self, value):
+        with pytest.raises(ConfigError, match="e0"):
+            parse_config(f"[bb84]\ne0 = {value}\n")
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("components", "xi1_db"),
+            ("components", "xi2_db"),
+            ("components", "nf_db"),
+            ("link", "p_out_dbm"),
+        ],
+    )
+    def test_overflowing_db_value_names_key(self, section, key):
+        # 10 ** (4000 / 10) is beyond the largest float
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[{section}]\n{key} = 4000\n")
+
+    @pytest.mark.parametrize("key", ["z_min_km", "z_max_km", "z_step_km"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_grid_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[scenario]\n{key} = {value}\n")
+
+    def test_grid_size_cap_checked_before_the_grid_is_built(self):
+        # 0.5 km steps: (MAX_GRID_POINTS - 1) of them give exactly the cap,
+        # one more step is over it; both are small enough to build anyway
+        at_cap = (MAX_GRID_POINTS - 1) * 0.5
+        config = parse_config(f"[scenario]\nz_max_km = {at_cap}\n")
+        assert len(config.z_grid) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="z_step_km"):
+            parse_config(f"[scenario]\nz_max_km = {at_cap + 0.5}\n")
 
 
 class TestOutput:
@@ -189,6 +229,25 @@ class TestCli:
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("[link]\nfiber_length_km = nan\n")
         argv = [a.format(nan_config=cfg) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gmcs", "--z", "10000"],
+            ["gmcs", "--z", "14800"],
+            ["noise", "--z", "14800"],
+            ["bb84", "--z", "14800"],
+        ],
+    )
+    def test_long_link_overflow_is_an_error_line(self, argv, capsys):
+        # representable transmittances whose noise budget (gain_g0 / eta_ch
+        # past ~14,600 km) or GMCS covariance terms (1 / eta_ch squared past
+        # ~7,300 km) leave the float range
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -170,6 +170,16 @@ class TestGmcsPoint:
         with pytest.raises(DomainError):
             gmcs_point(0.5, PARAMS, -0.01)
 
+    @pytest.mark.parametrize(
+        "eta_ch, eps",
+        [(1e-210, 0.01), (5e-324, 0.01), (0.5, math.inf), (0.5, 1e300)],
+    )
+    def test_out_of_float_range_rejected(self, eta_ch, eps):
+        # squaring ~1/eta_ch raises OverflowError; a subnormal eta_ch or an
+        # infinite eps turns the spectrum into inf/NaN without raising
+        with pytest.raises(DomainError, match="eta_ch"):
+            gmcs_point(eta_ch, PARAMS, eps)
+
 
 class TestSecureDistance:
     def test_zero_when_never_positive(self):
