@@ -22,6 +22,6 @@ from .noise import (
     sasrs_per_mode,
 )
 from .output import emit, sweep_to_csv, sweep_to_json
-from .scenarios import Scenario, SweepResult, builtin_scenarios, noise_crossover_km, run_sweep, scenario_by_name
+from .scenarios import Evaluation, Scenario, SweepResult, builtin_scenarios, evaluate, noise_crossover_km, run_sweep, scenario_by_name
 
 __version__ = "0.1.0"

@@ -111,11 +111,13 @@ def bb84_point(
     mu: Optional[float] = None,
 ) -> Bb84Point:
     """Evaluate gains, QBERs and secure key rate at one distance."""
+    if mu is None:
+        mu = params.mu
+    elif not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"mu must be finite and > 0, got {mu}")
     budget = compute_noise_budget(link, comp, params.delta_t_s)
     eta, y0 = _efficiency_and_background(link, comp, params, budget)
-    return bb84_point_from_rates(
-        link.fiber_length_km, eta, y0, params, params.mu if mu is None else mu
-    )
+    return bb84_point_from_rates(link.fiber_length_km, eta, y0, params, mu)
 
 
 def optimize_mu(

@@ -7,18 +7,18 @@ import json
 import sys
 from typing import List, Optional
 
-from .bb84 import bb84_point, optimize_mu
+from .bb84 import bb84_point
 from .config import Config, ConfigError, default_config, parse_config
-from .gmcs import PhysicalityError, gmcs_point, total_excess_noise
+from .gmcs import PhysicalityError
 from .noise import (
     DomainError,
     UnfittableError,
-    channel_transmittance,
     compute_noise_budget,
+    db_field_to_linear,
     fit_raman_coefficient,
 )
-from .output import emit, sweep_to_csv, sweep_to_json
-from .scenarios import builtin_scenarios, run_sweep, scenario_by_name
+from .output import emit
+from .scenarios import Scenario, builtin_scenarios, evaluate, run_sweep, scenario_by_name
 from .units import dbm_to_watts
 
 
@@ -29,13 +29,16 @@ def _load_config(path: Optional[str]) -> Config:
         return parse_config(handle.read())
 
 
-def _print_json(doc, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _print_json(doc, out: Optional[str]) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _g(x: float) -> float:
@@ -114,41 +117,25 @@ def cmd_noise(args, config: Config) -> int:
 
 
 def cmd_bb84(args, config: Config) -> int:
-    link = dataclasses.replace(config.link, fiber_length_km=args.z)
     if args.mu is not None:
+        link = dataclasses.replace(config.link, fiber_length_km=args.z)
         mu, point = args.mu, bb84_point(link, config.comp, config.bb84, mu=args.mu)
     else:
-        mu, point = optimize_mu(link, config.comp, config.bb84)
+        scenario = Scenario("bb84", "BB84", config.link, config.comp, config.bb84)
+        evaluation = evaluate(scenario, args.z)
+        mu, point = evaluation.mu, evaluation.point
     doc = {"protocol": "BB84", "mu": mu, **dataclasses.asdict(point)}
     _print_json({k: (_g(v) if isinstance(v, float) else v) for k, v in doc.items()}, args.out)
     return 0
 
 
 def cmd_gmcs(args, config: Config) -> int:
-    link = dataclasses.replace(config.link, fiber_length_km=args.z)
     det = config.gmcs
     if args.conservative:
         det = dataclasses.replace(det, conservative=True)
-    budget = compute_noise_budget(
-        link,
-        config.comp,
-        1e-9,
-        eta_bob=det.eta_bob,
-        detector_bandwidth_hz=det.detector_bandwidth_hz,
-        n_lo=det.n_lo,
-    )
-    eta_ch = channel_transmittance(args.z, link.alpha_db_per_km)
-    eps_in = budget.eps_in + (budget.eps_out if args.strict_eps_out else 0.0)
-    eps = total_excess_noise(
-        det.eps0,
-        eps_in,
-        eta_ch,
-        config.comp.eta_dmu,
-        det.eta_bob,
-        sigma_meas=det.sigma_meas,
-        conservative=det.conservative,
-    )
-    point = gmcs_point(eta_ch, det, eps, eta_dmu=config.comp.eta_dmu, z_km=args.z)
+    scenario = Scenario("gmcs", "GMCS", config.link, config.comp, det)
+    evaluation = evaluate(scenario, args.z, args.strict_eps_out)
+    point, budget = evaluation.point, evaluation.budget
     _print_json(
         {
             "protocol": "GMCS",
@@ -167,13 +154,14 @@ def cmd_gmcs(args, config: Config) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.config is not None:
+        raise ConfigError("sweep runs a built-in scenario as defined and does not read --config")
     scenario = scenario_by_name(args.scenario)
+    if args.conservative and scenario.protocol == "GMCS":
+        det = dataclasses.replace(scenario.detector, conservative=True)
+        scenario = dataclasses.replace(scenario, detector=det)
     result = run_sweep(scenario, strict_eps_out=args.strict_eps_out)
-    if args.out:
-        emit(result, args.format, args.out)
-    else:
-        text = sweep_to_csv(result) if args.format == "csv" else sweep_to_json(result)
-        sys.stdout.write(text)
+    emit(result, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -185,6 +173,7 @@ def cmd_fit_beta(args) -> int:
             points.append((float(z_str), float(p_str)))
         except ValueError:
             raise DomainError(f"malformed --point {spec!r}; expected Z_KM:POWER_W")
+    db_field_to_linear("--p-out-dbm", args.p_out_dbm)
     beta = fit_raman_coefficient(
         points,
         dbm_to_watts(args.p_out_dbm),
@@ -204,12 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.format == "json":
                 _print_json(names, args.out)
             else:
-                text = "\n".join(names) + "\n"
-                if args.out:
-                    with open(args.out, "w", encoding="utf-8") as handle:
-                        handle.write(text)
-                else:
-                    sys.stdout.write(text)
+                _write("\n".join(names) + "\n", args.out)
             return 0
         if args.command == "fit-beta":
             return cmd_fit_beta(args)

@@ -1,15 +1,20 @@
 """Sectioned key-value configuration with strict key validation.
 
-dB- and dBm-suffixed keys are converted to linear values exactly once at
-parse time; everything downstream is linear SI. Missing keys fall back to
-the standard simulation defaults baked into the parameter dataclasses.
+The [link], [components], [bb84] and [gmcs] sections hold the fields of
+LinkParams, ComponentParams, Bb84Params and GmcsParams: each key is the
+field's name and a missing key takes the field's default. The four keys in
+_CONVERTED differ from their field in name or unit and are converted to
+linear SI values exactly once, at parse time. [scenario] sets the sweep
+grid.
 """
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
@@ -31,61 +36,15 @@ class Config:
     gmcs: GmcsParams
     z_grid: Tuple[float, ...]
 
-    def __iter__(self):
-        return iter((self.link, self.comp, self.bb84, self.gmcs))
 
-
-_LINK_KEYS = {
-    "fiber_length_km",
-    "alpha_db_per_km",
-    "beta_raman",
-    "classical_channel_count",
-    "p_out_dbm",
-    "lambda_quantum_nm",
-    "lambda_classical_nm",
-}
-_COMP_KEYS = {
-    "nf_db",
-    "gain_g0",
-    "gain_fixed",
-    "xi1_db",
-    "xi2_db",
-    "eta_mux",
-    "eta_dmu",
-    "delta_nu_hz",
-    "nsp_convention",
-}
-_BB84_KEYS = {"mu", "y0_base", "e_det", "e0", "eta_bob", "f_ec", "delta_t_ns"}
-_GMCS_KEYS = {
-    "v_a",
-    "eta_bob",
-    "eps0",
-    "v_el",
-    "gamma",
-    "n_lo",
-    "detector_bandwidth_hz",
-    "sigma_meas",
-    "conservative",
-}
-_SCENARIO_KEYS = {"z_min_km", "z_max_km", "z_step_km"}
-
+# section -> (Config attribute, parameter dataclass)
 _SECTIONS = {
-    "link": _LINK_KEYS,
-    "components": _COMP_KEYS,
-    "bb84": _BB84_KEYS,
-    "gmcs": _GMCS_KEYS,
-    "scenario": _SCENARIO_KEYS,
+    "link": ("link", LinkParams),
+    "components": ("comp", ComponentParams),
+    "bb84": ("bb84", Bb84Params),
+    "gmcs": ("gmcs", GmcsParams),
 }
-
-
-def _get(sec: Dict[str, str], section: str, key: str, cast, default):
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: malformed value {raw!r}") from exc
+_SCENARIO_DEFAULTS = {"z_min_km": 0.0, "z_max_km": 80.0, "z_step_km": 0.5}
 
 
 def _bool(raw: str) -> bool:
@@ -95,6 +54,106 @@ def _bool(raw: str) -> bool:
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ValueError(raw)
+
+
+def _optional_float(raw: str) -> Optional[float]:
+    return float(raw) if raw.strip() else None
+
+
+def _nsp_exact(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("highgain", "high-gain", "high_gain"):
+        return False
+    if lowered == "exact":
+        return True
+    raise ValueError(raw)
+
+
+def _exact_repr(build: Callable[[float], object], target, guess: float) -> str:
+    """The repr of a float x with build(x) == target, for a build that does
+    not decrease with x: guess when it does, else the first hit of a
+    bisection within abs(guess) of guess (guess when there is none)."""
+    lo, hi, x = guess - abs(guess), guess + abs(guess), guess
+    while True:
+        got = build(x)
+        if got == target or not lo < x < hi:
+            return repr(x if got == target else guess)
+        lo, hi = (x, hi) if got < target else (lo, x)
+        x = 0.5 * (lo + hi)
+
+
+def _scaled(field: str, to_field: Callable[[float], float], guess: Callable[[float], float]):
+    # a key in other units than its field: the conversion need not invert
+    # exactly, so the text is the float that to_field maps back to the value
+    return (
+        field,
+        lambda raw: to_field(float(raw)),
+        lambda value: _exact_repr(to_field, value, guess(value)),
+    )
+
+
+def _field_to_db(x: float) -> float:
+    # a zero isolation is -inf dB, which parses back to 0
+    return 10 * math.log10(x) if x > 0 else -math.inf
+
+
+def _plain_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+# config key -> (field, text -> field value, field value -> text) for the
+# keys whose name or unit differs from their field; the others parse by the
+# field's type
+_CONVERTED = {
+    "xi1_db": _scaled("xi1", lambda db: db_field_to_linear("xi1_db", db), _field_to_db),
+    "xi2_db": _scaled("xi2", lambda db: db_field_to_linear("xi2_db", db), _field_to_db),
+    "nsp_convention": ("nsp_exact", _nsp_exact, lambda exact: "exact" if exact else "highgain"),
+    "delta_t_ns": _scaled("delta_t_s", lambda ns: ns * 1e-9, lambda s: s * 1e9),
+}
+_PARSE_BY_TYPE = {float: float, int: int, bool: _bool, Optional[float]: _optional_float}
+
+
+def _keys(cls) -> Dict[str, tuple]:
+    converted = {entry[0]: (key, entry) for key, entry in _CONVERTED.items()}
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        plain = (f.name, (f.name, _PARSE_BY_TYPE[hints[f.name]], _plain_text))
+        key, entry = converted.get(f.name, plain)
+        keys[key] = entry
+    return keys
+
+
+_KEYS = {section: _keys(cls) for section, (_, cls) in _SECTIONS.items()}
+_KEYS["scenario"] = {key: (key, float, _plain_text) for key in _SCENARIO_DEFAULTS}
+
+
+def _parse_value(section: str, key: str, raw: str):
+    _, parse, _ = _KEYS[section][key]
+    try:
+        return parse(raw)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: malformed value {raw!r}") from exc
+
+
+def _z_grid(z_min: float, z_max: float, z_step: float) -> Tuple[float, ...]:
+    for key, value in (("z_min_km", z_min), ("z_max_km", z_max), ("z_step_km", z_step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"scenario.{key}: must be finite, got {value}")
+    if z_step <= 0 or z_max < z_min or z_min < 0:
+        raise ConfigError("scenario.z_min_km/z_max_km/z_step_km: invalid grid")
+    steps = (z_max - z_min) / z_step
+    if not steps <= MAX_GRID_POINTS - 1:
+        raise ConfigError(
+            f"scenario.z_step_km: a {z_step} km step from {z_min} to {z_max} km "
+            f"gives more than {MAX_GRID_POINTS} grid points"
+        )
+    n = int(round(steps))
+    return tuple(z_min + i * z_step for i in range(n + 1))
 
 
 def parse_config(text: str) -> Config:
@@ -109,167 +168,60 @@ def parse_config(text: str) -> Config:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    values = {section: {} for section in _KEYS}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
+        for key, raw in parser[section].items():
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
+            field = _KEYS[section][key][0]
+            values[section][field] = _parse_value(section, key, raw)
 
-    def sec(name: str) -> Dict[str, str]:
-        return dict(parser[name]) if parser.has_section(name) else {}
-
-    link_s, comp_s, bb84_s, gmcs_s, scen_s = (
-        sec("link"),
-        sec("components"),
-        sec("bb84"),
-        sec("gmcs"),
-        sec("scenario"),
-    )
-
+    params = {}
     try:
-        link = LinkParams(
-            fiber_length_km=_get(link_s, "link", "fiber_length_km", float, 20.0),
-            alpha_db_per_km=_get(link_s, "link", "alpha_db_per_km", float, 0.21),
-            beta_raman=_get(link_s, "link", "beta_raman", float, 4e-9),
-            classical_channel_count=_get(
-                link_s, "link", "classical_channel_count", int, 1
-            ),
-            p_out_dbm=_get(link_s, "link", "p_out_dbm", float, 0.0),
-            lambda_quantum_nm=_get(link_s, "link", "lambda_quantum_nm", float, 1550.0),
-            lambda_classical_nm=_get(
-                link_s, "link", "lambda_classical_nm", float, 1550.8
-            ),
-        )
-        gain_fixed_raw = comp_s.get("gain_fixed", "").strip()
-        comp = ComponentParams(
-            nf_db=_get(comp_s, "components", "nf_db", float, 10 * math.log10(4.0)),
-            gain_g0=_get(comp_s, "components", "gain_g0", float, 100.0),
-            gain_fixed=float(gain_fixed_raw) if gain_fixed_raw else None,
-            xi1=db_field_to_linear(
-                "xi1_db", _get(comp_s, "components", "xi1_db", float, -80.0)
-            ),
-            xi2=db_field_to_linear(
-                "xi2_db", _get(comp_s, "components", "xi2_db", float, -80.0)
-            ),
-            eta_mux=_get(comp_s, "components", "eta_mux", float, 0.71),
-            eta_dmu=_get(comp_s, "components", "eta_dmu", float, 0.71),
-            delta_nu_hz=_get(comp_s, "components", "delta_nu_hz", float, 75e9),
-            nsp_exact=_parse_nsp(comp_s.get("nsp_convention", "highgain")),
-        )
-        bb84 = Bb84Params(
-            mu=_get(bb84_s, "bb84", "mu", float, 0.5),
-            y0_base=_get(bb84_s, "bb84", "y0_base", float, 5e-6),
-            e_det=_get(bb84_s, "bb84", "e_det", float, 0.003),
-            e0=_get(bb84_s, "bb84", "e0", float, 0.5),
-            eta_bob=_get(bb84_s, "bb84", "eta_bob", float, 0.038),
-            f_ec=_get(bb84_s, "bb84", "f_ec", float, 1.22),
-            delta_t_s=_get(bb84_s, "bb84", "delta_t_ns", float, 1.0) * 1e-9,
-        )
-        gmcs = GmcsParams(
-            v_a=_get(gmcs_s, "gmcs", "v_a", float, 10.0),
-            eta_bob=_get(gmcs_s, "gmcs", "eta_bob", float, 0.6),
-            eps0=_get(gmcs_s, "gmcs", "eps0", float, 0.01),
-            v_el=_get(gmcs_s, "gmcs", "v_el", float, 0.01),
-            gamma=_get(gmcs_s, "gmcs", "gamma", float, 0.9),
-            n_lo=_get(gmcs_s, "gmcs", "n_lo", float, 1e8),
-            detector_bandwidth_hz=_get(
-                gmcs_s, "gmcs", "detector_bandwidth_hz", float, 1e6
-            ),
-            sigma_meas=_get(gmcs_s, "gmcs", "sigma_meas", float, 0.024),
-            conservative=_get(gmcs_s, "gmcs", "conservative", _bool, False),
-        )
+        for section, (attr, cls) in _SECTIONS.items():
+            params[attr] = cls(**values[section])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-    z_min = _get(scen_s, "scenario", "z_min_km", float, 0.0)
-    z_max = _get(scen_s, "scenario", "z_max_km", float, 80.0)
-    z_step = _get(scen_s, "scenario", "z_step_km", float, 0.5)
-    for key, value in (("z_min_km", z_min), ("z_max_km", z_max), ("z_step_km", z_step)):
-        if not math.isfinite(value):
-            raise ConfigError(f"scenario.{key}: must be finite, got {value}")
-    if z_step <= 0 or z_max < z_min or z_min < 0:
-        raise ConfigError("scenario.z_min_km/z_max_km/z_step_km: invalid grid")
-    steps = (z_max - z_min) / z_step
-    if not steps <= MAX_GRID_POINTS - 1:
-        raise ConfigError(
-            f"scenario.z_step_km: a {z_step} km step from {z_min} to {z_max} km "
-            f"gives more than {MAX_GRID_POINTS} grid points"
-        )
-    n = int(round(steps))
-    z_grid = tuple(z_min + i * z_step for i in range(n + 1))
-
-    return Config(link=link, comp=comp, bb84=bb84, gmcs=gmcs, z_grid=z_grid)
+    grid = {**_SCENARIO_DEFAULTS, **values["scenario"]}
+    z_grid = _z_grid(grid["z_min_km"], grid["z_max_km"], grid["z_step_km"])
+    return Config(**params, z_grid=z_grid)
 
 
-def _parse_nsp(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("highgain", "high-gain", "high_gain"):
-        return False
-    if lowered == "exact":
-        return True
-    raise ConfigError(f"components.nsp_convention: expected highgain|exact, got {raw!r}")
+def _z_step_text(z_grid: Tuple[float, ...]) -> str:
+    # a step that rebuilds z_grid from its ends; the rebuilt grid rises
+    # with the step, and a step too small for the grid cap rebuilds as ()
+    if len(z_grid) == 1:
+        return repr(_SCENARIO_DEFAULTS["z_step_km"])
+
+    def rebuild(step: float) -> Tuple[float, ...]:
+        try:
+            return _z_grid(z_grid[0], z_grid[-1], step)
+        except ConfigError:
+            return ()
+
+    return _exact_repr(rebuild, z_grid, (z_grid[-1] - z_grid[0]) / (len(z_grid) - 1))
 
 
 def serialize_config(config: Config) -> str:
-    """Render a Config back to parseable text that round-trips exactly."""
-
-    def g(x: float) -> str:
-        return repr(float(x))
-
-    def g_db(x: float) -> str:
-        # a zero isolation is -inf dB, which parse_config maps back to 0
-        return g(10 * math.log10(x)) if x > 0 else "-inf"
-
-    link, comp, bb84, gmcs = config.link, config.comp, config.bb84, config.gmcs
-    lines = [
-        "[link]",
-        f"fiber_length_km = {g(link.fiber_length_km)}",
-        f"alpha_db_per_km = {g(link.alpha_db_per_km)}",
-        f"beta_raman = {g(link.beta_raman)}",
-        f"classical_channel_count = {link.classical_channel_count}",
-        f"p_out_dbm = {g(link.p_out_dbm)}",
-        f"lambda_quantum_nm = {g(link.lambda_quantum_nm)}",
-        f"lambda_classical_nm = {g(link.lambda_classical_nm)}",
-        "",
-        "[components]",
-        f"nf_db = {g(comp.nf_db)}",
-        f"gain_g0 = {g(comp.gain_g0)}",
-        f"xi1_db = {g_db(comp.xi1)}",
-        f"xi2_db = {g_db(comp.xi2)}",
-        f"eta_mux = {g(comp.eta_mux)}",
-        f"eta_dmu = {g(comp.eta_dmu)}",
-        f"delta_nu_hz = {g(comp.delta_nu_hz)}",
-        f"nsp_convention = {'exact' if comp.nsp_exact else 'highgain'}",
-    ]
-    if comp.gain_fixed is not None:
-        lines.append(f"gain_fixed = {g(comp.gain_fixed)}")
+    """Render a Config that parse_config returned back to text that parses
+    to an equal Config. A key whose value is None is left out."""
+    lines = []
+    for section, (attr, _) in _SECTIONS.items():
+        params = getattr(config, attr)
+        lines.append(f"[{section}]")
+        for key, (field, _, text) in _KEYS[section].items():
+            value = getattr(params, field)
+            if value is not None:
+                lines.append(f"{key} = {text(value)}")
+        lines.append("")
+    grid = config.z_grid
     lines += [
-        "",
-        "[bb84]",
-        f"mu = {g(bb84.mu)}",
-        f"y0_base = {g(bb84.y0_base)}",
-        f"e_det = {g(bb84.e_det)}",
-        f"e0 = {g(bb84.e0)}",
-        f"eta_bob = {g(bb84.eta_bob)}",
-        f"f_ec = {g(bb84.f_ec)}",
-        f"delta_t_ns = {g(bb84.delta_t_s * 1e9)}",
-        "",
-        "[gmcs]",
-        f"v_a = {g(gmcs.v_a)}",
-        f"eta_bob = {g(gmcs.eta_bob)}",
-        f"eps0 = {g(gmcs.eps0)}",
-        f"v_el = {g(gmcs.v_el)}",
-        f"gamma = {g(gmcs.gamma)}",
-        f"n_lo = {g(gmcs.n_lo)}",
-        f"detector_bandwidth_hz = {g(gmcs.detector_bandwidth_hz)}",
-        f"sigma_meas = {g(gmcs.sigma_meas)}",
-        f"conservative = {'true' if gmcs.conservative else 'false'}",
-        "",
         "[scenario]",
-        f"z_min_km = {g(config.z_grid[0])}",
-        f"z_max_km = {g(config.z_grid[-1])}",
-        f"z_step_km = {g(config.z_grid[1] - config.z_grid[0]) if len(config.z_grid) > 1 else '0.5'}",
+        f"z_min_km = {grid[0]!r}",
+        f"z_max_km = {grid[-1]!r}",
+        f"z_step_km = {_z_step_text(grid)}",
         "",
     ]
     return "\n".join(lines)

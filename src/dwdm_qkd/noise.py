@@ -274,16 +274,34 @@ def fit_raman_coefficient(
     the model is P = P_out * beta * z * delta_lambda * 10^(-IL/10).
     Least-squares through the origin; a single point is exact inversion.
     """
+    for name, value in (
+        ("p_out_w", p_out_w),
+        ("delta_lambda_nm", delta_lambda_nm),
+        ("insertion_loss_db", insertion_loss_db),
+    ):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    for z, p in measurements:
+        if not (math.isfinite(z) and math.isfinite(p)):
+            raise DomainError(f"measurement point {z} km: {p} W must be finite")
     points = [(z, p) for z, p in measurements if z > 0]
     if not points:
         raise UnfittableError("need at least one measurement with z > 0")
-    il = db_to_linear(-insertion_loss_db)
+    try:
+        il = db_to_linear(-insertion_loss_db)
+    except OverflowError:
+        raise DomainError(
+            f"insertion_loss_db = {insertion_loss_db} overflows a float in linear units"
+        ) from None
     scale = p_out_w * delta_lambda_nm * il
     if scale <= 0:
         raise DomainError("p_out and delta_lambda must be positive")
     num = sum(p * z for z, p in points)
-    den = sum(z * z for z, _ in points)
-    return num / (scale * den)
+    denominator = scale * sum(z * z for z, _ in points)
+    beta = num / denominator if denominator > 0 else math.inf
+    if not math.isfinite(beta):
+        raise DomainError("the fitted Raman coefficient overflows a float")
+    return beta
 
 
 def compute_noise_budget(

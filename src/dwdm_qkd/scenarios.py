@@ -11,17 +11,15 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from .bb84 import Bb84Params, _optimize_mu_with_budget
-from .gmcs import GmcsParams, gmcs_point, secure_distance, total_excess_noise
+from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
+from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
 from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, channel_transmittance, compute_noise_budget
 
-NONADJACENT_ISOLATION = 1e-8  # -80 dB
 ADJACENT_ISOLATION = 1e-4  # -40 dB
 
-ISOLATION_BY_ADJACENCY = {
-    "non-adjacent": NONADJACENT_ISOLATION,
-    "adjacent": ADJACENT_ISOLATION,
-}
+# reference window of the homodyne budget: the SPD window against which the
+# unmatched-mode noise is scaled, the single-photon budget's convention
+HOMODYNE_REFERENCE_WINDOW_S = 1e-9
 
 
 def default_z_grid() -> List[float]:
@@ -35,59 +33,66 @@ class Scenario:
     link: LinkParams
     comp: ComponentParams
     detector: Union[Bb84Params, GmcsParams]
-    adjacency: str = "non-adjacent"
     z_grid: Tuple[float, ...] = field(default_factory=lambda: tuple(default_z_grid()))
 
     def __post_init__(self):
         if self.protocol not in ("BB84", "GMCS"):
             raise DomainError(f"unknown protocol {self.protocol!r}")
-        if self.adjacency not in ISOLATION_BY_ADJACENCY:
-            raise DomainError(f"unknown adjacency class {self.adjacency!r}")
         zs = list(self.z_grid)
         if not zs or any(z < 0 for z in zs) or any(
             b <= a for a, b in zip(zs, zs[1:])
         ):
             raise DomainError("z_grid must be nonempty, nonnegative, strictly increasing")
 
-    def isolation(self) -> float:
-        return ISOLATION_BY_ADJACENCY[self.adjacency]
-
 
 @dataclass(frozen=True)
-class SweepRow:
+class Evaluation:
+    """Everything evaluated at one distance: the noise budget, the channel
+    transmittance and the key-rate point; mu is the BB84 grid optimum."""
+
     z_km: float
     budget: NoiseBudget
-    rate: float
+    eta_ch: float
+    point: Union[Bb84Point, GmcsPoint]
+    mu: Optional[float] = None
+
+    @property
+    def rate(self) -> float:
+        return self.point.rate
 
 
 @dataclass(frozen=True)
 class SweepResult:
     scenario: str
-    rows: Tuple[SweepRow, ...]
+    rows: Tuple[Evaluation, ...]
     secure_distance_km: float
     noise_crossover_km: Optional[float]
 
 
-def _rate_at(scenario: Scenario, z_km: float, strict_eps_out: bool) -> Tuple[NoiseBudget, float]:
+def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> Evaluation:
+    """Noise budget and key rate of a scenario at one distance.
+
+    BB84 takes the rate at the optimal mu of the default grid. GMCS budgets
+    its noise against HOMODYNE_REFERENCE_WINDOW_S and adds the unmatched-mode
+    excess noise eps_out to eps_in only when strict_eps_out is set.
+    """
     link = dataclasses.replace(scenario.link, fiber_length_km=z_km)
     comp = scenario.comp
     det = scenario.detector
+    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
     if scenario.protocol == "BB84":
         budget = compute_noise_budget(link, comp, det.delta_t_s)
-        _, point = _optimize_mu_with_budget(link, comp, det, budget)
-        return budget, point.rate
+        mu, point = _optimize_mu_with_budget(link, comp, det, budget)
+        return Evaluation(z_km, budget, eta_ch, point, mu)
 
-    # homodyne path: the SPD-window reference for unmatched-mode noise uses
-    # a 1 ns window, matching the single-photon budget convention
     budget = compute_noise_budget(
         link,
         comp,
-        1e-9,
+        HOMODYNE_REFERENCE_WINDOW_S,
         eta_bob=det.eta_bob,
         detector_bandwidth_hz=det.detector_bandwidth_hz,
         n_lo=det.n_lo,
     )
-    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
     eps_in = budget.eps_in + (budget.eps_out if strict_eps_out else 0.0)
     eps = total_excess_noise(
         det.eps0,
@@ -99,28 +104,25 @@ def _rate_at(scenario: Scenario, z_km: float, strict_eps_out: bool) -> Tuple[Noi
         conservative=det.conservative,
     )
     point = gmcs_point(eta_ch, det, eps, eta_dmu=comp.eta_dmu, z_km=z_km)
-    return budget, point.rate
+    return Evaluation(z_km, budget, eta_ch, point)
 
 
 def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
     """Evaluate noise budget and key rate at every grid distance."""
-    rows = []
-    for z in scenario.z_grid:
-        budget, rate = _rate_at(scenario, z, strict_eps_out)
-        rows.append(SweepRow(z, budget, rate))
+    rows = tuple(evaluate(scenario, z, strict_eps_out) for z in scenario.z_grid)
 
     # secure_distance's 1 km scan and bisection revisit distances the sweep
-    # has evaluated; _rate_at is deterministic, so reuse those rates
+    # has evaluated; evaluate is deterministic, so reuse those rates
     rate_by_z = {row.z_km: row.rate for row in rows}
 
     def rate_fn(z: float) -> float:
         rate = rate_by_z.get(z)
-        return _rate_at(scenario, z, strict_eps_out)[1] if rate is None else rate
+        return evaluate(scenario, z, strict_eps_out).rate if rate is None else rate
 
     dist = secure_distance(rate_fn, scenario.z_grid[-1])
     return SweepResult(
         scenario=scenario.name,
-        rows=tuple(rows),
+        rows=rows,
         secure_distance_km=dist,
         noise_crossover_km=noise_crossover_km(scenario),
     )
@@ -133,9 +135,7 @@ def noise_crossover_km(scenario: Scenario) -> Optional[float]:
     crossover follows from the terms at any reference distance. None when
     either term vanishes identically.
     """
-    delta_t = scenario.detector.delta_t_s if scenario.protocol == "BB84" else 1e-9
-    link = dataclasses.replace(scenario.link, fiber_length_km=1.0)
-    budget = compute_noise_budget(link, scenario.comp, delta_t)
+    budget = evaluate(scenario, 1.0).budget
     if budget.leak_window <= 0 or budget.sasrs_window <= 0:
         return None
     return budget.leak_window / budget.sasrs_window  # slope is per km at z=1
@@ -161,7 +161,7 @@ def builtin_scenarios() -> List[Scenario]:
         Scenario("bb84-0dBm", "BB84", one_ch, table2, bb84),
         Scenario("gmcs-none", "GMCS", no_ch, table2, gmcs),
         Scenario("gmcs-1ch-nonadj", "GMCS", one_ch, table2, gmcs),
-        Scenario("gmcs-1ch-adj", "GMCS", one_ch, table2_adj, gmcs, adjacency="adjacent"),
+        Scenario("gmcs-1ch-adj", "GMCS", one_ch, table2_adj, gmcs),
         Scenario("gmcs-38ch", "GMCS", many_ch, table2, gmcs),
         Scenario("gmcs-1ch-100MHz-detector", "GMCS", one_ch, table2, gmcs_100mhz),
     ]

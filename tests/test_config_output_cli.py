@@ -1,9 +1,15 @@
+import configparser
 import dataclasses
 import json
+import math
+import pathlib
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dwdm_qkd import cli
+from dwdm_qkd import scenarios
+from dwdm_qkd.bb84 import Bb84Params
 from dwdm_qkd.cli import main
 from dwdm_qkd.config import (
     MAX_GRID_POINTS,
@@ -12,9 +18,122 @@ from dwdm_qkd.config import (
     parse_config,
     serialize_config,
 )
-from dwdm_qkd.gmcs import PhysicalityError
+from dwdm_qkd.gmcs import GmcsParams, PhysicalityError
+from dwdm_qkd.noise import ComponentParams, LinkParams
 from dwdm_qkd.output import CSV_HEADER, emit, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import run_sweep, scenario_by_name
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# every key a config accepts, by section
+CONFIG_KEYS = {
+    "link": {
+        "fiber_length_km",
+        "alpha_db_per_km",
+        "beta_raman",
+        "classical_channel_count",
+        "p_out_dbm",
+        "lambda_quantum_nm",
+        "lambda_classical_nm",
+    },
+    "components": {
+        "nf_db",
+        "gain_g0",
+        "gain_fixed",
+        "xi1_db",
+        "xi2_db",
+        "eta_mux",
+        "eta_dmu",
+        "delta_nu_hz",
+        "nsp_convention",
+    },
+    "bb84": {"mu", "y0_base", "e_det", "e0", "eta_bob", "f_ec", "delta_t_ns"},
+    "gmcs": {
+        "v_a",
+        "eta_bob",
+        "eps0",
+        "v_el",
+        "gamma",
+        "n_lo",
+        "detector_bandwidth_hz",
+        "sigma_meas",
+        "conservative",
+    },
+    "scenario": {"z_min_km", "z_max_km", "z_step_km"},
+}
+
+
+def unit_interval(min_value=0.0, exclude_min=True):
+    return st.floats(min_value=min_value, max_value=1.0, exclude_min=exclude_min)
+
+
+DB_ISOLATION = st.one_of(st.just(-math.inf), st.floats(min_value=-300.0, max_value=0.0))
+
+
+@st.composite
+def config_documents(draw):
+    """A valid config document that sets every key, as {section: {key: value}}."""
+    lambda_q = draw(st.floats(min_value=1500.0, max_value=1600.0))
+    z_min = draw(st.floats(min_value=0.0, max_value=100.0))
+    z_step = draw(st.floats(min_value=0.01, max_value=10.0))
+    gain_fixed = draw(st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e4)))
+    return {
+        "link": {
+            "fiber_length_km": draw(st.floats(min_value=0.0, max_value=500.0)),
+            "alpha_db_per_km": draw(st.floats(min_value=0.0, max_value=1.0)),
+            "beta_raman": draw(st.floats(min_value=0.0, max_value=1e-8)),
+            "classical_channel_count": draw(st.integers(min_value=0, max_value=100)),
+            "p_out_dbm": draw(st.floats(min_value=-30.0, max_value=30.0)),
+            "lambda_quantum_nm": lambda_q,
+            "lambda_classical_nm": lambda_q + draw(st.floats(min_value=0.1, max_value=50.0)),
+        },
+        "components": {
+            "nf_db": draw(st.floats(min_value=0.0, max_value=20.0)),
+            "gain_g0": draw(st.floats(min_value=1.0, max_value=1e4)),
+            "gain_fixed": "" if gain_fixed is None else gain_fixed,
+            "xi1_db": draw(DB_ISOLATION),
+            "xi2_db": draw(DB_ISOLATION),
+            "eta_mux": draw(unit_interval()),
+            "eta_dmu": draw(unit_interval()),
+            "delta_nu_hz": draw(st.floats(min_value=1e6, max_value=1e12)),
+            "nsp_convention": draw(st.sampled_from(["highgain", "exact"])),
+        },
+        "bb84": {
+            "mu": draw(st.floats(min_value=0.0, max_value=10.0, exclude_min=True)),
+            "y0_base": draw(st.floats(min_value=0.0, max_value=1e-3)),
+            "e_det": draw(st.floats(min_value=0.0, max_value=0.5)),
+            "e0": draw(unit_interval(exclude_min=False)),
+            "eta_bob": draw(unit_interval()),
+            "f_ec": draw(st.floats(min_value=1.0, max_value=2.0)),
+            "delta_t_ns": draw(st.floats(min_value=0.01, max_value=100.0)),
+        },
+        "gmcs": {
+            "v_a": draw(st.floats(min_value=0.0, max_value=100.0, exclude_min=True)),
+            "eta_bob": draw(unit_interval()),
+            "eps0": draw(st.floats(min_value=0.0, max_value=1.0)),
+            "v_el": draw(st.floats(min_value=0.0, max_value=1.0)),
+            "gamma": draw(unit_interval()),
+            "n_lo": draw(st.floats(min_value=1.0, max_value=1e10)),
+            "detector_bandwidth_hz": draw(st.floats(min_value=1.0, max_value=1e10)),
+            "sigma_meas": draw(st.floats(min_value=0.0, max_value=1.0)),
+            "conservative": draw(st.booleans()),
+        },
+        "scenario": {
+            "z_min_km": z_min,
+            "z_max_km": z_min + draw(st.integers(min_value=0, max_value=200)) * z_step,
+            "z_step_km": z_step,
+        },
+    }
+
+
+def render(doc):
+    def text(value):
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {text(v)}\n" for k, v in keys.items())
+        for section, keys in doc.items()
+    )
 
 
 def small_sweep():
@@ -64,6 +183,48 @@ class TestConfig:
         )
         again = parse_config(serialize_config(config))
         assert again == config
+
+    # the examples pin -inf dB isolation, gain_fixed unset and set, both n_sp
+    # conventions, a non-unit window and a step that is no binary fraction
+    @settings(max_examples=200, deadline=None)
+    @given(config_documents())
+    @example(
+        {
+            "components": {"xi1_db": -math.inf, "gain_fixed": "", "nsp_convention": "highgain"},
+            "bb84": {"delta_t_ns": 0.3},
+            "scenario": {"z_min_km": 16.0, "z_max_km": 16.1, "z_step_km": 0.01},
+        }
+    )
+    @example({"components": {"xi2_db": -63.7, "gain_fixed": 250.5, "nsp_convention": "exact"}})
+    def test_round_trip_over_valid_configs(self, doc):
+        config = parse_config(render(doc))
+        assert parse_config(serialize_config(config)) == config
+
+    def test_default_config_is_the_dataclass_defaults(self):
+        config = default_config()
+        assert config.link == LinkParams()
+        assert config.comp == ComponentParams()
+        assert config.bb84 == Bb84Params()
+        assert config.gmcs == GmcsParams()
+
+    def test_accepted_keys_are_pinned(self):
+        # serialize_config writes every key (gain_fixed only when it is set)
+        # and parse_config takes each of them back
+        config = parse_config("[components]\ngain_fixed = 200\n")
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(serialize_config(config))
+        written = {section: set(parser[section]) for section in parser.sections()}
+        assert written == CONFIG_KEYS
+        assert sum(len(keys) for keys in CONFIG_KEYS.values()) == 35
+
+    def test_malformed_gain_fixed_names_key(self):
+        with pytest.raises(ConfigError, match="components.gain_fixed"):
+            parse_config("[components]\ngain_fixed = fast\n")
+
+    def test_readme_example_parses(self):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        parse_config(blocks[0])
 
     def test_round_trip_zero_isolation(self):
         config = parse_config("[components]\nxi1_db = -inf\nxi2_db = -inf\n")
@@ -146,6 +307,9 @@ class TestOutput:
             emit(result, "xml", str(p1))
 
 
+FIT = ["fit-beta", "--delta-lambda-nm", "0.6"]
+
+
 class TestCli:
     def test_scenarios_lists_builtins(self, capsys):
         assert main(["scenarios"]) == 0
@@ -223,6 +387,11 @@ class TestCli:
             ["noise", "--z", "1e308"],
             ["bb84", "--z", "1e308"],
             ["--config", "{nan_config}", "noise", "--z", "20"],
+            FIT + ["--p-out-dbm", "4000", "--point", "20:1e-10"],
+            FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "-4000", "--point", "20:1e-10"],
+            FIT + ["--p-out-dbm", "0", "--point", "20:nan"],
+            ["bb84", "--z", "20", "--mu", "-1"],
+            ["bb84", "--z", "20", "--mu", "nan"],
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
@@ -258,11 +427,70 @@ class TestCli:
         def unphysical(*args, **kwargs):
             raise PhysicalityError("negative discriminant for channel spectrum: -1.0")
 
-        monkeypatch.setattr(cli, "gmcs_point", unphysical)
+        monkeypatch.setattr(scenarios, "gmcs_point", unphysical)
         assert main(["gmcs", "--z", "10"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: negative discriminant")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (FIT + ["--p-out-dbm", "4000", "--point", "20:1e-10"], "--p-out-dbm"),
+            (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "-4000", "--point", "20:1e-10"], "insertion_loss_db"),
+            (FIT + ["--p-out-dbm", "0", "--point", "20:nan"], "measurement point"),
+            (["bb84", "--z", "20", "--mu", "-1"], "mu"),
+            (["bb84", "--z", "20", "--mu", "nan"], "mu"),
+        ],
+    )
+    def test_bad_fit_and_mu_inputs_are_named(self, argv, name, capsys):
+        assert main(argv) == 1
+        assert name in capsys.readouterr().err
+
+    def test_sweep_rejects_config(self, tmp_path, capsys):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("[link]\nclassical_channel_count = 2\n")
+        assert main(["--config", str(cfg), "sweep", "--scenario", "gmcs-38ch"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_sweep_honours_conservative(self, capsys):
+        distances = []
+        for flags in ([], ["--conservative"]):
+            assert main(flags + ["--format", "json", "sweep", "--scenario", "gmcs-38ch"]) == 0
+            distances.append(json.loads(capsys.readouterr().out)["secure_distance_km"])
+        plain, conservative = distances
+        assert 0 < conservative < plain
+
+    @pytest.mark.parametrize("z", [0.0, 12.5, 20.0])
+    def test_points_equal_the_builtin_sweep_rows(self, z, capsys):
+        # without a config, noise and gmcs evaluate gmcs-1ch-nonadj and bb84
+        # evaluates bb84-0dBm, so each equals the sweep row at 9 digits
+        def g(x):
+            return float(format(x, ".9g"))
+
+        def row(name):
+            (found,) = [r for r in run_sweep(scenario_by_name(name)).rows if r.z_km == z]
+            return found
+
+        def point(command):
+            assert main([command, "--z", repr(z)]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        gmcs_row, bb84_row = row("gmcs-1ch-nonadj"), row("bb84-0dBm")
+        noise = point("noise")
+        for key, value in dataclasses.asdict(gmcs_row.budget).items():
+            assert noise[key] == g(value), key
+        gmcs = point("gmcs")
+        for key in ("eps", "i_ab", "chi_be", "rate"):
+            assert gmcs[key] == g(getattr(gmcs_row.point, key)), key
+        assert gmcs["eps_in"] == g(gmcs_row.budget.eps_in)
+        assert gmcs["eps_out"] == g(gmcs_row.budget.eps_out)
+        bb84 = point("bb84")
+        assert bb84["mu"] == bb84_row.mu
+        for key, value in dataclasses.asdict(bb84_row.point).items():
+            assert bb84[key] == g(value), key
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,8 +9,8 @@ from dwdm_qkd.output import sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import (
     ADJACENT_ISOLATION,
     Scenario,
-    _rate_at,
     builtin_scenarios,
+    evaluate,
     noise_crossover_km,
     run_sweep,
     scenario_by_name,
@@ -42,7 +42,6 @@ class TestBuiltins:
     def test_adjacent_isolation(self):
         adj = scenario_by_name("gmcs-1ch-adj")
         assert adj.comp.xi2 == ADJACENT_ISOLATION == 1e-4
-        assert adj.isolation() == 1e-4
 
     def test_100mhz_scenario_settings(self):
         s = scenario_by_name("gmcs-1ch-100MHz-detector")
@@ -61,8 +60,6 @@ class TestBuiltins:
             dataclasses.replace(base, z_grid=(0.0, 2.0, 1.0))
         with pytest.raises(DomainError):
             dataclasses.replace(base, z_grid=())
-        with pytest.raises(DomainError):
-            dataclasses.replace(base, adjacency="diagonal")
 
 
 class TestRunSweep:
@@ -156,6 +153,6 @@ class TestBuiltinSweeps:
     def test_secure_distance_matches_uncached_rates(self, name, strict):
         scenario = scenario_by_name(name)
         fresh = secure_distance(
-            lambda z: _rate_at(scenario, z, strict)[1], scenario.z_grid[-1]
+            lambda z: evaluate(scenario, z, strict).rate, scenario.z_grid[-1]
         )
         assert run_sweep(scenario, strict_eps_out=strict).secure_distance_km == fresh
