@@ -51,7 +51,6 @@ class Bb84Params:
 
 @dataclass(frozen=True)
 class Bb84Point:
-    z_km: float
     y0: float
     q_mu: float
     e_mu: float
@@ -76,14 +75,12 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def bb84_point_from_rates(
-    z_km: float, eta: float, y0: float, params: Bb84Params, mu: float
-) -> Bb84Point:
+def bb84_point_from_rates(eta: float, y0: float, params: Bb84Params, mu: float) -> Bb84Point:
     """Gains, QBERs and rate from the overall efficiency and background rate."""
     q_mu = y0 + 1.0 - math.exp(-eta * mu)
     q1 = (y0 + eta) * mu * math.exp(-mu)
     if q_mu <= 0 or q1 <= 0:
-        return Bb84Point(z_km, y0, q_mu, 0.0, q1, 0.0, 0.0)
+        return Bb84Point(y0, q_mu, 0.0, q1, 0.0, 0.0)
     e_mu = (params.e0 * y0 + params.e_det * (1.0 - math.exp(-eta * mu))) / q_mu
     e1 = (params.e0 * y0 + params.e_det * eta) * mu * math.exp(-mu) / q1
 
@@ -92,13 +89,13 @@ def bb84_point_from_rates(
         - params.f_ec * q_mu * binary_entropy(min(e_mu, 0.5))
         - q1 * binary_entropy(min(e1, 0.5))
     )
-    return Bb84Point(z_km, y0, q_mu, e_mu, q1, e1, max(0.0, rate))
+    return Bb84Point(y0, q_mu, e_mu, q1, e1, max(0.0, rate))
 
 
 def _efficiency_and_background(
-    link: LinkParams, comp: ComponentParams, params: Bb84Params, budget: NoiseBudget
+    link: LinkParams, comp: ComponentParams, params: Bb84Params, z_km: float, budget: NoiseBudget
 ) -> Tuple[float, float]:
-    eta_ch = channel_transmittance(link.fiber_length_km, link.alpha_db_per_km)
+    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
     eta = eta_ch * comp.eta_dmu * params.eta_bob
     y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
     return eta, y0
@@ -108,37 +105,40 @@ def bb84_point(
     link: LinkParams,
     comp: ComponentParams,
     params: Bb84Params,
+    z_km: float,
     mu: Optional[float] = None,
 ) -> Bb84Point:
-    """Evaluate gains, QBERs and secure key rate at one distance."""
+    """Evaluate gains, QBERs and secure key rate at z_km of fiber."""
     if mu is None:
         mu = params.mu
     elif not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and > 0, got {mu}")
-    budget = compute_noise_budget(link, comp, params.delta_t_s)
-    eta, y0 = _efficiency_and_background(link, comp, params, budget)
-    return bb84_point_from_rates(link.fiber_length_km, eta, y0, params, mu)
+    budget = compute_noise_budget(link, comp, z_km, params.delta_t_s)
+    eta, y0 = _efficiency_and_background(link, comp, params, z_km, budget)
+    return bb84_point_from_rates(eta, y0, params, mu)
 
 
 def optimize_mu(
     link: LinkParams,
     comp: ComponentParams,
     params: Bb84Params,
+    z_km: float,
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
 ) -> Tuple[float, Bb84Point]:
-    """Grid argmax of the key rate over mu; ties go to the smaller mu."""
-    budget = compute_noise_budget(link, comp, params.delta_t_s)
-    return _optimize_mu_with_budget(link, comp, params, budget, mu_grid)
+    """Grid argmax of the key rate over mu at z_km; ties go to the smaller mu."""
+    budget = compute_noise_budget(link, comp, z_km, params.delta_t_s)
+    return _optimize_mu_with_budget(link, comp, params, z_km, budget, mu_grid)
 
 
 def _optimize_mu_with_budget(
     link: LinkParams,
     comp: ComponentParams,
     params: Bb84Params,
+    z_km: float,
     budget: NoiseBudget,
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
 ) -> Tuple[float, Bb84Point]:
-    """optimize_mu given the link's noise budget, which the caller has already.
+    """optimize_mu given the noise budget at z_km, which the caller has already.
 
     The scan computes only the rate at each mu and builds the Bb84Point for
     the winner. Its expressions are those of bb84_point_from_rates with the
@@ -158,7 +158,7 @@ def _optimize_mu_with_budget(
     """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
-    eta, y0 = _efficiency_and_background(link, comp, params, budget)
+    eta, y0 = _efficiency_and_background(link, comp, params, z_km, budget)
     e_det, f_ec = params.e_det, params.f_ec
     exp, log2 = math.exp, math.log2
     neg_eta = -eta
@@ -194,4 +194,4 @@ def _optimize_mu_with_budget(
         rate = 0.5 * (head - q1 * h_1)
         if rate > best_rate:
             best_mu, best_rate = mu, rate
-    return best_mu, bb84_point_from_rates(link.fiber_length_km, eta, y0, params, best_mu)
+    return best_mu, bb84_point_from_rates(eta, y0, params, best_mu)

@@ -71,14 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_noise = sub.add_parser("noise", help="noise budget at one distance")
-    p_noise.add_argument("--z", type=float, required=True, help="fiber length, km")
-
     p_bb84 = sub.add_parser("bb84", help="decoy-BB84 key-rate point")
-    p_bb84.add_argument("--z", type=float, required=True)
     p_bb84.add_argument("--mu", type=float, help="signal mean photon number (default: optimize)")
-
     p_gmcs = sub.add_parser("gmcs", help="GMCS homodyne key-rate point")
-    p_gmcs.add_argument("--z", type=float, required=True)
+    for p_point in (p_noise, p_bb84, p_gmcs):
+        p_point.add_argument(
+            "--z", type=float, help="fiber length, km (default: from --config, else 20)"
+        )
 
     p_sweep = sub.add_parser("sweep", help="run a built-in scenario sweep")
     p_sweep.add_argument("--scenario", required=True)
@@ -100,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_noise(args, config: Config) -> int:
-    link = dataclasses.replace(config.link, fiber_length_km=args.z)
     budget = compute_noise_budget(
-        link,
+        config.link,
         config.comp,
+        args.z,
         config.bb84.delta_t_s,
         eta_bob=config.gmcs.eta_bob,
         detector_bandwidth_hz=config.gmcs.detector_bandwidth_hz,
@@ -118,13 +117,12 @@ def cmd_noise(args, config: Config) -> int:
 
 def cmd_bb84(args, config: Config) -> int:
     if args.mu is not None:
-        link = dataclasses.replace(config.link, fiber_length_km=args.z)
-        mu, point = args.mu, bb84_point(link, config.comp, config.bb84, mu=args.mu)
+        mu, point = args.mu, bb84_point(config.link, config.comp, config.bb84, args.z, mu=args.mu)
     else:
         scenario = Scenario("bb84", "BB84", config.link, config.comp, config.bb84)
         evaluation = evaluate(scenario, args.z)
         mu, point = evaluation.mu, evaluation.point
-    doc = {"protocol": "BB84", "mu": mu, **dataclasses.asdict(point)}
+    doc = {"protocol": "BB84", "mu": mu, "z_km": args.z, **dataclasses.asdict(point)}
     _print_json({k: (_g(v) if isinstance(v, float) else v) for k, v in doc.items()}, args.out)
     return 0
 
@@ -157,7 +155,7 @@ def cmd_sweep(args) -> int:
     if args.config is not None:
         raise ConfigError("sweep runs a built-in scenario as defined and does not read --config")
     scenario = scenario_by_name(args.scenario)
-    if args.conservative and scenario.protocol == "GMCS":
+    if args.conservative:
         det = dataclasses.replace(scenario.detector, conservative=True)
         scenario = dataclasses.replace(scenario, detector=det)
     result = run_sweep(scenario, strict_eps_out=args.strict_eps_out)
@@ -188,6 +186,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if (args.conservative or args.strict_eps_out) and not (
+            args.command == "gmcs"
+            or (args.command == "sweep" and scenario_by_name(args.scenario).protocol == "GMCS")
+        ):
+            raise DomainError("--conservative and --strict-eps-out apply only to GMCS points and sweeps")
         if args.command == "scenarios":
             names = [s.name for s in builtin_scenarios()]
             if args.format == "json":
@@ -200,6 +203,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         config = _load_config(args.config)
+        if args.z is None:
+            args.z = config.z_km
         if args.command == "noise":
             return cmd_noise(args, config)
         if args.command == "bb84":

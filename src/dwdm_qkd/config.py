@@ -4,8 +4,9 @@ The [link], [components], [bb84] and [gmcs] sections hold the fields of
 LinkParams, ComponentParams, Bb84Params and GmcsParams: each key is the
 field's name and a missing key takes the field's default. The four keys in
 _CONVERTED differ from their field in name or unit and are converted to
-linear SI values exactly once, at parse time. [scenario] sets the sweep
-grid.
+linear SI values exactly once, at parse time. [link] fiber_length_km is
+Config.z_km, the distance of the point commands when --z is not given.
+[scenario] sets the sweep grid.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
-from .noise import ComponentParams, DomainError, LinkParams, db_field_to_linear
+from .noise import ComponentParams, DomainError, LinkParams, channel_transmittance, db_field_to_linear
 
 # the [scenario] grid is checked against this before it is built
 MAX_GRID_POINTS = 100_000
@@ -35,6 +36,7 @@ class Config:
     bb84: Bb84Params
     gmcs: GmcsParams
     z_grid: Tuple[float, ...]
+    z_km: float = 20.0
 
 
 # section -> (Config attribute, parameter dataclass)
@@ -127,6 +129,7 @@ def _keys(cls) -> Dict[str, tuple]:
 
 
 _KEYS = {section: _keys(cls) for section, (_, cls) in _SECTIONS.items()}
+_KEYS["link"]["fiber_length_km"] = ("z_km", float, _plain_text)
 _KEYS["scenario"] = {key: (key, float, _plain_text) for key in _SCENARIO_DEFAULTS}
 
 
@@ -178,15 +181,20 @@ def parse_config(text: str) -> Config:
             field = _KEYS[section][key][0]
             values[section][field] = _parse_value(section, key, raw)
 
+    z_km = values["link"].pop("z_km", Config.z_km)
     params = {}
     try:
         for section, (attr, cls) in _SECTIONS.items():
             params[attr] = cls(**values[section])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        channel_transmittance(z_km, params["link"].alpha_db_per_km)
+    except DomainError as exc:
+        raise ConfigError(f"link.fiber_length_km: {exc}") from exc
     grid = {**_SCENARIO_DEFAULTS, **values["scenario"]}
     z_grid = _z_grid(grid["z_min_km"], grid["z_max_km"], grid["z_step_km"])
-    return Config(**params, z_grid=z_grid)
+    return Config(**params, z_grid=z_grid, z_km=z_km)
 
 
 def _z_step_text(z_grid: Tuple[float, ...]) -> str:
@@ -212,7 +220,7 @@ def serialize_config(config: Config) -> str:
         params = getattr(config, attr)
         lines.append(f"[{section}]")
         for key, (field, _, text) in _KEYS[section].items():
-            value = getattr(params, field)
+            value = getattr(config if field == "z_km" else params, field)
             if value is not None:
                 lines.append(f"{key} = {text(value)}")
         lines.append("")

@@ -53,7 +53,6 @@ class GmcsParams:
 
 @dataclass(frozen=True)
 class GmcsPoint:
-    z_km: float
     eps: float  # total input-referred excess noise
     i_ab: float
     chi_be: float
@@ -113,7 +112,6 @@ def gmcs_point(
     params: GmcsParams,
     eps: float,
     eta_dmu: float = 0.71,
-    z_km: float = 0.0,
 ) -> GmcsPoint:
     """Secure key rate per signal at one channel transmittance."""
     if not 0 < eta_ch <= 1:
@@ -152,7 +150,7 @@ def gmcs_point(
     if not math.isfinite(i_ab + chi_be):
         raise _out_of_range(eta_ch, eps)
     rate = max(0.0, params.gamma * i_ab - chi_be)
-    return GmcsPoint(z_km, eps, i_ab, max(0.0, chi_be), rate, sigma)
+    return GmcsPoint(eps, i_ab, max(0.0, chi_be), rate, sigma)
 
 
 def secure_distance(

@@ -59,7 +59,6 @@ class LinkParams:
     (just before the DEMUX), held constant by the amplifier gain schedule.
     """
 
-    fiber_length_km: float = 20.0
     alpha_db_per_km: float = 0.21
     beta_raman: float = 4e-9  # spontaneous Raman coefficient, 1/(km*nm)
     classical_channel_count: int = 1
@@ -69,16 +68,9 @@ class LinkParams:
 
     def __post_init__(self):
         check_finite_fields(self)
-        if self.fiber_length_km < 0:
-            raise DomainError("fiber_length_km must be >= 0")
-        if channel_transmittance(self.fiber_length_km, self.alpha_db_per_km) == 0:
-            raise DomainError(
-                f"fiber_length_km = {self.fiber_length_km} makes the channel "
-                "transmittance underflow to 0"
-            )
         db_field_to_linear("p_out_dbm", self.p_out_dbm)
-        if self.beta_raman < 0:
-            raise DomainError("beta_raman must be >= 0")
+        if self.alpha_db_per_km < 0 or self.beta_raman < 0:
+            raise DomainError("alpha_db_per_km and beta_raman must be >= 0")
         if self.classical_channel_count < 0:
             raise DomainError("classical_channel_count must be >= 0")
         if self.lambda_classical_nm <= self.lambda_quantum_nm:
@@ -153,10 +145,16 @@ class NoiseBudget:
 
 
 def channel_transmittance(z_km: float, alpha_db_per_km: float) -> float:
-    """Linear transmittance of z_km of fiber with attenuation alpha (dB/km)."""
-    if z_km < 0 or alpha_db_per_km < 0:
-        raise DomainError("fiber length and attenuation must be >= 0")
-    return 10.0 ** (-alpha_db_per_km * z_km / 10.0)
+    """Linear transmittance of z_km of fiber with attenuation alpha (dB/km);
+    the one check of a distance: finite, >= 0 and no underflow to 0."""
+    if not (math.isfinite(z_km) and z_km >= 0):
+        raise DomainError(f"z_km must be finite and >= 0, got {z_km}")
+    if alpha_db_per_km < 0:
+        raise DomainError("alpha_db_per_km must be >= 0")
+    eta_ch = 10.0 ** (-alpha_db_per_km * z_km / 10.0)
+    if eta_ch == 0:
+        raise DomainError(f"z_km = {z_km} makes the channel transmittance underflow to 0")
+    return eta_ch
 
 
 def nsp_from_nf(nf_linear: float, gain: float, high_gain: bool = False) -> float:
@@ -293,6 +291,8 @@ def fit_raman_coefficient(
         raise DomainError(
             f"insertion_loss_db = {insertion_loss_db} overflows a float in linear units"
         ) from None
+    if il == 0:
+        raise DomainError(f"insertion_loss_db = {insertion_loss_db} underflows to 0 in linear units")
     scale = p_out_w * delta_lambda_nm * il
     if scale <= 0:
         raise DomainError("p_out and delta_lambda must be positive")
@@ -307,12 +307,13 @@ def fit_raman_coefficient(
 def compute_noise_budget(
     link: LinkParams,
     comp: ComponentParams,
+    z_km: float,
     delta_t_s: float,
     eta_bob: float = 0.0,
     detector_bandwidth_hz: Optional[float] = None,
     n_lo: Optional[float] = None,
 ) -> NoiseBudget:
-    """Evaluate every noise quantity for one link configuration.
+    """Evaluate every noise quantity for one link at z_km of fiber.
 
     delta_t_s is the SPD gating window (it also sets the reference window
     for unmatched-mode homodyne noise). eta_bob, detector_bandwidth_hz and
@@ -320,7 +321,7 @@ def compute_noise_budget(
     are absent the corresponding fields are zero.
     """
     m = link.classical_channel_count
-    eta_ch = channel_transmittance(link.fiber_length_km, link.alpha_db_per_km)
+    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
     p_out = link.p_out_w
     e_classical = photon_energy(link.lambda_classical_nm * 1e-9)
 
@@ -336,7 +337,7 @@ def compute_noise_budget(
         n_sasrs = m * sasrs_per_mode(
             p_out,
             link.beta_raman,
-            link.fiber_length_km,
+            z_km,
             comp.eta_dmu,
             link.lambda_quantum_nm * 1e-9,
         )
@@ -364,10 +365,7 @@ def compute_noise_budget(
     # gain schedule gain_g0 / eta_ch overflows while eta_ch is still nonzero.
     # All are >= 0, so their sum is finite only if each one is.
     if not math.isfinite(n_spd + n_matched + n_unmatched + eps_in + eps_out):
-        raise DomainError(
-            f"the noise budget at fiber_length_km = {link.fiber_length_km} "
-            "overflows a float"
-        )
+        raise DomainError(f"the noise budget at z_km = {z_km} overflows a float")
 
     return NoiseBudget(
         n_ase_per_mode_at_a=n_ase_a,

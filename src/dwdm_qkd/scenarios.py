@@ -76,18 +76,17 @@ def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> E
     its noise against HOMODYNE_REFERENCE_WINDOW_S and adds the unmatched-mode
     excess noise eps_out to eps_in only when strict_eps_out is set.
     """
-    link = dataclasses.replace(scenario.link, fiber_length_km=z_km)
-    comp = scenario.comp
-    det = scenario.detector
+    link, comp, det = scenario.link, scenario.comp, scenario.detector
     eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
     if scenario.protocol == "BB84":
-        budget = compute_noise_budget(link, comp, det.delta_t_s)
-        mu, point = _optimize_mu_with_budget(link, comp, det, budget)
+        budget = compute_noise_budget(link, comp, z_km, det.delta_t_s)
+        mu, point = _optimize_mu_with_budget(link, comp, det, z_km, budget)
         return Evaluation(z_km, budget, eta_ch, point, mu)
 
     budget = compute_noise_budget(
         link,
         comp,
+        z_km,
         HOMODYNE_REFERENCE_WINDOW_S,
         eta_bob=det.eta_bob,
         detector_bandwidth_hz=det.detector_bandwidth_hz,
@@ -103,7 +102,7 @@ def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> E
         sigma_meas=det.sigma_meas,
         conservative=det.conservative,
     )
-    point = gmcs_point(eta_ch, det, eps, eta_dmu=comp.eta_dmu, z_km=z_km)
+    point = gmcs_point(eta_ch, det, eps, eta_dmu=comp.eta_dmu)
     return Evaluation(z_km, budget, eta_ch, point)
 
 

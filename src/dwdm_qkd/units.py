@@ -10,10 +10,6 @@ import math
 PLANCK_H = 6.62607015e-34  # J*s
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-# Rounded energy of a 1550 nm photon, kept for fixtures that reproduce
-# published bench arithmetic. Prefer photon_energy() for general use.
-PHOTON_ENERGY_1550_J = 1.28e-19
-
 
 def db_to_linear(db: float) -> float:
     """Convert a dB value to a linear power ratio."""

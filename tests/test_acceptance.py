@@ -45,12 +45,11 @@ def scenario_rate(name, strict=False, eps_scale=1.0):
     det = scenario.detector
 
     def rate(z):
-        link = dataclasses.replace(scenario.link, fiber_length_km=z)
         budget = compute_noise_budget(
-            link, scenario.comp, 1e-9, eta_bob=det.eta_bob,
+            scenario.link, scenario.comp, z, 1e-9, eta_bob=det.eta_bob,
             detector_bandwidth_hz=det.detector_bandwidth_hz, n_lo=det.n_lo,
         )
-        eta_ch = channel_transmittance(z, link.alpha_db_per_km)
+        eta_ch = channel_transmittance(z, scenario.link.alpha_db_per_km)
         eps_in = eps_scale * (budget.eps_in + (budget.eps_out if strict else 0.0))
         eps = total_excess_noise(
             det.eps0, eps_in, eta_ch, scenario.comp.eta_dmu, det.eta_bob,
@@ -110,12 +109,12 @@ def test_criterion_2_raman_fit_round_trip():
 def test_criterion_3_noise_source_dominance():
     link = LinkParams(classical_channel_count=1, p_out_dbm=0.0)
     comp = ComponentParams()
-    ref = compute_noise_budget(dataclasses.replace(link, fiber_length_km=20), comp, 1e-9)
+    ref = compute_noise_budget(link, comp, 20, 1e-9)
     crossover = ref.leak_window / (ref.sasrs_window / 20.0)
     ok = 4 <= crossover <= 9
     ase_ok = True
     for z in [1 + i for i in range(80)]:
-        b = compute_noise_budget(dataclasses.replace(link, fiber_length_km=z), comp, 1e-9)
+        b = compute_noise_budget(link, comp, z, 1e-9)
         if z < crossover and not b.leak_window > b.sasrs_window:
             ok = False
         if z > crossover and not b.sasrs_window > b.leak_window:
@@ -133,7 +132,7 @@ def test_criterion_4_bb84_no_key_at_any_distance():
     start = time.perf_counter()
     worst = 0.0
     for z in [0.5 * i for i in range(161)]:
-        _, point = optimize_mu(dataclasses.replace(link, fiber_length_km=z), comp, params)
+        _, point = optimize_mu(link, comp, params, z)
         worst = max(worst, point.rate)
     elapsed = time.perf_counter() - start
     ok = worst == 0.0 and elapsed < 1.0
@@ -183,11 +182,11 @@ def test_criterion_7_conservative_100mhz_detector():
 
 
 def test_criterion_8_unmatched_mode_negligibility():
-    link = LinkParams(fiber_length_km=20, classical_channel_count=1)
+    link = LinkParams(classical_channel_count=1)
     comp = ComponentParams()
     det = GmcsParams()  # 1 MHz detector, 1e8 LO photons
     budget = compute_noise_budget(
-        link, comp, 1e-9, eta_bob=det.eta_bob,
+        link, comp, 20, 1e-9, eta_bob=det.eta_bob,
         detector_bandwidth_hz=det.detector_bandwidth_hz, n_lo=det.n_lo,
     )
     eta_ch = channel_transmittance(20, 0.21)
@@ -229,10 +228,10 @@ def test_criterion_9_property_suites():
 
     # BB84 algebraic identities
     from dwdm_qkd.bb84 import bb84_point
-    link = LinkParams(fiber_length_km=15, classical_channel_count=1)
+    link = LinkParams(classical_channel_count=1)
     comp = ComponentParams()
     params = Bb84Params()
-    point = bb84_point(link, comp, params, mu=0.4)
+    point = bb84_point(link, comp, params, 15, mu=0.4)
     eta = channel_transmittance(15, 0.21) * comp.eta_dmu * params.eta_bob
     ok &= math.isclose(
         point.e_mu * point.q_mu,

@@ -27,15 +27,14 @@ MULTIPLEXED = LinkParams(classical_channel_count=1, p_out_dbm=0.0)
 UNMULTIPLEXED = LinkParams(classical_channel_count=0)
 
 
-def first_max_over_point_builder(link, params, mu_grid):
+def first_max_over_point_builder(link, z, params, mu_grid):
     """Reference argmax: a Bb84Point per mu, the first of the largest rates."""
-    z = link.fiber_length_km
-    budget = compute_noise_budget(link, COMP, params.delta_t_s)
+    budget = compute_noise_budget(link, COMP, z, params.delta_t_s)
     eta = channel_transmittance(z, link.alpha_db_per_km) * COMP.eta_dmu * params.eta_bob
     y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
     best_mu, best = None, None
     for mu in mu_grid:
-        point = bb84_point_from_rates(z, eta, y0, params, mu)
+        point = bb84_point_from_rates(eta, y0, params, mu)
         if best is None or point.rate > best.rate:
             best_mu, best = mu, point
     return best_mu, best
@@ -121,33 +120,30 @@ class TestBb84Point:
     def test_matches_direct_formula_oracle(self):
         for z in (0.0, 10.0, 30.0):
             for mu in (0.1, 0.48, 0.9):
-                link = dataclasses.replace(UNMULTIPLEXED, fiber_length_km=z)
-                point = bb84_point(link, COMP, PARAMS, mu=mu)
+                point = bb84_point(UNMULTIPLEXED, COMP, PARAMS, z, mu=mu)
                 eta = 10 ** (-0.21 * z / 10) * COMP.eta_dmu * PARAMS.eta_bob
                 expected = max(0.0, rate_oracle(eta, PARAMS.y0_base, PARAMS, mu))
                 assert point.rate == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_unmultiplexed_rate_positive_at_short_distance(self):
-        mu, point = optimize_mu(dataclasses.replace(UNMULTIPLEXED, fiber_length_km=20), COMP, PARAMS)
+        mu, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)
         assert point.rate > 0
 
     def test_multiplexed_no_key_at_any_distance(self):
         for z in (0.0, 5.0, 20.0, 50.0, 80.0):
-            link = dataclasses.replace(MULTIPLEXED, fiber_length_km=z)
-            _, point = optimize_mu(link, COMP, PARAMS)
+            _, point = optimize_mu(MULTIPLEXED, COMP, PARAMS, z)
             assert point.rate == 0.0
 
     def test_noiseless_limit_positive(self):
         quiet = Bb84Params(y0_base=0.0, e_det=0.0, eta_bob=1.0)
         comp = ComponentParams(eta_dmu=1.0)
-        link = LinkParams(fiber_length_km=0.0, alpha_db_per_km=0.0, classical_channel_count=0)
-        point = bb84_point(link, comp, quiet, mu=0.1)
+        link = LinkParams(alpha_db_per_km=0.0, classical_channel_count=0)
+        point = bb84_point(link, comp, quiet, 0.0, mu=0.1)
         assert point.rate == pytest.approx(0.5 * 0.1 * math.exp(-0.1), rel=1e-6)
 
     def test_qber_identities(self):
         # E_mu*Q_mu and e1*Q1 reduce to their closed forms
-        link = dataclasses.replace(MULTIPLEXED, fiber_length_km=15)
-        point = bb84_point(link, COMP, PARAMS, mu=0.4)
+        point = bb84_point(MULTIPLEXED, COMP, PARAMS, 15, mu=0.4)
         eta = 10 ** (-0.21 * 15 / 10) * COMP.eta_dmu * PARAMS.eta_bob
         lhs = point.e_mu * point.q_mu
         rhs = PARAMS.e0 * point.y0 + PARAMS.e_det * (1 - math.exp(-eta * 0.4))
@@ -157,13 +153,13 @@ class TestBb84Point:
         assert lhs1 == pytest.approx(rhs1, rel=1e-12)
 
     def test_rate_nonincreasing_in_background_and_misalignment(self):
-        link = dataclasses.replace(UNMULTIPLEXED, fiber_length_km=10)
-        base = bb84_point(link, COMP, PARAMS, mu=0.5).rate
+        link = UNMULTIPLEXED
+        base = bb84_point(link, COMP, PARAMS, 10, mu=0.5).rate
         noisier = bb84_point(
-            link, COMP, dataclasses.replace(PARAMS, y0_base=1e-4), mu=0.5
+            link, COMP, dataclasses.replace(PARAMS, y0_base=1e-4), 10, mu=0.5
         ).rate
         crooked = bb84_point(
-            link, COMP, dataclasses.replace(PARAMS, e_det=0.02), mu=0.5
+            link, COMP, dataclasses.replace(PARAMS, e_det=0.02), 10, mu=0.5
         ).rate
         assert noisier <= base and crooked <= base
 
@@ -171,30 +167,27 @@ class TestBb84Point:
         # launch power at nothing and the booster pinned at unit gain (ASE
         # scales with G - 1, not with launch power): the unmultiplexed rate
         # should reappear
-        link10 = dataclasses.replace(MULTIPLEXED, fiber_length_km=10, p_out_dbm=-200.0)
-        clean10 = dataclasses.replace(UNMULTIPLEXED, fiber_length_km=10)
+        faint = dataclasses.replace(MULTIPLEXED, p_out_dbm=-200.0)
         quiet = dataclasses.replace(COMP, gain_fixed=1.0)
-        noisy = bb84_point(link10, quiet, PARAMS, mu=0.5).rate
-        clean = bb84_point(clean10, COMP, PARAMS, mu=0.5).rate
+        noisy = bb84_point(faint, quiet, PARAMS, 10, mu=0.5).rate
+        clean = bb84_point(UNMULTIPLEXED, COMP, PARAMS, 10, mu=0.5).rate
         assert noisy == pytest.approx(clean, rel=1e-6)
 
 
 class TestOptimizeMu:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            optimize_mu(UNMULTIPLEXED, COMP, PARAMS, mu_grid=[])
+            optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20, mu_grid=[])
 
     def test_grid_argmax_against_brute_force(self):
-        link = dataclasses.replace(UNMULTIPLEXED, fiber_length_km=25)
         grid = [0.05 + 0.01 * i for i in range(96)]
-        mu_star, point = optimize_mu(link, COMP, PARAMS, mu_grid=grid)
-        rates = [bb84_point(link, COMP, PARAMS, mu=m).rate for m in grid]
+        mu_star, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 25, mu_grid=grid)
+        rates = [bb84_point(UNMULTIPLEXED, COMP, PARAMS, 25, mu=m).rate for m in grid]
         assert point.rate == max(rates)
         assert mu_star == grid[rates.index(max(rates))]
 
     def test_all_zero_reports_zero(self):
-        link = dataclasses.replace(MULTIPLEXED, fiber_length_km=40)
-        _, point = optimize_mu(link, COMP, PARAMS)
+        _, point = optimize_mu(MULTIPLEXED, COMP, PARAMS, 40)
         assert point.rate == 0.0
 
     @pytest.mark.parametrize("channels", [0, 1])
@@ -202,16 +195,16 @@ class TestOptimizeMu:
     def test_equals_brute_force_over_point_builder(self, z, channels):
         # the scan must return exactly the mu and the point of a first-max
         # argmax over bb84_point_from_rates, not merely close ones
-        link = LinkParams(fiber_length_km=z, classical_channel_count=channels)
-        budget = compute_noise_budget(link, COMP, PARAMS.delta_t_s)
+        link = LinkParams(classical_channel_count=channels)
+        budget = compute_noise_budget(link, COMP, z, PARAMS.delta_t_s)
         eta = channel_transmittance(z, link.alpha_db_per_km) * COMP.eta_dmu * PARAMS.eta_bob
         y0 = background_rate(PARAMS.y0_base, PARAMS.eta_bob, budget.n_spd_window)
         best_mu, best = None, None
         for mu in DEFAULT_MU_GRID:
-            point = bb84_point_from_rates(z, eta, y0, PARAMS, mu)
+            point = bb84_point_from_rates(eta, y0, PARAMS, mu)
             if best is None or point.rate > best.rate:
                 best_mu, best = mu, point
-        assert optimize_mu(link, COMP, PARAMS) == (best_mu, best)
+        assert optimize_mu(link, COMP, PARAMS, z) == (best_mu, best)
         if channels:
             assert best.rate == 0.0 and best_mu == DEFAULT_MU_GRID[0] == 0.05
         elif z <= 60.0:
@@ -220,7 +213,7 @@ class TestOptimizeMu:
     def test_out_of_range_qber_raises(self):
         # a negative background error rate drives E_mu below 0
         with pytest.raises(DomainError):
-            optimize_mu(MULTIPLEXED, COMP, dataclasses.replace(PARAMS, e0=-1.0))
+            optimize_mu(MULTIPLEXED, COMP, dataclasses.replace(PARAMS, e0=-1.0), 20)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -232,6 +225,6 @@ class TestOptimizeMu:
     def test_equals_brute_force_on_random_inputs(self, params, z, channels, mu_grid):
         # random valid parameters, distances and grids (sorted, unsorted,
         # one point): the scan's skipped mus must never change the argmax
-        link = LinkParams(fiber_length_km=z, classical_channel_count=channels)
-        expected = first_max_over_point_builder(link, params, mu_grid)
-        assert optimize_mu(link, COMP, params, mu_grid) == expected
+        link = LinkParams(classical_channel_count=channels)
+        expected = first_max_over_point_builder(link, z, params, mu_grid)
+        assert optimize_mu(link, COMP, params, z, mu_grid) == expected

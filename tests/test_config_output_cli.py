@@ -237,6 +237,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="v_a"):
             parse_config("[gmcs]\nv_a = inf\n")
 
+    @pytest.mark.parametrize(
+        "text", ["fiber_length_km = -1", "fiber_length_km = 1e308", "alpha_db_per_km = 1e300"]
+    )
+    def test_unusable_distance_names_key(self, text):
+        # the config's distance passes the one distance check at parse time
+        with pytest.raises(ConfigError, match="fiber_length_km"):
+            parse_config(f"[link]\n{text}\n")
+
     @pytest.mark.parametrize("value", ["-1", "-1e-9", "1.5"])
     def test_e0_outside_unit_interval_names_key(self, value):
         with pytest.raises(ConfigError, match="e0"):
@@ -392,6 +400,10 @@ class TestCli:
             FIT + ["--p-out-dbm", "0", "--point", "20:nan"],
             ["bb84", "--z", "20", "--mu", "-1"],
             ["bb84", "--z", "20", "--mu", "nan"],
+            # the GMCS-only flags outside gmcs and a GMCS sweep
+            ["--conservative", "bb84"],
+            ["--strict-eps-out", "noise"],
+            ["--conservative", "sweep", "--scenario", "bb84-0dBm"],
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
@@ -441,11 +453,30 @@ class TestCli:
             (FIT + ["--p-out-dbm", "0", "--point", "20:nan"], "measurement point"),
             (["bb84", "--z", "20", "--mu", "-1"], "mu"),
             (["bb84", "--z", "20", "--mu", "nan"], "mu"),
+            # 10 ** (-400) underflows the insertion-loss factor to 0
+            (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "4000", "--point", "20:1e-10"], "insertion_loss_db"),
         ],
     )
     def test_bad_fit_and_mu_inputs_are_named(self, argv, name, capsys):
         assert main(argv) == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["noise", "bb84", "gmcs"])
+    def test_config_distance_is_the_default_z(self, command, tmp_path, capsys):
+        # [link] fiber_length_km is the distance when --z is absent (20 km
+        # without a config), and --z overrides it
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("[link]\nfiber_length_km = 35\n")
+
+        def out(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        far = ["--config", str(cfg), command]
+        at_35 = out(far)
+        assert at_35 == out(far + ["--z", "35"]) == out([command, "--z", "35"])
+        at_20 = out([command])
+        assert at_20 == out([command, "--z", "20"]) == out(far + ["--z", "20"]) != at_35
 
     def test_sweep_rejects_config(self, tmp_path, capsys):
         cfg = tmp_path / "two.cfg"

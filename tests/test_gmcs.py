@@ -19,9 +19,9 @@ COMP = ComponentParams()
 
 
 def rate_at(z_km, m=1, det=PARAMS, comp=COMP, strict=False):
-    link = LinkParams(fiber_length_km=z_km, classical_channel_count=m)
+    link = LinkParams(classical_channel_count=m)
     budget = compute_noise_budget(
-        link, comp, 1e-9, eta_bob=det.eta_bob,
+        link, comp, z_km, 1e-9, eta_bob=det.eta_bob,
         detector_bandwidth_hz=det.detector_bandwidth_hz, n_lo=det.n_lo,
     )
     eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
@@ -30,7 +30,7 @@ def rate_at(z_km, m=1, det=PARAMS, comp=COMP, strict=False):
         det.eps0, eps_in, eta_ch, comp.eta_dmu, det.eta_bob,
         sigma_meas=det.sigma_meas, conservative=det.conservative,
     )
-    return gmcs_point(eta_ch, det, eps, eta_dmu=comp.eta_dmu, z_km=z_km)
+    return gmcs_point(eta_ch, det, eps, eta_dmu=comp.eta_dmu)
 
 
 class TestTheta:
@@ -154,9 +154,9 @@ class TestGmcsPoint:
         # push the launch power to nothing and pin the booster at unit gain
         # (ASE scales with G - 1, not with launch power): recovers the
         # unmultiplexed curve
-        link = LinkParams(fiber_length_km=20, classical_channel_count=1, p_out_dbm=-300)
+        link = LinkParams(classical_channel_count=1, p_out_dbm=-300)
         quiet = dataclasses.replace(COMP, gain_fixed=1.0)
-        budget = compute_noise_budget(link, quiet, 1e-9, eta_bob=0.6)
+        budget = compute_noise_budget(link, quiet, 20, 1e-9, eta_bob=0.6)
         eta_ch = channel_transmittance(20, 0.21)
         eps = total_excess_noise(0.01, budget.eps_in, eta_ch, 0.71, 0.6)
         none = gmcs_point(eta_ch, PARAMS, eps, eta_dmu=0.71).rate

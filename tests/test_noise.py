@@ -25,7 +25,7 @@ from dwdm_qkd.bb84 import Bb84Params
 from dwdm_qkd.gmcs import GmcsParams
 from dwdm_qkd.units import PLANCK_H, SPEED_OF_LIGHT, dbm_to_watts, photon_energy
 
-TABLE_LINK = LinkParams(fiber_length_km=20.0)
+TABLE_LINK = LinkParams()
 TABLE_COMP = ComponentParams()
 
 
@@ -42,6 +42,11 @@ class TestChannelTransmittance:
             channel_transmittance(-1, 0.21)
         with pytest.raises(DomainError):
             channel_transmittance(1, -0.21)
+
+    @pytest.mark.parametrize("z_km", [math.nan, math.inf, -math.inf, -1.0, -1e-300, 1e308])
+    def test_bad_distance_named(self, z_km):
+        with pytest.raises(DomainError, match="z_km"):
+            channel_transmittance(z_km, 0.21)
 
 
 class TestParamsValidation:
@@ -65,12 +70,19 @@ class TestParamsValidation:
         assert ComponentParams(gain_fixed=None).gain_fixed is None
 
     def test_underflowing_transmittance_rejected(self):
-        with pytest.raises(DomainError, match="fiber_length_km"):
-            LinkParams(fiber_length_km=1e308)
-        with pytest.raises(DomainError, match="fiber_length_km"):
-            LinkParams(fiber_length_km=20.0, alpha_db_per_km=1e300)
+        with pytest.raises(DomainError, match="z_km"):
+            channel_transmittance(1e308, 0.21)
+        with pytest.raises(DomainError, match="z_km"):
+            channel_transmittance(20.0, 1e300)
         assert channel_transmittance(1500.0, 0.21) > 0
-        LinkParams(fiber_length_km=1500.0)
+
+    def test_steep_link_is_valid_and_checked_per_distance(self):
+        # a link is valid apart from any distance: only a distance whose
+        # transmittance underflows is rejected, when it is evaluated
+        steep = LinkParams(alpha_db_per_km=1e300)
+        assert compute_noise_budget(steep, TABLE_COMP, 0.0, 1e-9).n_spd_window > 0
+        with pytest.raises(DomainError, match="z_km"):
+            compute_noise_budget(steep, TABLE_COMP, 20.0, 1e-9)
 
 
 class TestNsp:
@@ -170,17 +182,17 @@ class TestModeCount:
 
 class TestBudget:
     def test_quiet_link_is_zero(self):
-        link = LinkParams(fiber_length_km=0.0, classical_channel_count=0, p_out_dbm=-300)
-        budget = compute_noise_budget(link, TABLE_COMP, 1e-9)
+        link = LinkParams(classical_channel_count=0, p_out_dbm=-300)
+        budget = compute_noise_budget(link, TABLE_COMP, 0.0, 1e-9)
         assert budget.n_spd_window == 0.0
         assert budget.n_gmcs_matched == 0.0
 
     def test_decomposition_is_exact(self):
-        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 1e-9)
+        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, 1e-9)
         assert budget.n_spd_window == budget.ase_window + budget.leak_window + budget.sasrs_window
 
     def test_eq8_recomputable_from_mode_fields(self):
-        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 1e-9)
+        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, 1e-9)
         eta_ch = channel_transmittance(20, 0.21)
         n_mod = mode_count(75e9, 1e-9)
         recomputed = (
@@ -191,42 +203,41 @@ class TestBudget:
         assert budget.n_spd_window == pytest.approx(recomputed, rel=1e-12)
 
     def test_table2_20km_level_and_dominance(self):
-        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 1e-9)
+        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, 1e-9)
         assert budget.n_spd_window == pytest.approx(0.345, abs=0.01)
         assert budget.sasrs_window > budget.leak_window > budget.ase_window
 
     def test_leakage_sasrs_crossover_near_6km(self):
         # constant leakage term vs z-linear SASRS term
-        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 1e-9)
+        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, 1e-9)
         slope = budget.sasrs_window / 20.0
         crossover = budget.leak_window / slope
         assert 4 <= crossover <= 9
 
     def test_linearity_in_power_and_channels(self):
-        b1 = compute_noise_budget(TABLE_LINK, TABLE_COMP, 1e-9, eta_bob=0.6)
+        b1 = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, 1e-9, eta_bob=0.6)
         up3db = dataclasses.replace(TABLE_LINK, p_out_dbm=3.0103)
-        b2 = compute_noise_budget(up3db, TABLE_COMP, 1e-9)
+        b2 = compute_noise_budget(up3db, TABLE_COMP, 20.0, 1e-9)
         assert b2.leak_window == pytest.approx(2 * b1.leak_window, rel=1e-4)
         assert b2.sasrs_window == pytest.approx(2 * b1.sasrs_window, rel=1e-4)
         m38 = dataclasses.replace(TABLE_LINK, classical_channel_count=38)
-        b38 = compute_noise_budget(m38, TABLE_COMP, 1e-9, eta_bob=0.6)
+        b38 = compute_noise_budget(m38, TABLE_COMP, 20.0, 1e-9, eta_bob=0.6)
         assert b38.eps_in == pytest.approx(38 * b1.eps_in, rel=1e-12)
 
     def test_window_noise_nondecreasing_in_z(self):
         values = []
         for z in [0, 1, 2, 5, 10, 20, 40, 60, 80]:
-            link = dataclasses.replace(TABLE_LINK, fiber_length_km=z)
-            values.append(compute_noise_budget(link, TABLE_COMP, 1e-9).n_spd_window)
+            values.append(compute_noise_budget(TABLE_LINK, TABLE_COMP, z, 1e-9).n_spd_window)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_matched_mode_example(self):
-        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 1e-9, eta_bob=0.6)
+        budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, 1e-9, eta_bob=0.6)
         assert budget.n_gmcs_matched == pytest.approx(1.78e-3, rel=0.02)
         assert budget.eps_in == pytest.approx(2.13e-3, rel=0.02)
 
     def test_unmatched_mode_scaling(self):
         budget = compute_noise_budget(
-            TABLE_LINK, TABLE_COMP, 1e-9, eta_bob=0.6, detector_bandwidth_hz=1e6, n_lo=1e8
+            TABLE_LINK, TABLE_COMP, 20.0, 1e-9, eta_bob=0.6, detector_bandwidth_hz=1e6, n_lo=1e8
         )
         # 1 MHz detector: integration window 0.16 us = 160 gating windows
         assert budget.n_gmcs_unmatched == pytest.approx(
@@ -236,7 +247,7 @@ class TestBudget:
 
     def test_no_classical_channels(self):
         link = dataclasses.replace(TABLE_LINK, classical_channel_count=0)
-        budget = compute_noise_budget(link, TABLE_COMP, 1e-9, eta_bob=0.6)
+        budget = compute_noise_budget(link, TABLE_COMP, 20.0, 1e-9, eta_bob=0.6)
         assert budget.n_spd_window == 0.0
         assert budget.eps_in == 0.0
 

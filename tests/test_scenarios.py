@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from dwdm_qkd.gmcs import secure_distance
-from dwdm_qkd.noise import DomainError
+from dwdm_qkd.noise import DomainError, LinkParams
 from dwdm_qkd.output import sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import (
     ADJACENT_ISOLATION,
@@ -109,6 +109,17 @@ class TestRunSweep:
                 assert row.rate > 0
             if row.z_km > dist + 1:
                 assert row.rate == 0.0
+
+    def test_sweep_builds_no_link(self, monkeypatch):
+        # the distance is an argument, so no distance revalidates the link
+        scenario = scenario_by_name("gmcs-38ch")
+        built = []
+        post_init = LinkParams.__post_init__
+        monkeypatch.setattr(
+            LinkParams, "__post_init__", lambda link: built.append(link) or post_init(link)
+        )
+        run_sweep(scenario)
+        assert built == []
 
     @pytest.mark.filterwarnings("ignore:rate still positive")
     def test_strict_eps_out_barely_moves_rates(self):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dwdm_qkd.units import (
-    PHOTON_ENERGY_1550_J,
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
@@ -14,8 +13,8 @@ from dwdm_qkd.units import (
 
 
 def test_photon_energy_1550_matches_compat_constant():
-    # hc/1550nm, compared against the rounded bench constant
-    assert photon_energy(1550e-9) == pytest.approx(PHOTON_ENERGY_1550_J, rel=2e-3)
+    # hc/1550nm, compared against the rounded bench value 1.28e-19 J
+    assert photon_energy(1550e-9) == pytest.approx(1.28e-19, rel=2e-3)
 
 
 def test_db_known_values():
