@@ -92,6 +92,45 @@ def bb84_point_from_rates(eta: float, y0: float, params: Bb84Params, mu: float) 
     return Bb84Point(y0, q_mu, e_mu, q1, e1, max(0.0, rate))
 
 
+def _half_head_bound(eta: float, y0: float, params: Bb84Params, mu_grid: Sequence[float]) -> float:
+    """Upper bound on 0.5*head = 0.5*(q1 - f_ec*q_mu*h(min(E_mu, 1/2))) over
+    every mu of the grid, padded for rounding; inf when it cannot be formed.
+
+    In exact arithmetic, with a, b the least and largest mu and
+    x = 1 - exp(-eta*mu): q1 = (y0 + eta)*mu*exp(-mu) is at most its value at
+    m = clamp(1, a, b), where mu*exp(-mu) peaks; q_mu = y0 + x grows with mu,
+    so q_mu >= q_a; E_mu = (e0*y0 + e_det*x)/(y0 + x) is monotone in x (dE/dx
+    has the sign of y0*(e_det - e0)), and h(min(E, 1/2)) is nondecreasing in
+    E, so h >= min(h_a, h_b). Hence 0.5*head <= 0.5*(q1_max - f_ec*q_a*h_min),
+    and each mu's rate, at most max(0, 0.5*head), is 0 when that is <= 0.
+
+    In floats, a and b are grid points whose q, E and h use the scan's own
+    expressions, so they are its values bit for bit. With w = exp(-eta*mu)
+    monotone in mu, q_mu = fl(fl(y0 + 1) - w) >= q_a exactly, and E_mu is a
+    fixed monotone function of w times (1 + a few ulps). The pad covers the
+    rest: 1e-9 relative for the few-ulp errors of q1, E and the products, and
+    2**-40*f_ec*q_b (q_mu <= q_b) for the entropy formula's absolute error of
+    a few ulps of 1. A non-finite mu, q_a <= 0 or a NaN gives inf or NaN, so
+    the scan runs and rejects a non-finite mu as before; a negative E raises
+    DomainError through binary_entropy, as in the scan.
+    """
+    a, b = min(mu_grid), max(mu_grid)
+    if not math.isfinite(sum(mu_grid)):
+        return math.inf
+    exp_a, exp_b = math.exp(-eta * a), math.exp(-eta * b)
+    q_a, q_b = y0 + 1.0 - exp_a, y0 + 1.0 - exp_b
+    if not q_a > 0:
+        return math.inf
+    m = min(max(1.0, a), b)
+    q1_max = (y0 + eta) * m * math.exp(-m)
+    e0_y0 = params.e0 * y0
+    e_a = (e0_y0 + params.e_det * (1.0 - exp_a)) / q_a
+    e_b = (e0_y0 + params.e_det * (1.0 - exp_b)) / q_b
+    h_min = min(binary_entropy(min(e_a, 0.5)), binary_entropy(min(e_b, 0.5)))
+    neg = params.f_ec * q_a * h_min
+    return 0.5 * (q1_max - neg) + 1e-9 * (q1_max + neg) + 2**-40 * params.f_ec * q_b
+
+
 def _efficiency_and_background(
     link: LinkParams, comp: ComponentParams, params: Bb84Params, z_km: float, budget: NoiseBudget
 ) -> Tuple[float, float]:
@@ -155,10 +194,15 @@ def _optimize_mu_with_budget(
     The skip is exact: q1*h(e1) >= 0 and rounding is monotone, so
     fl(head - q1*h(e1)) <= head, and the mu's rate is at most
     max(0, 0.5*head) <= best_rate, which cannot win.
+
+    A grid that _half_head_bound proves has no mu of positive rate returns,
+    without a scan, what the scan returns when every rate is 0.
     """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
     eta, y0 = _efficiency_and_background(link, comp, params, z_km, budget)
+    if _half_head_bound(eta, y0, params, mu_grid) <= 0.0:
+        return mu_grid[0], bb84_point_from_rates(eta, y0, params, mu_grid[0])
     e_det, f_ec = params.e_det, params.f_ec
     exp, log2 = math.exp, math.log2
     neg_eta = -eta

@@ -293,9 +293,15 @@ def fit_raman_coefficient(
         ) from None
     if il == 0:
         raise DomainError(f"insertion_loss_db = {insertion_loss_db} underflows to 0 in linear units")
+    if p_out_w <= 0:
+        raise DomainError(f"p_out_w must be positive, got {p_out_w}")
+    if delta_lambda_nm <= 0:
+        raise DomainError(f"delta_lambda_nm must be positive, got {delta_lambda_nm}")
     scale = p_out_w * delta_lambda_nm * il
-    if scale <= 0:
-        raise DomainError("p_out and delta_lambda must be positive")
+    if scale == 0:
+        raise DomainError(
+            "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) underflows to 0"
+        )
     num = sum(p * z for z, p in points)
     denominator = scale * sum(z * z for z, _ in points)
     beta = num / denominator if denominator > 0 else math.inf

@@ -8,7 +8,7 @@ detector with the conservative excess-noise estimate).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
@@ -22,8 +22,16 @@ ADJACENT_ISOLATION = 1e-4  # -40 dB
 HOMODYNE_REFERENCE_WINDOW_S = 1e-9
 
 
-def default_z_grid() -> List[float]:
-    return [0.5 * i for i in range(161)]  # 0..80 km step 0.5
+def _check_z_grid(z_grid) -> None:
+    zs = list(z_grid)
+    if not zs or any(z < 0 for z in zs) or any(b <= a for a, b in zip(zs, zs[1:])):
+        raise DomainError("z_grid must be nonempty, nonnegative, strictly increasing")
+
+
+# 0..80 km step 0.5, built and checked once and shared by every Scenario
+# that keeps the default
+DEFAULT_Z_GRID: Tuple[float, ...] = tuple(0.5 * i for i in range(161))
+_check_z_grid(DEFAULT_Z_GRID)
 
 
 @dataclass(frozen=True)
@@ -33,16 +41,13 @@ class Scenario:
     link: LinkParams
     comp: ComponentParams
     detector: Union[Bb84Params, GmcsParams]
-    z_grid: Tuple[float, ...] = field(default_factory=lambda: tuple(default_z_grid()))
+    z_grid: Tuple[float, ...] = DEFAULT_Z_GRID
 
     def __post_init__(self):
         if self.protocol not in ("BB84", "GMCS"):
             raise DomainError(f"unknown protocol {self.protocol!r}")
-        zs = list(self.z_grid)
-        if not zs or any(z < 0 for z in zs) or any(
-            b <= a for a, b in zip(zs, zs[1:])
-        ):
-            raise DomainError("z_grid must be nonempty, nonnegative, strictly increasing")
+        if self.z_grid is not DEFAULT_Z_GRID:
+            _check_z_grid(self.z_grid)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dwdm_qkd import bb84
 from dwdm_qkd.bb84 import (
     DEFAULT_MU_GRID,
     Bb84Params,
@@ -20,6 +21,7 @@ from dwdm_qkd.noise import (
     channel_transmittance,
     compute_noise_budget,
 )
+from dwdm_qkd.scenarios import run_sweep, scenario_by_name
 
 PARAMS = Bb84Params()  # e_det=0.003, Y0^0=5e-6, eta_bob=0.038, f=1.22
 COMP = ComponentParams()
@@ -38,6 +40,11 @@ def first_max_over_point_builder(link, z, params, mu_grid):
         if best is None or point.rate > best.rate:
             best_mu, best = mu, point
     return best_mu, best
+
+
+def efficiency_and_background(link, z, params):
+    budget = compute_noise_budget(link, COMP, z, params.delta_t_s)
+    return bb84._efficiency_and_background(link, COMP, params, z, budget)
 
 
 def adjacent_floats(mu, n):
@@ -210,10 +217,22 @@ class TestOptimizeMu:
         elif z <= 60.0:
             assert best.rate > 0.0
 
-    def test_out_of_range_qber_raises(self):
-        # a negative background error rate drives E_mu below 0
+    def test_out_of_range_qber_raises(self, monkeypatch):
+        # Bb84Params rejects e0 < 0 itself. Forced past that check, a negative
+        # background error rate drives E_mu below 0, and the grid bound and
+        # the per-mu scan each raise rather than report a rate.
+        with pytest.raises(DomainError, match="e0"):
+            Bb84Params(e0=-1.0)
+        forced = Bb84Params()
+        object.__setattr__(forced, "e0", -1.0)
+        eta, y0 = efficiency_and_background(MULTIPLEXED, 20, forced)
         with pytest.raises(DomainError):
-            optimize_mu(MULTIPLEXED, COMP, dataclasses.replace(PARAMS, e0=-1.0), 20)
+            bb84._half_head_bound(eta, y0, forced, DEFAULT_MU_GRID)
+        with pytest.raises(DomainError):
+            optimize_mu(MULTIPLEXED, COMP, forced, 20)
+        monkeypatch.setattr(bb84, "_half_head_bound", lambda *args: math.inf)
+        with pytest.raises(DomainError):
+            optimize_mu(MULTIPLEXED, COMP, forced, 20)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -228,3 +247,61 @@ class TestOptimizeMu:
         link = LinkParams(classical_channel_count=channels)
         expected = first_max_over_point_builder(link, z, params, mu_grid)
         assert optimize_mu(link, COMP, params, z, mu_grid) == expected
+
+
+class TestGridBound:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        VALID_PARAMS,
+        st.floats(min_value=0.0, max_value=150.0),
+        st.sampled_from([0, 1, 38]),
+        MU_GRIDS,
+    )
+    def test_bound_dominates_every_half_head(self, params, z, channels, mu_grid):
+        # the padded bound over [min, max] of the grid is at least 0.5*head
+        # at every mu, and when it is <= 0 every mu's rate is exactly 0
+        link = LinkParams(classical_channel_count=channels)
+        eta, y0 = efficiency_and_background(link, z, params)
+        bound = bb84._half_head_bound(eta, y0, params, mu_grid)
+        for mu in mu_grid:
+            point = bb84_point_from_rates(eta, y0, params, mu)
+            if point.q_mu > 0 and point.q1 > 0:
+                h_mu = binary_entropy(min(point.e_mu, 0.5))
+                assert 0.5 * (point.q1 - params.f_ec * point.q_mu * h_mu) <= bound
+            if bound <= 0.0:
+                assert point.rate == 0.0
+
+    def test_bound_settles_the_noise_dominated_rows(self, monkeypatch):
+        # bb84-0dBm has no key at any distance: the bound proves it for the
+        # 135 rows past 12.5 km, and the 26 rows up to 12.5 km and the 1 km
+        # crossover evaluation fall back to the scan
+        bound_of = bb84._half_head_bound
+        bounds = []
+
+        def counted(*args):
+            bounds.append(bound_of(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(bb84, "_half_head_bound", counted)
+        result = run_sweep(scenario_by_name("bb84-0dBm"))
+        assert len(bounds) == 162
+        assert sum(bound <= 0.0 for bound in bounds) == 135
+        assert [bound <= 0.0 for bound in bounds[:161]] == [row.z_km > 12.5 for row in result.rows]
+        assert all(row.rate == 0.0 for row in result.rows)
+
+    @pytest.mark.parametrize("mu_grid", [(0.05, math.nan, 0.1), (0.05, math.inf), (math.nan, 0.5)])
+    def test_non_finite_mu_reaches_the_scan(self, mu_grid):
+        # min and max skip a NaN, so the bound would cover only the finite
+        # mus; a non-finite mu must still reach the scan, which rejects it
+        assert bb84._half_head_bound(*efficiency_and_background(MULTIPLEXED, 40, PARAMS), PARAMS, mu_grid) == math.inf
+        with pytest.raises(DomainError):
+            optimize_mu(MULTIPLEXED, COMP, PARAMS, 40, mu_grid)
+
+    def test_positive_rate_scans(self):
+        # no classical channel at 20 km: some mu has key, so the bound stays
+        # positive and the scan finds the first-max argmax
+        eta, y0 = efficiency_and_background(UNMULTIPLEXED, 20, PARAMS)
+        assert bb84._half_head_bound(eta, y0, PARAMS, DEFAULT_MU_GRID) > 0.0
+        mu, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)
+        assert (mu, point) == first_max_over_point_builder(UNMULTIPLEXED, 20, PARAMS, DEFAULT_MU_GRID)
+        assert point.rate > 0.0

@@ -54,6 +54,12 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             scenario_by_name("gmcs-miracle")
 
+    def test_default_grid_is_shared(self):
+        # the 0..80 km default grid is built and checked once, not per Scenario
+        bb84, gmcs = scenario_by_name("bb84-0dBm"), scenario_by_name("gmcs-38ch")
+        assert bb84.z_grid is gmcs.z_grid
+        assert bb84.z_grid == tuple(0.5 * i for i in range(161))
+
     def test_invalid_grid_rejected(self):
         base = scenario_by_name("gmcs-none")
         with pytest.raises(DomainError):
