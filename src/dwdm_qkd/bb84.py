@@ -114,9 +114,9 @@ def _half_head_bound(eta: float, y0: float, params: Bb84Params, mu_grid: Sequenc
     the scan runs and rejects a non-finite mu as before; a negative E raises
     DomainError through binary_entropy, as in the scan.
     """
-    a, b = min(mu_grid), max(mu_grid)
     if not math.isfinite(sum(mu_grid)):
         return math.inf
+    a, b = min(mu_grid), max(mu_grid)
     exp_a, exp_b = math.exp(-eta * a), math.exp(-eta * b)
     q_a, q_b = y0 + 1.0 - exp_a, y0 + 1.0 - exp_b
     if not q_a > 0:

@@ -293,7 +293,8 @@ class TestGridBound:
     def test_non_finite_mu_reaches_the_scan(self, mu_grid):
         # min and max skip a NaN, so the bound would cover only the finite
         # mus; a non-finite mu must still reach the scan, which rejects it
-        assert bb84._half_head_bound(*efficiency_and_background(MULTIPLEXED, 40, PARAMS), PARAMS, mu_grid) == math.inf
+        eta, y0 = efficiency_and_background(MULTIPLEXED, 40, PARAMS)
+        assert bb84._half_head_bound(eta, y0, PARAMS, mu_grid) == math.inf
         with pytest.raises(DomainError):
             optimize_mu(MULTIPLEXED, COMP, PARAMS, 40, mu_grid)
 

@@ -455,6 +455,7 @@ class TestCli:
             (["bb84", "--z", "20", "--mu", "nan"], "mu"),
             # 10 ** (-400) underflows the insertion-loss factor to 0
             (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "4000", "--point", "20:1e-10"], "insertion_loss_db"),
+            (["fit-beta", "--p-out-dbm", "0", "--delta-lambda-nm", "0", "--point", "20:1e-10"], "delta_lambda_nm"),
             # 1e-303 W times 1e-30 nm: both positive, their product underflows
             (["fit-beta", "--p-out-dbm", "-3000", "--delta-lambda-nm", "1e-30", "--point", "20:1e-10"], "underflows"),
         ],
