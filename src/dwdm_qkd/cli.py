@@ -17,7 +17,7 @@ from .noise import (
     db_field_to_linear,
     fit_raman_coefficient,
 )
-from .output import emit
+from .output import emit, round9
 from .scenarios import Scenario, builtin_scenarios, evaluate, run_sweep, scenario_by_name
 from .units import dbm_to_watts
 
@@ -39,10 +39,6 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _print_json(doc, out: Optional[str]) -> None:
     _write(json.dumps(doc, indent=2) + "\n", out)
-
-
-def _g(x: float) -> float:
-    return float(format(x, ".9g"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +105,7 @@ def cmd_noise(args, config: Config) -> int:
         n_lo=config.gmcs.n_lo,
     )
     _print_json(
-        {"z_km": args.z, **{k: _g(v) for k, v in dataclasses.asdict(budget).items()}},
+        {"z_km": args.z, **{k: round9(v) for k, v in dataclasses.asdict(budget).items()}},
         args.out,
     )
     return 0
@@ -123,7 +119,7 @@ def cmd_bb84(args, config: Config) -> int:
         evaluation = evaluate(scenario, args.z)
         mu, point = evaluation.mu, evaluation.point
     doc = {"protocol": "BB84", "mu": mu, "z_km": args.z, **dataclasses.asdict(point)}
-    _print_json({k: (_g(v) if isinstance(v, float) else v) for k, v in doc.items()}, args.out)
+    _print_json({k: (round9(v) if isinstance(v, float) else v) for k, v in doc.items()}, args.out)
     return 0
 
 
@@ -138,13 +134,13 @@ def cmd_gmcs(args, config: Config) -> int:
         {
             "protocol": "GMCS",
             "z_km": args.z,
-            "eps": _g(point.eps),
-            "eps_in": _g(budget.eps_in),
-            "eps_out": _g(budget.eps_out),
-            "i_ab": _g(point.i_ab),
-            "chi_be": _g(point.chi_be),
-            "rate": _g(point.rate),
-            "sigma": [_g(s) for s in point.sigma],
+            "eps": round9(point.eps),
+            "eps_in": round9(budget.eps_in),
+            "eps_out": round9(budget.eps_out),
+            "i_ab": round9(point.i_ab),
+            "chi_be": round9(point.chi_be),
+            "rate": round9(point.rate),
+            "sigma": [round9(s) for s in point.sigma],
         },
         args.out,
     )
@@ -172,13 +168,16 @@ def cmd_fit_beta(args) -> int:
         except ValueError:
             raise DomainError(f"malformed --point {spec!r}; expected Z_KM:POWER_W")
     db_field_to_linear("--p-out-dbm", args.p_out_dbm)
+    p_out_w = dbm_to_watts(args.p_out_dbm)
+    if p_out_w == 0:
+        raise DomainError(f"--p-out-dbm = {args.p_out_dbm} underflows to 0 W")
     beta = fit_raman_coefficient(
         points,
-        dbm_to_watts(args.p_out_dbm),
+        p_out_w,
         args.delta_lambda_nm,
         insertion_loss_db=args.insertion_loss_db,
     )
-    _print_json({"beta_raman": _g(beta), "points": len(points)}, args.out)
+    _print_json({"beta_raman": round9(beta), "points": len(points)}, args.out)
     return 0
 
 

@@ -16,8 +16,9 @@ from typing import Callable, Optional, Tuple
 from .noise import DomainError, check_finite_fields
 
 DISCRIMINANT_RTOL = 1e-9
-# roundoff in the root extraction can leave a symplectic eigenvalue a few
-# 1e-11 below 1; clamp at the same scale as DISCRIMINANT_RTOL
+# gmcs_point extracts the symplectic eigenvalues without cancellation, so
+# rounding leaves one that should be 1 only a few ulp below it; the clamp
+# stays at the scale of DISCRIMINANT_RTOL
 THETA_TOL = 1e-9
 
 
@@ -89,15 +90,19 @@ def total_excess_noise(
     return eps
 
 
-def _split_roots(s: float, p: float, label: str) -> Tuple[float, float]:
-    # roots of x^2 - s*x + p, i.e. the squared symplectic eigenvalues
-    disc = s * s - 4.0 * p
-    if disc < 0:
-        if disc < -DISCRIMINANT_RTOL * s * s:
-            raise PhysicalityError(f"negative discriminant for {label}: {disc}")
-        disc = 0.0
-    root = math.sqrt(disc)
-    return 0.5 * (s + root), 0.5 * (s - root)
+def _split_roots(total: float, product: float, gap_sq: float) -> Tuple[float, float]:
+    """The squared symplectic eigenvalues of one pair, the roots of
+    x^2 - total*x + product^2, given gap_sq = total - 2*product, the square
+    of the eigenvalues' difference.
+
+    The discriminant is gap_sq * (total + 2*product). Formed as
+    total^2 - 4*product^2 it cancels to rounding near a degenerate pair, and
+    its square root turns that rounding into an error of about sqrt(ulp),
+    1e-8, in the eigenvalues. The smaller root is product^2 over the larger,
+    since total minus the root cancels when the pair is far apart.
+    """
+    high = 0.5 * (total + math.sqrt(gap_sq * (total + 2.0 * product)))
+    return high, product / high * product
 
 
 def _out_of_range(eta_ch: float, eps: float) -> DomainError:
@@ -128,17 +133,45 @@ def gmcs_point(
     i_ab = 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
 
     try:
-        a = v * v * (1.0 - 2.0 * eta_ch) + 2.0 * eta_ch + eta_ch**2 * (v + chi_line) ** 2
         b = eta_ch**2 * (v * chi_line + 1.0) ** 2
     except OverflowError:
         raise _out_of_range(eta_ch, eps) from None
     sqrt_b = math.sqrt(b)
     denom = eta_ch * (v + chi_tot)
+    if not math.isfinite(denom):
+        raise _out_of_range(eta_ch, eps)
+    # Closed forms in 1 - T and T*eps, from T*chi_line = 1 - T + T*eps. Near a
+    # pure state (T -> 1, eps -> 0) both eigenvalue pairs tend to (1, 1), and
+    # the textbook forms of a and of the gaps cancel to rounding there.
+    one_minus_t = 1.0 - eta_ch
+    t_eps = eta_ch * eps
+    channel_gap = params.v_a * one_minus_t - t_eps  # +-(sigma_1 - sigma_2)
+    a = channel_gap * channel_gap + 2.0 * sqrt_b
     c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / denom
     d = sqrt_b * (v + sqrt_b * chi_hom) / denom
 
-    s1sq, s2sq = _split_roots(a, b, "channel spectrum")
-    s3sq, s4sq = _split_roots(c, d, "conditional spectrum")
+    # c - 2*sqrt(d) = (sqrt(d) - 1)^2 - chi_hom * impurity / denom, where
+    # impurity = (sigma_1^2 - 1) * (sigma_2^2 - 1) = b + 1 - a
+    v_sq_minus_1 = v * v - 1.0
+    impurity = v_sq_minus_1 * t_eps * (2.0 * one_minus_t + t_eps)
+    sqrt_b_minus_1 = params.v_a * one_minus_t + v * t_eps
+    d_minus_1 = (
+        v_sq_minus_1 * (one_minus_t + t_eps) + chi_hom * sqrt_b_minus_1 * (sqrt_b + 1.0)
+    ) / denom
+    sqrt_d = math.sqrt(d)
+    sqrt_d_minus_1 = d_minus_1 / (sqrt_d + 1.0)
+    pure_part = sqrt_d_minus_1 * sqrt_d_minus_1
+    conditional_gap_sq = pure_part - chi_hom * impurity / denom
+    if conditional_gap_sq < 0:
+        # both terms are accurate to a few ulp, so only rounding makes this negative
+        if conditional_gap_sq < -DISCRIMINANT_RTOL * pure_part:
+            raise PhysicalityError(
+                f"negative discriminant for conditional spectrum: {conditional_gap_sq}"
+            )
+        conditional_gap_sq = 0.0
+
+    s1sq, s2sq = _split_roots(a, sqrt_b, channel_gap * channel_gap)
+    s3sq, s4sq = _split_roots(c, sqrt_d, conditional_gap_sq)
     sigma = tuple(math.sqrt(s) for s in (s1sq, s2sq, s3sq, s4sq))
 
     chi_be = (

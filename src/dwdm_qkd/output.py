@@ -2,72 +2,88 @@
 
 Numbers are serialized at 9 significant digits in both formats so the two
 emissions of one sweep carry identical values and fixtures stay stable.
+Both writers share one rounding pass, which rejects a NaN or an infinity:
+JSON has no literal for either.
 """
 from __future__ import annotations
 
-import io
 import json
-from typing import IO, Union
+import math
+from typing import IO, Iterator, Union
 
+from .noise import DomainError
 from .scenarios import SweepResult
 
 CSV_HEADER = "z_km,ase_window,leak_window,sasrs_window,total_window,eps_in,eps_out,rate"
+_FIELDS = CSV_HEADER.split(",")
+_DIGITS = "%.9g"
+_CSV_ROW = ",".join([_DIGITS] * len(_FIELDS))
+# one row laid out as json.dumps(doc, indent=2) lays it out; %r writes a float
+# with float.__repr__, as json.dumps does
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %r' for name in _FIELDS) + "\n    }"
 
 
-def _g(x: float) -> str:
-    return format(x, ".9g")
+def round9(x: float) -> float:
+    """x at 9 significant digits, the precision of every number the tool writes."""
+    return float(_DIGITS % x)
 
 
-def _round9(x: float) -> float:
-    return float(_g(x))
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {value} cannot be written: it must be finite")
+    return value
+
+
+def _rounded_rows(result: SweepResult) -> Iterator[str]:
+    """Each row as its CSV line: the fields in CSV_HEADER order, at 9
+    significant digits."""
+    for row in result.rows:
+        b = row.budget
+        values = (
+            row.z_km,
+            b.ase_window,
+            b.leak_window,
+            b.sasrs_window,
+            b.n_spd_window,
+            b.eps_in,
+            b.eps_out,
+            row.rate,
+        )
+        if not all(map(math.isfinite, values)):
+            for name, value in zip(_FIELDS, values):
+                _finite(f"{name} of the row at z_km = {row.z_km}", value)
+        yield _CSV_ROW % values
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        b = row.budget
-        lines.append(
-            ",".join(
-                _g(v)
-                for v in (
-                    row.z_km,
-                    b.ase_window,
-                    b.leak_window,
-                    b.sasrs_window,
-                    b.n_spd_window,
-                    b.eps_in,
-                    b.eps_out,
-                    row.rate,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *_rounded_rows(result)]) + "\n"
 
 
 def sweep_to_json(result: SweepResult) -> str:
-    doc = {
-        "scenario": result.scenario,
-        "rows": [
-            {
-                "z_km": _round9(row.z_km),
-                "ase_window": _round9(row.budget.ase_window),
-                "leak_window": _round9(row.budget.leak_window),
-                "sasrs_window": _round9(row.budget.sasrs_window),
-                "total_window": _round9(row.budget.n_spd_window),
-                "eps_in": _round9(row.budget.eps_in),
-                "eps_out": _round9(row.budget.eps_out),
-                "rate": _round9(row.rate),
-            }
-            for row in result.rows
-        ],
-        "secure_distance_km": _round9(result.secure_distance_km),
-        "noise_crossover_km": (
-            _round9(result.noise_crossover_km)
-            if result.noise_crossover_km is not None
-            else None
-        ),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The document json.dumps(doc, indent=2) would write, byte for byte.
+
+    It is built from text directly: with an indent, json.dumps runs its
+    pure-Python encoder, which took longer than the sweep it wrote.
+    """
+    # tuple() of a list allocates the tuple at its size; tuple(map(...))
+    # resizes it, and the resized tuples pile up in CPython's free list of
+    # 8-tuples, about 200 KB of resident memory once it is full
+    rows = ",\n".join(
+        _JSON_ROW % tuple([float(cell) for cell in line.split(",")])
+        for line in _rounded_rows(result)
+    )
+    distance = round9(_finite("secure_distance_km", result.secure_distance_km))
+    crossover = result.noise_crossover_km
+    if crossover is not None:
+        crossover = round9(_finite("noise_crossover_km", crossover))
+    return (
+        "{\n"
+        f'  "scenario": {json.dumps(result.scenario)},\n'
+        + (f'  "rows": [\n{rows}\n  ],\n' if rows else '  "rows": [],\n')
+        + f'  "secure_distance_km": {distance!r},\n'
+        f'  "noise_crossover_km": {"null" if crossover is None else repr(crossover)}\n'
+        "}\n"
+    )
 
 
 def emit(result: SweepResult, fmt: str, destination: Union[str, IO[str]]) -> None:

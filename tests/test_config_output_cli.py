@@ -18,10 +18,10 @@ from dwdm_qkd.config import (
     parse_config,
     serialize_config,
 )
-from dwdm_qkd.gmcs import GmcsParams, PhysicalityError
-from dwdm_qkd.noise import ComponentParams, LinkParams
+from dwdm_qkd.gmcs import GmcsParams, GmcsPoint, PhysicalityError
+from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, NoiseBudget
 from dwdm_qkd.output import CSV_HEADER, emit, sweep_to_csv, sweep_to_json
-from dwdm_qkd.scenarios import run_sweep, scenario_by_name
+from dwdm_qkd.scenarios import Evaluation, SweepResult, builtin_scenarios, run_sweep, scenario_by_name
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -140,6 +140,55 @@ def small_sweep():
     scenario = scenario_by_name("gmcs-38ch")
     scenario = dataclasses.replace(scenario, z_grid=tuple(float(z) for z in range(0, 21, 2)))
     return run_sweep(scenario)
+
+
+def indent_encoder_json(result):
+    """The sweep document as json.dumps(doc, indent=2) writes it: the
+    reference that sweep_to_json must match byte for byte."""
+
+    def r9(x):
+        return float(format(x, ".9g"))
+
+    doc = {
+        "scenario": result.scenario,
+        "rows": [
+            {
+                "z_km": r9(row.z_km),
+                "ase_window": r9(row.budget.ase_window),
+                "leak_window": r9(row.budget.leak_window),
+                "sasrs_window": r9(row.budget.sasrs_window),
+                "total_window": r9(row.budget.n_spd_window),
+                "eps_in": r9(row.budget.eps_in),
+                "eps_out": r9(row.budget.eps_out),
+                "rate": r9(row.rate),
+            }
+            for row in result.rows
+        ],
+        "secure_distance_km": r9(result.secure_distance_km),
+        "noise_crossover_km": (
+            None if result.noise_crossover_km is None else r9(result.noise_crossover_km)
+        ),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def hand_sweep(rows, scenario="gmcs-38ch", secure_distance_km=9.890625, noise_crossover_km=None):
+    """A SweepResult whose rows carry the given eight emitted values, in
+    CSV_HEADER order."""
+    evaluations = []
+    for z, ase, leak, sasrs, total, eps_in, eps_out, rate in rows:
+        budget = NoiseBudget(0.0, 0.0, 0.0, ase, leak, sasrs, total, 0.0, 0.0, eps_in, eps_out)
+        point = GmcsPoint(eps_in, 0.0, 0.0, rate, (1.0, 1.0, 1.0, 1.0))
+        evaluations.append(Evaluation(z, budget, 1.0, point))
+    return SweepResult(scenario, tuple(evaluations), secure_distance_km, noise_crossover_km)
+
+
+# values whose text needs care: a negative zero, exponents both ways, the
+# smallest subnormal, more digits than are kept, and integral floats
+AWKWARD_ROWS = [
+    (0.0, -0.0, 1e-05, 1e16, 1e16 + 1e-05, 5e-324, 1e22, 0.1 + 0.2),
+    (0.5, 123456789012.0, 123456789.0, 2.0, 1.0000000005, 9.9999999995e-5, 1e-7, -1e-300),
+]
 
 
 class TestConfig:
@@ -305,6 +354,43 @@ class TestOutput:
         assert 8 <= doc["secure_distance_km"] <= 12
         assert 4 <= doc["noise_crossover_km"] <= 9
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+    def test_json_matches_the_indent_encoder_on_builtins(self, name, strict):
+        result = run_sweep(scenario_by_name(name), strict_eps_out=strict)
+        assert sweep_to_json(result) == indent_encoder_json(result)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            hand_sweep(AWKWARD_ROWS),
+            hand_sweep(AWKWARD_ROWS, 'a "quoted" \\ back\\slash, Zürich λ→∞', -0.0, 1e-05),
+            hand_sweep(AWKWARD_ROWS, "tab\tand newline\n", 1e16, 123456789012.0),
+            hand_sweep([], "no rows"),
+        ],
+    )
+    def test_json_matches_the_indent_encoder_on_hand_built_sweeps(self, result):
+        text = sweep_to_json(result)
+        assert text == indent_encoder_json(result)
+        assert json.loads(text)["scenario"] == result.scenario
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", CSV_HEADER.split(","))
+    def test_non_finite_row_value_is_named_by_both_writers(self, field, bad):
+        values = list(AWKWARD_ROWS[1])
+        values[CSV_HEADER.split(",").index(field)] = bad
+        result = hand_sweep([AWKWARD_ROWS[0], values])
+        for writer in (sweep_to_csv, sweep_to_json):
+            with pytest.raises(DomainError, match=rf"^{field} of the row"):
+                writer(result)
+
+    @pytest.mark.parametrize("field", ["secure_distance_km", "noise_crossover_km"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scalar_is_named(self, field, bad):
+        result = dataclasses.replace(hand_sweep(AWKWARD_ROWS, noise_crossover_km=5.0), **{field: bad})
+        with pytest.raises(DomainError, match=rf"^{field} = "):
+            sweep_to_json(result)
+
     def test_emit_to_file_and_determinism(self, tmp_path):
         result = small_sweep()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -458,11 +544,22 @@ class TestCli:
             (["fit-beta", "--p-out-dbm", "0", "--delta-lambda-nm", "0", "--point", "20:1e-10"], "delta_lambda_nm"),
             # 1e-303 W times 1e-30 nm: both positive, their product underflows
             (["fit-beta", "--p-out-dbm", "-3000", "--delta-lambda-nm", "1e-30", "--point", "20:1e-10"], "underflows"),
+            # 1e-3 * 10 ** (-400) underflows to 0 W
+            (FIT + ["--p-out-dbm", "-4000", "--point", "20:1e-10"], "--p-out-dbm"),
         ],
     )
     def test_bad_fit_and_mu_inputs_are_named(self, argv, name, capsys):
         assert main(argv) == 1
         assert name in capsys.readouterr().err
+
+    def test_near_pure_gmcs_point(self, tmp_path, capsys):
+        # no classical channel, eps0 = 1e-8 and a noiseless detector at 0 km:
+        # every symplectic eigenvalue lies within 1e-7 of 1
+        cfg = tmp_path / "pure.cfg"
+        cfg.write_text("[link]\nclassical_channel_count = 0\n[gmcs]\neps0 = 1e-8\nv_el = 0\n")
+        assert main(["--config", str(cfg), "gmcs", "--z", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(1 <= s < 1 + 1e-7 for s in doc["sigma"])
 
     @pytest.mark.parametrize("command", ["noise", "bb84", "gmcs"])
     def test_config_distance_is_the_default_z(self, command, tmp_path, capsys):

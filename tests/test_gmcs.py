@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dwdm_qkd.gmcs import (
     GmcsParams,
@@ -120,6 +121,24 @@ class TestGmcsPoint:
             assert s3**2 * s4**2 == pytest.approx(d, rel=1e-9)
             assert s3**2 + s4**2 == pytest.approx(c, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "eta_ch, eps, v_el, oracle",
+        [
+            # near-pure: both pairs nearly degenerate at 1
+            (1.0, 1e-8, 0.0, (1.0000000599999985, 1.0000000499999985, 1.0000000546011813, 1.0000000059957753)),
+            # far: each pair's smaller eigenvalue near 1, its larger near V
+            (1e-6, 0.05, 0.01, (10.999990000000042, 1.0000000500000417, 10.999968910981582, 1.0000000289109047)),
+        ],
+    )
+    def test_spectrum_against_50_digit_oracle(self, eta_ch, eps, v_el, oracle):
+        # the oracle is a 50-digit evaluation of the a, b, c, d written out in
+        # test_vieta_consistency (V_A = 10, eta' = 0.71 * 0.6); extracted
+        # without cancellation, each eigenvalue is within a few ulp of it
+        det = dataclasses.replace(PARAMS, v_el=v_el)
+        point = gmcs_point(eta_ch, det, eps, eta_dmu=COMP.eta_dmu)
+        for sigma, expected in zip(point.sigma, oracle):
+            assert sigma == pytest.approx(expected, rel=4 * sys.float_info.epsilon, abs=0)
+
     def test_rate_nonincreasing_in_noise(self):
         for eta_ch in (0.9, 0.5, 0.2):
             rates_eps = [
@@ -141,6 +160,8 @@ class TestGmcsPoint:
         st.floats(min_value=0.0, max_value=0.4),
         st.floats(min_value=0.0, max_value=0.3),
     )
+    # a near-pure state: both eigenvalue pairs are within 1e-7 of (1, 1)
+    @example(1.0, 1e-8, 0.0)
     def test_physical_sweep_stays_finite_and_nonnegative(self, eta_ch, eps, v_el):
         det = dataclasses.replace(PARAMS, v_el=v_el)
         point = gmcs_point(eta_ch, det, eps, eta_dmu=COMP.eta_dmu)
