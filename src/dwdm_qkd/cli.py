@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -41,7 +42,10 @@ def _print_json(doc, out: Optional[str]) -> None:
     _write(json.dumps(doc, indent=2) + "\n", out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parse_args fills a new Namespace on each call."""
     parser = argparse.ArgumentParser(
         prog="dwdm-qkd",
         description=(
@@ -147,10 +151,9 @@ def cmd_gmcs(args, config: Config) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, scenario: Optional[Scenario]) -> int:
     if args.config is not None:
         raise ConfigError("sweep runs a built-in scenario as defined and does not read --config")
-    scenario = scenario_by_name(args.scenario)
     if args.conservative:
         det = dataclasses.replace(scenario.detector, conservative=True)
         scenario = dataclasses.replace(scenario, detector=det)
@@ -182,12 +185,18 @@ def cmd_fit_beta(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if (args.conservative or args.strict_eps_out) and not (
-            args.command == "gmcs"
-            or (args.command == "sweep" and scenario_by_name(args.scenario).protocol == "GMCS")
+        gmcs_flags = args.conservative or args.strict_eps_out
+        # a sweep with --config and neither flag is rejected before its
+        # scenario is looked up
+        scenario = (
+            scenario_by_name(args.scenario)
+            if args.command == "sweep" and (gmcs_flags or args.config is None)
+            else None
+        )
+        if gmcs_flags and not (
+            args.command == "gmcs" or (scenario is not None and scenario.protocol == "GMCS")
         ):
             raise DomainError("--conservative and --strict-eps-out apply only to GMCS points and sweeps")
         if args.command == "scenarios":
@@ -200,7 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "fit-beta":
             return cmd_fit_beta(args)
         if args.command == "sweep":
-            return cmd_sweep(args)
+            return cmd_sweep(args, scenario)
         config = _load_config(args.config)
         if args.z is None:
             args.z = config.z_km

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass
@@ -235,5 +236,7 @@ def serialize_config(config: Config) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def default_config() -> Config:
+    """The parsed empty document, built once; Config and its parts are frozen."""
     return parse_config("")

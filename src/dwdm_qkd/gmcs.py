@@ -132,11 +132,9 @@ def gmcs_point(
 
     i_ab = 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
 
-    try:
-        b = eta_ch**2 * (v * chi_line + 1.0) ** 2
-    except OverflowError:
-        raise _out_of_range(eta_ch, eps) from None
-    sqrt_b = math.sqrt(b)
+    # sqrt(b) for b = T^2 (V chi_line + 1)^2, formed without squaring: the
+    # square of V chi_line + 1 overflows past ~7,300 km while sqrt(b) ~ V
+    sqrt_b = eta_ch * (v * chi_line + 1.0)
     denom = eta_ch * (v + chi_tot)
     if not math.isfinite(denom):
         raise _out_of_range(eta_ch, eps)
@@ -149,6 +147,8 @@ def gmcs_point(
     a = channel_gap * channel_gap + 2.0 * sqrt_b
     c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / denom
     d = sqrt_b * (v + sqrt_b * chi_hom) / denom
+    if not math.isfinite(a + c + d):
+        raise _out_of_range(eta_ch, eps)
 
     # c - 2*sqrt(d) = (sqrt(d) - 1)^2 - chi_hom * impurity / denom, where
     # impurity = (sigma_1^2 - 1) * (sigma_2^2 - 1) = b + 1 - a
@@ -172,7 +172,8 @@ def gmcs_point(
 
     s1sq, s2sq = _split_roots(a, sqrt_b, channel_gap * channel_gap)
     s3sq, s4sq = _split_roots(c, sqrt_d, conditional_gap_sq)
-    sigma = tuple(math.sqrt(s) for s in (s1sq, s2sq, s3sq, s4sq))
+    # a tuple display, sized once (see noise.check_finite_fields)
+    sigma = (math.sqrt(s1sq), math.sqrt(s2sq), math.sqrt(s3sq), math.sqrt(s4sq))
 
     chi_be = (
         theta((sigma[0] - 1.0) / 2.0)

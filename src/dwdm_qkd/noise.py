@@ -12,7 +12,6 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -37,10 +36,14 @@ class UnfittableError(ValueError):
 
 def check_finite_fields(params) -> None:
     """Reject a dataclass whose float fields include a NaN or an infinity."""
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
+    # the field dict, not dataclasses.fields(): that builds its tuple from a
+    # generator, which resizes it, and one resized tuple per call fills
+    # CPython's free list of that size; full, the lists held about 1 MB of a
+    # process that runs many CLI calls
+    for name in params.__dataclass_fields__:
+        value = getattr(params, name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{f.name} must be finite, got {value}")
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def db_field_to_linear(name: str, db: float) -> float:

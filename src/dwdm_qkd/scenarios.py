@@ -172,8 +172,9 @@ def builtin_scenarios() -> List[Scenario]:
 
 
 def scenario_by_name(name: str) -> Scenario:
-    for scenario in builtin_scenarios():
+    scenarios = builtin_scenarios()
+    for scenario in scenarios:
         if scenario.name == name:
             return scenario
-    known = ", ".join(s.name for s in builtin_scenarios())
+    known = ", ".join(s.name for s in scenarios)
     raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}")

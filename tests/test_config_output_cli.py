@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import dataclasses
 import json
@@ -8,7 +9,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dwdm_qkd import scenarios
+from dwdm_qkd import cli, config, scenarios
 from dwdm_qkd.bb84 import Bb84Params
 from dwdm_qkd.cli import main
 from dwdm_qkd.config import (
@@ -505,7 +506,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gmcs", "--z", "10000"],
+            ["gmcs", "--z", "14700"],
             ["gmcs", "--z", "14800"],
             ["noise", "--z", "14800"],
             ["bb84", "--z", "14800"],
@@ -513,13 +514,22 @@ class TestCli:
     )
     def test_long_link_overflow_is_an_error_line(self, argv, capsys):
         # representable transmittances whose noise budget (gain_g0 / eta_ch
-        # past ~14,600 km) or GMCS covariance terms (1 / eta_ch squared past
-        # ~7,300 km) leave the float range
+        # past ~14,600 km) leaves the float range
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("z", ["7400", "10000", "14500"])
+    def test_long_gmcs_link_is_a_zero_rate_point(self, z, capsys):
+        # 1 / eta_ch squared leaves the float range past ~7,300 km, but no
+        # GMCS term squares it
+        assert main(["gmcs", "--z", z]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out, parse_constant=pytest.fail)
+        assert doc["z_km"] == float(z) and doc["rate"] == 0.0
 
     def test_physicality_error_is_an_error_line(self, monkeypatch, capsys):
         def unphysical(*args, **kwargs):
@@ -627,3 +637,80 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["sweep"])  # missing --scenario
         assert exc.value.code == 2
+
+
+@pytest.fixture
+def fresh_caches():
+    # the parser and the default config are built once per process
+    cli.build_parser.cache_clear()
+    config.default_config.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+    config.default_config.cache_clear()
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+POINTS = [f"--point={z}:{z * 1e-11}" for z in (10, 20, 40)]
+
+
+class TestRepeatedMain:
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            [["gmcs", "--z", "5"], ["gmcs"]],
+            [["--conservative", "gmcs", "--z", "5"], ["gmcs", "--z", "5"]],
+            [FIT + ["--p-out-dbm", "4"] + POINTS, FIT + ["--p-out-dbm", "4", POINTS[0]]],
+            [["gmcs", "--z", "far"], ["gmcs", "--z", "5"]],
+            [["--config", "{config}", "noise"], ["noise"]],
+        ],
+    )
+    def test_calls_carry_no_state(self, sequence, fresh_caches, tmp_path, capsys):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("[link]\nclassical_channel_count = 0\nfiber_length_km = 35\n")
+        sequence = [[a.format(config=cfg) for a in argv] for argv in sequence]
+        alone = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            config.default_config.cache_clear()
+            alone.append(run_main(argv, capsys))
+        assert [run_main(argv, capsys) for argv in sequence] == alone
+        assert alone[0] != alone[1]
+
+    def test_later_calls_fall_back_to_their_own_defaults(self, fresh_caches, capsys):
+        run_main(["gmcs", "--z", "5"], capsys)
+        assert json.loads(run_main(["gmcs"], capsys)[1])["z_km"] == default_config().z_km
+        run_main(FIT + ["--p-out-dbm", "4"] + POINTS, capsys)
+        assert json.loads(run_main(FIT + ["--p-out-dbm", "4", POINTS[0]], capsys)[1])["points"] == 1
+
+    def test_parser_and_default_config_built_once(self, fresh_caches, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        parsed_empty = []
+        parse = config.parse_config
+
+        def counting_parse(text):
+            if text == "":
+                parsed_empty.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(config, "parse_config", counting_parse)
+        for argv in (["noise"], ["gmcs", "--z", "5"], ["bb84", "--z", "30"], ["scenarios"], ["noise", "--z", "9"]):
+            assert run_main(argv, capsys)[0] == 0
+        # the top-level parser and each subparser, once
+        assert built.count("dwdm-qkd") == 1 and len(built) == len(set(built))
+        assert len(parsed_empty) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import sys
 
@@ -193,13 +194,37 @@ class TestGmcsPoint:
 
     @pytest.mark.parametrize(
         "eta_ch, eps",
-        [(1e-210, 0.01), (5e-324, 0.01), (0.5, math.inf), (0.5, 1e300)],
+        [(5e-324, 0.01), (0.5, math.inf), (0.5, 1e300)],
     )
     def test_out_of_float_range_rejected(self, eta_ch, eps):
-        # squaring ~1/eta_ch raises OverflowError; a subnormal eta_ch or an
-        # infinite eps turns the spectrum into inf/NaN without raising
+        # a subnormal eta_ch or a huge eps turns the spectrum into inf/NaN
+        # without raising
         with pytest.raises(DomainError, match="eta_ch"):
             gmcs_point(eta_ch, PARAMS, eps)
+
+    @pytest.mark.parametrize("eta_ch", [1e-160, 1e-210, 1e-300])
+    def test_long_link_is_a_finite_zero_rate(self, eta_ch):
+        # (V chi_line + 1)^2 overflows from eta_ch ~ 1e-154, but sqrt(b) =
+        # eta_ch (V chi_line + 1) stays near V until 1 / eta_ch leaves the range
+        point = gmcs_point(eta_ch, PARAMS, 0.01)
+        assert point.rate == 0.0
+        assert all(math.isfinite(x) for x in (point.i_ab, point.chi_be, *point.sigma))
+        assert point.sigma[0] == pytest.approx(PARAMS.v_a + 1.0)
+
+    def test_points_leave_no_resized_tuples_behind(self):
+        # a tuple built from a generator is resized, and CPython keeps each
+        # freed one on the free list of its new size, up to 2,000 a size; a
+        # full collection empties the lists, so none may run here
+        gmcs_point(0.5, PARAMS, 0.01)
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for _ in range(3000):
+                gmcs_point(0.5, GmcsParams(eps0=0.02), 0.01)
+            grown = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert grown < 500
 
 
 class TestSecureDistance:
