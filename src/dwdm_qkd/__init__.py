@@ -8,6 +8,7 @@ from .noise import (
     DomainError,
     LinkParams,
     NoiseBudget,
+    NoiseModel,
     UnfittableError,
     ase_after_mux,
     ase_band_power_dbm,

@@ -15,6 +15,7 @@ from .noise import (
     DomainError,
     LinkParams,
     NoiseBudget,
+    NoiseModel,
     channel_transmittance,
     check_finite_fields,
     compute_noise_budget,
@@ -135,6 +136,14 @@ def _efficiency_and_background(
     link: LinkParams, comp: ComponentParams, params: Bb84Params, z_km: float, budget: NoiseBudget
 ) -> Tuple[float, float]:
     eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
+    return _eta_and_y0(eta_ch, comp, params, budget)
+
+
+def _eta_and_y0(
+    eta_ch: float, comp: ComponentParams, params: Bb84Params, budget: NoiseBudget
+) -> Tuple[float, float]:
+    """Overall efficiency and background rate per gate, given the channel
+    transmittance and the noise budget."""
     eta = eta_ch * comp.eta_dmu * params.eta_bob
     y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
     return eta, y0
@@ -165,19 +174,19 @@ def optimize_mu(
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
 ) -> Tuple[float, Bb84Point]:
     """Grid argmax of the key rate over mu at z_km; ties go to the smaller mu."""
-    budget = compute_noise_budget(link, comp, z_km, params.delta_t_s)
-    return _optimize_mu_with_budget(link, comp, params, z_km, budget, mu_grid)
+    eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z_km)
+    return _optimize_mu_with_budget(eta_ch, comp, params, budget, mu_grid)
 
 
 def _optimize_mu_with_budget(
-    link: LinkParams,
+    eta_ch: float,
     comp: ComponentParams,
     params: Bb84Params,
-    z_km: float,
     budget: NoiseBudget,
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
 ) -> Tuple[float, Bb84Point]:
-    """optimize_mu given the noise budget at z_km, which the caller has already.
+    """optimize_mu given the channel transmittance and the noise budget at
+    one distance, which the caller has already.
 
     The scan computes only the rate at each mu and builds the Bb84Point for
     the winner. Its expressions are those of bb84_point_from_rates with the
@@ -200,7 +209,7 @@ def _optimize_mu_with_budget(
     """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
-    eta, y0 = _efficiency_and_background(link, comp, params, z_km, budget)
+    eta, y0 = _eta_and_y0(eta_ch, comp, params, budget)
     if _half_head_bound(eta, y0, params, mu_grid) <= 0.0:
         return mu_grid[0], bb84_point_from_rates(eta, y0, params, mu_grid[0])
     e_det, f_ec = params.e_det, params.f_ec

@@ -13,8 +13,8 @@ from .config import Config, ConfigError, default_config, parse_config
 from .gmcs import PhysicalityError
 from .noise import (
     DomainError,
+    NoiseModel,
     UnfittableError,
-    compute_noise_budget,
     db_field_to_linear,
     fit_raman_coefficient,
 )
@@ -99,15 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_noise(args, config: Config) -> int:
-    budget = compute_noise_budget(
+    model = NoiseModel(
         config.link,
         config.comp,
-        args.z,
         config.bb84.delta_t_s,
         eta_bob=config.gmcs.eta_bob,
         detector_bandwidth_hz=config.gmcs.detector_bandwidth_hz,
         n_lo=config.gmcs.n_lo,
     )
+    budget = model.at(args.z)[1]
     _print_json(
         {"z_km": args.z, **{k: round9(v) for k, v in dataclasses.asdict(budget).items()}},
         args.out,
@@ -199,6 +199,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.command == "gmcs" or (scenario is not None and scenario.protocol == "GMCS")
         ):
             raise DomainError("--conservative and --strict-eps-out apply only to GMCS points and sweeps")
+        if args.command in ("scenarios", "fit-beta") and args.config is not None:
+            raise ConfigError(f"{args.command} does not read --config")
         if args.command == "scenarios":
             names = [s.name for s in builtin_scenarios()]
             if args.format == "json":

@@ -13,7 +13,7 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Sequence, Tuple
 
 from .units import (
@@ -76,6 +76,8 @@ class LinkParams:
             raise DomainError("alpha_db_per_km and beta_raman must be >= 0")
         if self.classical_channel_count < 0:
             raise DomainError("classical_channel_count must be >= 0")
+        if self.lambda_quantum_nm <= 0:
+            raise DomainError(f"lambda_quantum_nm must be positive, got {self.lambda_quantum_nm}")
         if self.lambda_classical_nm <= self.lambda_quantum_nm:
             raise DomainError(
                 "classical channels must sit at longer wavelengths than the "
@@ -245,15 +247,13 @@ def sasrs_per_mode(
         raise DomainError("all SASRS inputs must be >= 0")
     if lambda_m <= 0:
         raise DomainError("wavelength must be positive")
-    beta_per_km_m = beta * 1e9  # 1/(km*nm) -> 1/(km*m)
-    return (
-        lambda_m**3
-        / (PLANCK_H * SPEED_OF_LIGHT**2)
-        * p_out_w
-        * beta_per_km_m
-        * z_km
-        * eta_dmu
-    )
+    return _sasrs_prefactor(p_out_w, beta, lambda_m) * z_km * eta_dmu
+
+
+def _sasrs_prefactor(p_out_w: float, beta: float, lambda_m: float) -> float:
+    """lambda^3 / (h c^2) * P_out * beta, the distance-independent part of
+    sasrs_per_mode, with beta converted from 1/(km*nm) to 1/(km*m)."""
+    return lambda_m**3 / (PLANCK_H * SPEED_OF_LIGHT**2) * p_out_w * (beta * 1e9)
 
 
 def mode_count(delta_nu_hz: float, delta_t_s: float) -> float:
@@ -313,6 +313,125 @@ def fit_raman_coefficient(
     return beta
 
 
+class NoiseModel:
+    """The noise budget of one link as a function of distance.
+
+    Built and validated once per (link, components, window and homodyne
+    detector); at(z_km) does only the work that depends on distance. The
+    arguments are those of compute_noise_budget without z_km: delta_t_s is
+    the SPD gating window (it also sets the reference window for
+    unmatched-mode homodyne noise). eta_bob, detector_bandwidth_hz and n_lo
+    are only needed for the homodyne excess-noise outputs; when they are
+    absent the corresponding fields are zero.
+
+    Frozen like the parameter dataclasses, but a plain class: the
+    dataclass decorator generates its methods when the module is imported,
+    which took over a millisecond for this class.
+    """
+
+    __slots__ = ("link", "comp", "_terms")
+
+    def __init__(
+        self,
+        link: LinkParams,
+        comp: ComponentParams,
+        delta_t_s: float,
+        eta_bob: float = 0.0,
+        detector_bandwidth_hz: Optional[float] = None,
+        n_lo: Optional[float] = None,
+    ):
+        m = link.classical_channel_count
+        p_out = link.p_out_w
+        if m > 0:
+            e_classical = photon_energy(link.lambda_classical_nm * 1e-9)
+            n_leak = m * leakage_rate(p_out, comp.xi2, e_classical)
+            sasrs_k = _sasrs_prefactor(p_out, link.beta_raman, link.lambda_quantum_nm * 1e-9)
+        else:
+            n_leak = sasrs_k = 0.0
+        n_mod = mode_count(comp.delta_nu_hz, delta_t_s)
+        window_ratio = None
+        if detector_bandwidth_hz is not None and n_lo is not None:
+            if detector_bandwidth_hz <= 0 or n_lo <= 0:
+                raise DomainError("detector bandwidth and LO photon number must be positive")
+            delta_t_hom = 1.0 / (2.0 * math.pi * detector_bandwidth_hz)
+            window_ratio = delta_t_hom / delta_t_s
+        init = object.__setattr__
+        init(self, "link", link)
+        init(self, "comp", comp)
+        # the distance-independent terms, in one tuple that at() unpacks:
+        # one attribute to set here and one to read per distance
+        init(
+            self,
+            "_terms",
+            (n_mod, n_leak, n_leak * delta_t_s, db_to_linear(comp.nf_db), sasrs_k, eta_bob, window_ratio, n_lo),
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def at(self, z_km: float) -> Tuple[float, NoiseBudget]:
+        """(eta_ch, budget) at z_km of fiber: the channel transmittance and
+        every noise quantity. Each product keeps the operand order of the
+        per-source functions above (nsp_from_nf, ase_per_mode,
+        ase_after_mux, sasrs_per_mode), so the budget equals theirs bit for
+        bit."""
+        link, comp = self.link, self.comp
+        n_mod, n_leak, leak_window, nf, sasrs_k, eta_bob, window_ratio, n_lo = self._terms
+        m = link.classical_channel_count
+        eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
+        eta_dmu = comp.eta_dmu
+
+        if m > 0:
+            gain = comp.gain_at(eta_ch)
+            if gain > 1:
+                if comp.nsp_exact:
+                    n_sp = (nf * gain - 1.0) / (2.0 * (gain - 1.0))
+                else:
+                    n_sp = nf / 2.0
+                n_ase = ase_per_mode(n_sp, gain)
+            else:
+                n_ase = 0.0
+            n_ase_a = m * (comp.xi1 * n_ase)
+            n_sasrs = m * (sasrs_k * z_km * eta_dmu)
+        else:
+            n_ase_a = n_sasrs = 0.0
+
+        ase_window = n_mod * eta_ch * eta_dmu * n_ase_a
+        sasrs_window = n_mod * n_sasrs
+        n_spd = ase_window + leak_window + sasrs_window
+
+        n_matched = 0.5 * (eta_ch * eta_dmu * n_ase_a + n_sasrs)
+        eps_in = 2.0 * eta_bob * n_matched
+
+        n_unmatched = 0.0
+        eps_out = 0.0
+        if window_ratio is not None:
+            n_unmatched = window_ratio * n_spd
+            eps_out = eta_bob * n_unmatched / n_lo
+        # a NaN or infinite source tally shows in one of these; at long links the
+        # gain schedule gain_g0 / eta_ch overflows while eta_ch is still nonzero.
+        # All are >= 0, so their sum is finite only if each one is.
+        if not math.isfinite(n_spd + n_matched + n_unmatched + eps_in + eps_out):
+            raise DomainError(f"the noise budget at z_km = {z_km} overflows a float")
+
+        return eta_ch, NoiseBudget(
+            n_ase_a,
+            n_leak,
+            n_sasrs,
+            ase_window,
+            leak_window,
+            sasrs_window,
+            n_spd,
+            n_matched,
+            n_unmatched,
+            eps_in,
+            eps_out,
+        )
+
+
 def compute_noise_budget(
     link: LinkParams,
     comp: ComponentParams,
@@ -322,70 +441,7 @@ def compute_noise_budget(
     detector_bandwidth_hz: Optional[float] = None,
     n_lo: Optional[float] = None,
 ) -> NoiseBudget:
-    """Evaluate every noise quantity for one link at z_km of fiber.
-
-    delta_t_s is the SPD gating window (it also sets the reference window
-    for unmatched-mode homodyne noise). eta_bob, detector_bandwidth_hz and
-    n_lo are only needed for the homodyne excess-noise outputs; when they
-    are absent the corresponding fields are zero.
-    """
-    m = link.classical_channel_count
-    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
-    p_out = link.p_out_w
-    e_classical = photon_energy(link.lambda_classical_nm * 1e-9)
-
-    if m > 0:
-        gain = comp.gain_at(eta_ch)
-        if gain > 1:
-            n_sp = nsp_from_nf(db_to_linear(comp.nf_db), gain, high_gain=not comp.nsp_exact)
-            n_ase = ase_per_mode(n_sp, gain)
-        else:
-            n_ase = 0.0
-        n_ase_a = m * ase_after_mux(n_ase, comp.xi1)
-        n_leak = m * leakage_rate(p_out, comp.xi2, e_classical)
-        n_sasrs = m * sasrs_per_mode(
-            p_out,
-            link.beta_raman,
-            z_km,
-            comp.eta_dmu,
-            link.lambda_quantum_nm * 1e-9,
-        )
-    else:
-        n_ase_a = n_leak = n_sasrs = 0.0
-
-    n_mod = mode_count(comp.delta_nu_hz, delta_t_s)
-    ase_window = n_mod * eta_ch * comp.eta_dmu * n_ase_a
-    leak_window = n_leak * delta_t_s
-    sasrs_window = n_mod * n_sasrs
-    n_spd = ase_window + leak_window + sasrs_window
-
-    n_matched = 0.5 * (eta_ch * comp.eta_dmu * n_ase_a + n_sasrs)
-    eps_in = 2.0 * eta_bob * n_matched
-
-    n_unmatched = 0.0
-    eps_out = 0.0
-    if detector_bandwidth_hz is not None and n_lo is not None:
-        if detector_bandwidth_hz <= 0 or n_lo <= 0:
-            raise DomainError("detector bandwidth and LO photon number must be positive")
-        delta_t_hom = 1.0 / (2.0 * math.pi * detector_bandwidth_hz)
-        n_unmatched = (delta_t_hom / delta_t_s) * n_spd
-        eps_out = eta_bob * n_unmatched / n_lo
-    # a NaN or infinite source tally shows in one of these; at long links the
-    # gain schedule gain_g0 / eta_ch overflows while eta_ch is still nonzero.
-    # All are >= 0, so their sum is finite only if each one is.
-    if not math.isfinite(n_spd + n_matched + n_unmatched + eps_in + eps_out):
-        raise DomainError(f"the noise budget at z_km = {z_km} overflows a float")
-
-    return NoiseBudget(
-        n_ase_per_mode_at_a=n_ase_a,
-        n_leak_per_s_at_c=n_leak,
-        n_sasrs_per_mode_at_c=n_sasrs,
-        ase_window=ase_window,
-        leak_window=leak_window,
-        sasrs_window=sasrs_window,
-        n_spd_window=n_spd,
-        n_gmcs_matched=n_matched,
-        n_gmcs_unmatched=n_unmatched,
-        eps_in=eps_in,
-        eps_out=eps_out,
-    )
+    """Evaluate every noise quantity for one link at z_km of fiber: the
+    budget of NoiseModel(link, comp, delta_t_s, ...).at(z_km)."""
+    model = NoiseModel(link, comp, delta_t_s, eta_bob, detector_bandwidth_hz, n_lo)
+    return model.at(z_km)[1]

@@ -18,14 +18,32 @@ CSV_HEADER = "z_km,ase_window,leak_window,sasrs_window,total_window,eps_in,eps_o
 _FIELDS = CSV_HEADER.split(",")
 _DIGITS = "%.9g"
 _CSV_ROW = ",".join([_DIGITS] * len(_FIELDS))
-# one row laid out as json.dumps(doc, indent=2) lays it out; %r writes a float
-# with float.__repr__, as json.dumps does
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %r' for name in _FIELDS) + "\n    }"
+# one row laid out as json.dumps(doc, indent=2) lays it out, each value the
+# text of _json_number
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in _FIELDS) + "\n    }"
 
 
 def round9(x: float) -> float:
     """x at 9 significant digits, the precision of every number the tool writes."""
     return float(_DIGITS % x)
+
+
+def _json_number(cell: str) -> str:
+    """repr(float(cell)), the text json.dumps writes, for a %.9g token.
+
+    A normal double carries more than 15 significant digits, so the token's
+    at most 9 digits are the shortest decimal that reads back as the same
+    double, and float.__repr__ writes those digits; only the layout can
+    differ. repr writes .0 after an integral value and writes exponents 9 to
+    15 positionally, where %.9g writes e+09 to e+15. A two-digit negative
+    exponent is laid out alike by both. A three-digit exponent, where
+    subnormals live (4.94065646e-324 is repr's 5e-324), takes repr itself.
+    """
+    if "e" not in cell:
+        return cell if "." in cell else cell + ".0"
+    if cell[-4:-2] == "e-":
+        return cell
+    return repr(float(cell))
 
 
 def _finite(name: str, value: float) -> float:
@@ -69,7 +87,7 @@ def sweep_to_json(result: SweepResult) -> str:
     # resizes it, and the resized tuples pile up in CPython's free list of
     # 8-tuples, about 200 KB of resident memory once it is full
     rows = ",\n".join(
-        _JSON_ROW % tuple([float(cell) for cell in line.split(",")])
+        _JSON_ROW % tuple([_json_number(cell) for cell in line.split(",")])
         for line in _rounded_rows(result)
     )
     distance = round9(_finite("secure_distance_km", result.secure_distance_km))

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple, Union
 
 from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
 from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
-from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, channel_transmittance, compute_noise_budget
+from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel
 
 ADJACENT_ISOLATION = 1e-4  # -40 dB
 
@@ -81,22 +81,32 @@ def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> E
     its noise against HOMODYNE_REFERENCE_WINDOW_S and adds the unmatched-mode
     excess noise eps_out to eps_in only when strict_eps_out is set.
     """
-    link, comp, det = scenario.link, scenario.comp, scenario.detector
-    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
-    if scenario.protocol == "BB84":
-        budget = compute_noise_budget(link, comp, z_km, det.delta_t_s)
-        mu, point = _optimize_mu_with_budget(link, comp, det, z_km, budget)
-        return Evaluation(z_km, budget, eta_ch, point, mu)
+    return _evaluate(scenario, _noise_model(scenario), z_km, strict_eps_out)
 
-    budget = compute_noise_budget(
+
+def _noise_model(scenario: Scenario) -> NoiseModel:
+    """The noise model that evaluate budgets a scenario's rows with."""
+    link, comp, det = scenario.link, scenario.comp, scenario.detector
+    if scenario.protocol == "BB84":
+        return NoiseModel(link, comp, det.delta_t_s)
+    return NoiseModel(
         link,
         comp,
-        z_km,
         HOMODYNE_REFERENCE_WINDOW_S,
         eta_bob=det.eta_bob,
         detector_bandwidth_hz=det.detector_bandwidth_hz,
         n_lo=det.n_lo,
     )
+
+
+def _evaluate(scenario: Scenario, model: NoiseModel, z_km: float, strict_eps_out: bool) -> Evaluation:
+    """evaluate, given the scenario's noise model."""
+    comp, det = scenario.comp, scenario.detector
+    eta_ch, budget = model.at(z_km)
+    if scenario.protocol == "BB84":
+        mu, point = _optimize_mu_with_budget(eta_ch, comp, det, budget)
+        return Evaluation(z_km, budget, eta_ch, point, mu)
+
     eps_in = budget.eps_in + (budget.eps_out if strict_eps_out else 0.0)
     eps = total_excess_noise(
         det.eps0,
@@ -113,7 +123,8 @@ def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> E
 
 def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
     """Evaluate noise budget and key rate at every grid distance."""
-    rows = tuple(evaluate(scenario, z, strict_eps_out) for z in scenario.z_grid)
+    model = _noise_model(scenario)
+    rows = tuple([_evaluate(scenario, model, z, strict_eps_out) for z in scenario.z_grid])
 
     # secure_distance's 1 km scan and bisection revisit distances the sweep
     # has evaluated; evaluate is deterministic, so reuse those rates
@@ -121,14 +132,14 @@ def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
 
     def rate_fn(z: float) -> float:
         rate = rate_by_z.get(z)
-        return evaluate(scenario, z, strict_eps_out).rate if rate is None else rate
+        return _evaluate(scenario, model, z, strict_eps_out).rate if rate is None else rate
 
     dist = secure_distance(rate_fn, scenario.z_grid[-1])
     return SweepResult(
         scenario=scenario.name,
         rows=rows,
         secure_distance_km=dist,
-        noise_crossover_km=noise_crossover_km(scenario),
+        noise_crossover_km=_crossover_km(model),
     )
 
 
@@ -139,7 +150,11 @@ def noise_crossover_km(scenario: Scenario) -> Optional[float]:
     crossover follows from the terms at any reference distance. None when
     either term vanishes identically.
     """
-    budget = evaluate(scenario, 1.0).budget
+    return _crossover_km(_noise_model(scenario))
+
+
+def _crossover_km(model: NoiseModel) -> Optional[float]:
+    budget = model.at(1.0)[1]
     if budget.leak_window <= 0 or budget.sasrs_window <= 0:
         return None
     return budget.leak_window / budget.sasrs_window  # slope is per km at z=1
@@ -171,10 +186,18 @@ def builtin_scenarios() -> List[Scenario]:
     ]
 
 
+class UnknownScenarioError(KeyError):
+    """No built-in scenario has the name asked for. Its str is the message
+    itself, where KeyError's is the message's repr, quotes included."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def scenario_by_name(name: str) -> Scenario:
     scenarios = builtin_scenarios()
     for scenario in scenarios:
         if scenario.name == name:
             return scenario
     known = ", ".join(s.name for s in scenarios)
-    raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}")
+    raise UnknownScenarioError(f"unknown scenario {name!r}; known scenarios: {known}")

@@ -273,8 +273,8 @@ class TestGridBound:
 
     def test_bound_settles_the_noise_dominated_rows(self, monkeypatch):
         # bb84-0dBm has no key at any distance: the bound proves it for the
-        # 135 rows past 12.5 km, and the 26 rows up to 12.5 km and the 1 km
-        # crossover evaluation fall back to the scan
+        # 135 rows past 12.5 km, and the 26 rows up to 12.5 km fall back to
+        # the scan; the 1 km crossover reads the noise budget alone
         bound_of = bb84._half_head_bound
         bounds = []
 
@@ -284,7 +284,7 @@ class TestGridBound:
 
         monkeypatch.setattr(bb84, "_half_head_bound", counted)
         result = run_sweep(scenario_by_name("bb84-0dBm"))
-        assert len(bounds) == 162
+        assert len(bounds) == 161
         assert sum(bound <= 0.0 for bound in bounds) == 135
         assert [bound <= 0.0 for bound in bounds[:161]] == [row.z_km > 12.5 for row in result.rows]
         assert all(row.rate == 0.0 for row in result.rows)

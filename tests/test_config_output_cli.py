@@ -185,10 +185,13 @@ def hand_sweep(rows, scenario="gmcs-38ch", secure_distance_km=9.890625, noise_cr
 
 
 # values whose text needs care: a negative zero, exponents both ways, the
-# smallest subnormal, more digits than are kept, and integral floats
+# smallest subnormal, more digits than are kept, and integral floats; the
+# last row sits on the edges of the exponent layouts, where rounding to 9
+# digits moves a value across one
 AWKWARD_ROWS = [
     (0.0, -0.0, 1e-05, 1e16, 1e16 + 1e-05, 5e-324, 1e22, 0.1 + 0.2),
     (0.5, 123456789012.0, 123456789.0, 2.0, 1.0000000005, 9.9999999995e-5, 1e-7, -1e-300),
+    (1.0, 1e-99, 9.999999995e-100, 2.2250738585072014e-308, 1e9, 999999999.5, 9.9999999995e15, -7.0),
 ]
 
 
@@ -375,6 +378,22 @@ class TestOutput:
         assert text == indent_encoder_json(result)
         assert json.loads(text)["scenario"] == result.scenario
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(5e-324)
+    @example(-2.225073858507201e-308)
+    @example(1.7976931348623157e308)
+    @example(999999999.5)
+    @example(1e-5)
+    @example(9.9999999995e-5)
+    def test_json_number_is_the_repr_of_the_9_digit_value(self, x):
+        # every value of a row is written as json.dumps writes the value
+        # rounded to 9 significant digits
+        text = sweep_to_json(hand_sweep([(x,) * 8]))
+        row = text.split('"rows": [\n', 1)[1].split("\n  ],", 1)[0]
+        written = [line.split(": ", 1)[1].rstrip(",") for line in row.splitlines() if ": " in line]
+        assert written == [repr(float("%.9g" % x))] * 8
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", CSV_HEADER.split(","))
     def test_non_finite_row_value_is_named_by_both_writers(self, field, bad):
@@ -448,6 +467,33 @@ class TestCli:
         assert main(["sweep", "--scenario", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_unknown_scenario_error_line_is_unquoted(self, capsys):
+        assert main(["sweep", "--scenario", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown scenario 'nope'; known scenarios: "
+            + ", ".join(s.name for s in builtin_scenarios())
+            + "\n"
+        )
+
+    @pytest.mark.parametrize("command", ["noise", "bb84", "gmcs"])
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("lambda_quantum_nm = -10\nlambda_classical_nm = -5\n", "-10.0"),
+            ("lambda_quantum_nm = -10\nlambda_classical_nm = -5\nclassical_channel_count = 0\n", "-10.0"),
+            ("lambda_quantum_nm = 0\n", "0.0"),
+        ],
+    )
+    def test_non_positive_wavelength_is_an_error_line(self, command, text, value, tmp_path, capsys):
+        cfg = tmp_path / "wavelength.cfg"
+        cfg.write_text("[link]\n" + text)
+        assert main(["--config", str(cfg), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: lambda_quantum_nm must be positive, got {value}\n"
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("[link]\nclassical_channel_count = 0\n")
@@ -491,6 +537,9 @@ class TestCli:
             ["--conservative", "bb84"],
             ["--strict-eps-out", "noise"],
             ["--conservative", "sweep", "--scenario", "bb84-0dBm"],
+            # commands that read no config reject --config, as sweep does
+            ["--config", "/nonexistent", "scenarios"],
+            ["--config", "/nonexistent"] + FIT + ["--p-out-dbm", "0", "--point", "20:1e-10"],
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):

@@ -8,6 +8,7 @@ from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
     LinkParams,
+    NoiseModel,
     UnfittableError,
     ase_after_mux,
     ase_band_power_dbm,
@@ -250,6 +251,83 @@ class TestBudget:
         budget = compute_noise_budget(link, TABLE_COMP, 20.0, 1e-9, eta_bob=0.6)
         assert budget.n_spd_window == 0.0
         assert budget.eps_in == 0.0
+
+
+HOMODYNE = {"eta_bob": 0.6, "detector_bandwidth_hz": 1e6, "n_lo": 1e8}
+
+# (link, comp, z_km, delta_t_s, homodyne keywords, message): each input breaks
+# one thing, and the message is the one compute_noise_budget raised for it
+# before the noise model existed
+BUDGET_ERRORS = [
+    (TABLE_LINK, TABLE_COMP, -1.0, 1e-9, {}, "z_km must be finite and >= 0, got -1.0"),
+    (TABLE_LINK, TABLE_COMP, math.nan, 1e-9, {}, "z_km must be finite and >= 0, got nan"),
+    (TABLE_LINK, TABLE_COMP, math.inf, 1e-9, {}, "z_km must be finite and >= 0, got inf"),
+    (TABLE_LINK, TABLE_COMP, 1e308, 1e-9, {}, "z_km = 1e+308 makes the channel transmittance underflow to 0"),
+    # high gain: n_sp = NF/2 < 1 for NF = 10^0.2
+    (TABLE_LINK, ComponentParams(nf_db=2.0), 20.0, 1e-9, {}, "n_sp must be >= 1 (spontaneous-emission limit)"),
+    (
+        TABLE_LINK,
+        ComponentParams(nf_db=1.0, gain_fixed=2.0, nsp_exact=True),
+        20.0,
+        1e-9,
+        {},
+        "n_sp must be >= 1 (spontaneous-emission limit)",
+    ),
+    (TABLE_LINK, TABLE_COMP, 20.0, 0.0, {}, "bandwidth and time window must be positive"),
+    (TABLE_LINK, TABLE_COMP, 20.0, -1e-9, {}, "bandwidth and time window must be positive"),
+    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {**HOMODYNE, "n_lo": 0.0}, "detector bandwidth and LO photon number must be positive"),
+    (
+        TABLE_LINK,
+        TABLE_COMP,
+        20.0,
+        1e-9,
+        {**HOMODYNE, "detector_bandwidth_hz": -1.0},
+        "detector bandwidth and LO photon number must be positive",
+    ),
+    # the gain schedule gain_g0 / eta_ch overflows
+    (TABLE_LINK, TABLE_COMP, 14800.0, 1e-9, {}, "the noise budget at z_km = 14800.0 overflows a float"),
+    (TABLE_LINK, TABLE_COMP, 20.0, math.nan, {}, "the noise budget at z_km = 20.0 overflows a float"),
+    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {"eta_bob": math.inf}, "the noise budget at z_km = 20.0 overflows a float"),
+    (
+        TABLE_LINK,
+        TABLE_COMP,
+        20.0,
+        1e-9,
+        {**HOMODYNE, "detector_bandwidth_hz": math.nan},
+        "the noise budget at z_km = 20.0 overflows a float",
+    ),
+]
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("homodyne", [{}, HOMODYNE])
+    @pytest.mark.parametrize("channels", [0, 1, 38])
+    def test_at_is_the_transmittance_and_the_budget(self, channels, homodyne):
+        link = dataclasses.replace(TABLE_LINK, classical_channel_count=channels)
+        model = NoiseModel(link, TABLE_COMP, 1e-9, **homodyne)
+        for z in (0.0, 0.5, 1.0, 9.890625, 20.0, 80.0, 700.0):
+            eta_ch, budget = model.at(z)
+            assert eta_ch == channel_transmittance(z, link.alpha_db_per_km)
+            assert budget == compute_noise_budget(link, TABLE_COMP, z, 1e-9, **homodyne)
+
+    def test_model_is_frozen(self):
+        model = NoiseModel(TABLE_LINK, TABLE_COMP, 1e-9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.link = LinkParams()
+
+    @pytest.mark.parametrize("link, comp, z_km, delta_t_s, homodyne, message", BUDGET_ERRORS)
+    def test_errors_are_unchanged(self, link, comp, z_km, delta_t_s, homodyne, message):
+        with pytest.raises(DomainError) as wrapped:
+            compute_noise_budget(link, comp, z_km, delta_t_s, **homodyne)
+        assert str(wrapped.value) == message
+        with pytest.raises(DomainError) as direct:
+            NoiseModel(link, comp, delta_t_s, **homodyne).at(z_km)
+        assert str(direct.value) == message
+
+    @pytest.mark.parametrize("lambda_q, lambda_c", [(0.0, 1550.8), (-10.0, -5.0)])
+    def test_non_positive_quantum_wavelength_is_named(self, lambda_q, lambda_c):
+        with pytest.raises(DomainError, match="lambda_quantum_nm"):
+            LinkParams(lambda_quantum_nm=lambda_q, lambda_classical_nm=lambda_c)
 
 
 class TestRamanFit:

@@ -3,8 +3,9 @@ import hashlib
 
 import pytest
 
+from dwdm_qkd import bb84, noise, scenarios
 from dwdm_qkd.gmcs import secure_distance
-from dwdm_qkd.noise import DomainError, LinkParams
+from dwdm_qkd.noise import DomainError, LinkParams, NoiseModel
 from dwdm_qkd.output import sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import (
     ADJACENT_ISOLATION,
@@ -53,6 +54,13 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             scenario_by_name("gmcs-miracle")
+
+    def test_unknown_name_message_is_unquoted(self):
+        with pytest.raises(KeyError) as exc:
+            scenario_by_name("gmcs-miracle")
+        assert str(exc.value) == (
+            "unknown scenario 'gmcs-miracle'; known scenarios: " + ", ".join(NAMES)
+        )
 
     def test_default_grid_is_shared(self):
         # the 0..80 km default grid is built and checked once, not per Scenario
@@ -126,6 +134,57 @@ class TestRunSweep:
         )
         run_sweep(scenario)
         assert built == []
+
+    @pytest.mark.parametrize("name", ["bb84-0dBm", "gmcs-38ch", "gmcs-none"])
+    def test_sweep_builds_one_noise_model_and_calls_no_budget(self, name, monkeypatch):
+        built = []
+        init = NoiseModel.__init__
+        monkeypatch.setattr(
+            NoiseModel,
+            "__init__",
+            lambda model, *args, **kwargs: built.append(model) or init(model, *args, **kwargs),
+        )
+
+        def budget(*args, **kwargs):
+            pytest.fail("compute_noise_budget called")
+
+        for module in (noise, bb84, scenarios):
+            monkeypatch.setattr(module, "compute_noise_budget", budget, raising=False)
+        scenario = scenario_by_name(name)
+        run_sweep(scenario)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_crossover_computes_no_rate(self, name, monkeypatch):
+        def rate(*args, **kwargs):
+            pytest.fail("the crossover computed a key rate")
+
+        monkeypatch.setattr(scenarios, "gmcs_point", rate)
+        monkeypatch.setattr(scenarios, "_optimize_mu_with_budget", rate)
+        noise_crossover_km(scenario_by_name(name))
+
+    @pytest.mark.parametrize(
+        "name, rate_step", [("bb84-0dBm", "_optimize_mu_with_budget"), ("gmcs-38ch", "gmcs_point")]
+    )
+    def test_sweep_computes_rates_only_for_rows_and_the_distance_search(self, name, rate_step, monkeypatch):
+        # every rate belongs to a grid row or to a distance secure_distance
+        # asks for off the grid; the crossover adds none
+        calls = []
+        step = getattr(scenarios, rate_step)
+        monkeypatch.setattr(
+            scenarios, rate_step, lambda *args, **kwargs: calls.append(1) or step(*args, **kwargs)
+        )
+        asked = []
+        search = scenarios.secure_distance
+        monkeypatch.setattr(
+            scenarios,
+            "secure_distance",
+            lambda rate_fn, z_max: search(lambda z: asked.append(z) or rate_fn(z), z_max),
+        )
+        scenario = scenario_by_name(name)
+        result = run_sweep(scenario)
+        assert len(calls) == len(scenario.z_grid) + len(set(asked) - set(scenario.z_grid))
+        assert result.noise_crossover_km == noise_crossover_km(scenario)
 
     @pytest.mark.filterwarnings("ignore:rate still positive")
     def test_strict_eps_out_barely_moves_rates(self):
