@@ -16,9 +16,7 @@ from .noise import (
     LinkParams,
     NoiseBudget,
     NoiseModel,
-    channel_transmittance,
     check_finite_fields,
-    compute_noise_budget,
 )
 
 DEFAULT_MU_GRID = tuple(round(0.05 + 0.01 * i, 2) for i in range(96))  # 0.05..1.0
@@ -48,6 +46,8 @@ class Bb84Params:
             raise DomainError("eta_bob must be in (0, 1]")
         if self.y0_base < 0:
             raise DomainError("y0_base must be >= 0")
+        if self.delta_t_s <= 0:
+            raise DomainError(f"delta_t_s must be positive, got {self.delta_t_s}")
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,55 @@ def bb84_point_from_rates(eta: float, y0: float, params: Bb84Params, mu: float) 
     return Bb84Point(y0, q_mu, e_mu, q1, e1, max(0.0, rate))
 
 
-def _half_head_bound(eta: float, y0: float, params: Bb84Params, mu_grid: Sequence[float]) -> float:
-    """Upper bound on 0.5*head = 0.5*(q1 - f_ec*q_mu*h(min(E_mu, 1/2))) over
-    every mu of the grid, padded for rounding; inf when it cannot be formed.
+# consecutive grid points per block bound
+MU_BLOCK = 12
 
-    In exact arithmetic, with a, b the least and largest mu and
-    x = 1 - exp(-eta*mu): q1 = (y0 + eta)*mu*exp(-mu) is at most its value at
-    m = clamp(1, a, b), where mu*exp(-mu) peaks; q_mu = y0 + x grows with mu,
-    so q_mu >= q_a; E_mu = (e0*y0 + e_det*x)/(y0 + x) is monotone in x (dE/dx
-    has the sign of y0*(e_det - e0)), and h(min(E, 1/2)) is nondecreasing in
-    E, so h >= min(h_a, h_b). Hence 0.5*head <= 0.5*(q1_max - f_ec*q_a*h_min),
-    and each mu's rate, at most max(0, 0.5*head), is 0 when that is <= 0.
+
+def _extremes(mus: Sequence[float]) -> Tuple[float, float, float, float]:
+    """(a, b, m, exp(-m)) of a run of finite mus: its least and largest mu,
+    and m = clamp(1, a, b), where mu*exp(-mu) peaks over [a, b]."""
+    a, b = min(mus), max(mus)
+    m = min(max(1.0, a), b)
+    return a, b, m, math.exp(-m)
+
+
+class _MuGrid:
+    """The distance-independent terms of a mu grid, formed once per grid:
+    exp(-mu) of each mu, and the extremes (see _extremes) of the whole grid
+    and of each block of MU_BLOCK consecutive mus. A grid with a NaN or an
+    infinite mu has whole = None and no blocks, so it reaches the scan.
+
+    A plain slotted class: the dataclass decorator generates its methods when
+    the module is imported, which costs import time.
+    """
+
+    __slots__ = ("exp_neg", "whole", "blocks")
+
+    def __init__(self, mu_grid: Sequence[float]):
+        mus = tuple(mu_grid)
+        self.exp_neg = tuple([math.exp(-mu) for mu in mus])
+        if math.isfinite(sum(mus)):
+            self.whole = _extremes(mus)
+            self.blocks = tuple(_extremes(mus[i : i + MU_BLOCK]) for i in range(0, len(mus), MU_BLOCK))
+        else:
+            self.whole, self.blocks = None, ()
+
+
+def _bound_over(
+    eta: float, y0: float, params: Bb84Params, a: float, b: float, m: float, exp_m: float
+) -> float:
+    """Upper bound on 0.5*head = 0.5*(q1 - f_ec*q_mu*h(min(E_mu, 1/2))) over
+    every mu of a set of grid points with least a and largest b, padded for
+    rounding; inf when it cannot be formed. m = clamp(1, a, b), exp_m = exp(-m).
+
+    In exact arithmetic, with x = 1 - exp(-eta*mu): q1 = (y0 + eta)*mu*exp(-mu)
+    is at most its value at m, where mu*exp(-mu) peaks; q_mu = y0 + x grows
+    with mu, so q_mu >= q_a; E_mu = (e0*y0 + e_det*x)/(y0 + x) is monotone in
+    x (dE/dx has the sign of y0*(e_det - e0)), and h(min(E, 1/2)) is
+    nondecreasing in E, so h >= min(h_a, h_b). Hence
+    0.5*head <= 0.5*(q1_max - f_ec*q_a*h_min), and each mu's rate, at most
+    max(0, 0.5*head), is 0 when that is <= 0. Nothing else of the set is
+    used, so the bound holds for the whole grid and for any block of it.
 
     In floats, a and b are grid points whose q, E and h use the scan's own
     expressions, so they are its values bit for bit. With w = exp(-eta*mu)
@@ -111,19 +149,14 @@ def _half_head_bound(eta: float, y0: float, params: Bb84Params, mu_grid: Sequenc
     fixed monotone function of w times (1 + a few ulps). The pad covers the
     rest: 1e-9 relative for the few-ulp errors of q1, E and the products, and
     2**-40*f_ec*q_b (q_mu <= q_b) for the entropy formula's absolute error of
-    a few ulps of 1. A non-finite mu, q_a <= 0 or a NaN gives inf or NaN, so
-    the scan runs and rejects a non-finite mu as before; a negative E raises
-    DomainError through binary_entropy, as in the scan.
+    a few ulps of 1. q_a <= 0 or a NaN gives inf or NaN, so the scan runs; a
+    negative E raises DomainError through binary_entropy, as in the scan.
     """
-    if not math.isfinite(sum(mu_grid)):
-        return math.inf
-    a, b = min(mu_grid), max(mu_grid)
     exp_a, exp_b = math.exp(-eta * a), math.exp(-eta * b)
     q_a, q_b = y0 + 1.0 - exp_a, y0 + 1.0 - exp_b
     if not q_a > 0:
         return math.inf
-    m = min(max(1.0, a), b)
-    q1_max = (y0 + eta) * m * math.exp(-m)
+    q1_max = (y0 + eta) * m * exp_m
     e0_y0 = params.e0 * y0
     e_a = (e0_y0 + params.e_det * (1.0 - exp_a)) / q_a
     e_b = (e0_y0 + params.e_det * (1.0 - exp_b)) / q_b
@@ -132,11 +165,15 @@ def _half_head_bound(eta: float, y0: float, params: Bb84Params, mu_grid: Sequenc
     return 0.5 * (q1_max - neg) + 1e-9 * (q1_max + neg) + 2**-40 * params.f_ec * q_b
 
 
-def _efficiency_and_background(
-    link: LinkParams, comp: ComponentParams, params: Bb84Params, z_km: float, budget: NoiseBudget
-) -> Tuple[float, float]:
-    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
-    return _eta_and_y0(eta_ch, comp, params, budget)
+def _half_head_bound(eta: float, y0: float, params: Bb84Params, grid: _MuGrid) -> float:
+    """_bound_over the whole grid; inf for a grid with a NaN or an infinite
+    mu, which min and max would skip."""
+    if grid.whole is None:
+        return math.inf
+    return _bound_over(eta, y0, params, *grid.whole)
+
+
+_DEFAULT_GRID = _MuGrid(DEFAULT_MU_GRID)
 
 
 def _eta_and_y0(
@@ -161,8 +198,8 @@ def bb84_point(
         mu = params.mu
     elif not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and > 0, got {mu}")
-    budget = compute_noise_budget(link, comp, z_km, params.delta_t_s)
-    eta, y0 = _efficiency_and_background(link, comp, params, z_km, budget)
+    eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z_km)
+    eta, y0 = _eta_and_y0(eta_ch, comp, params, budget)
     return bb84_point_from_rates(eta, y0, params, mu)
 
 
@@ -205,12 +242,20 @@ def _optimize_mu_with_budget(
     max(0, 0.5*head) <= best_rate, which cannot win.
 
     A grid that _half_head_bound proves has no mu of positive rate returns,
-    without a scan, what the scan returns when every rate is 0.
+    without a scan, what the scan returns when every rate is 0. So does one
+    whose block bounds are all <= 0, checked in grid order; the first block
+    whose bound is > 0 ends the checks, and the whole grid is scanned. The
+    default grid's terms are formed once, when the module is imported, and
+    any other grid forms its own on each call.
     """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
+    grid = _DEFAULT_GRID if mu_grid is DEFAULT_MU_GRID else _MuGrid(mu_grid)
     eta, y0 = _eta_and_y0(eta_ch, comp, params, budget)
-    if _half_head_bound(eta, y0, params, mu_grid) <= 0.0:
+    # a grid with a non-finite mu has no blocks, and goes to the scan
+    if _half_head_bound(eta, y0, params, grid) <= 0.0 or (
+        grid.blocks and all(_bound_over(eta, y0, params, *block) <= 0.0 for block in grid.blocks)
+    ):
         return mu_grid[0], bb84_point_from_rates(eta, y0, params, mu_grid[0])
     e_det, f_ec = params.e_det, params.f_ec
     exp, log2 = math.exp, math.log2
@@ -220,9 +265,8 @@ def _optimize_mu_with_budget(
     e0_y0 = params.e0 * y0
     e1_numerator = e0_y0 + e_det * eta
     best_mu, best_rate = mu_grid[0], 0.0
-    for mu in mu_grid:
+    for mu, exp_mu in zip(mu_grid, grid.exp_neg):
         exp_eta_mu = exp(neg_eta * mu)
-        exp_mu = exp(-mu)
         q_mu = y0_plus_1 - exp_eta_mu
         q1 = y0_plus_eta * mu * exp_mu
         if q_mu <= 0 or q1 <= 0:

@@ -83,6 +83,18 @@ class LinkParams:
                 "classical channels must sit at longer wavelengths than the "
                 "quantum channel"
             )
+        # the SASRS prefactor cubes the quantum wavelength, and the leakage
+        # rate divides by the classical photon energy
+        try:
+            (self.lambda_quantum_nm * 1e-9) ** 3
+        except OverflowError:
+            raise DomainError(
+                f"lambda_quantum_nm = {self.lambda_quantum_nm} overflows a float when cubed"
+            ) from None
+        if photon_energy(self.lambda_classical_nm * 1e-9) == 0:
+            raise DomainError(
+                f"lambda_classical_nm = {self.lambda_classical_nm} makes the photon energy underflow to 0"
+            )
 
     @property
     def p_out_w(self) -> float:

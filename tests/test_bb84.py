@@ -18,10 +18,11 @@ from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
     LinkParams,
+    NoiseModel,
     channel_transmittance,
     compute_noise_budget,
 )
-from dwdm_qkd.scenarios import run_sweep, scenario_by_name
+from dwdm_qkd.scenarios import evaluate, run_sweep, scenario_by_name
 
 PARAMS = Bb84Params()  # e_det=0.003, Y0^0=5e-6, eta_bob=0.038, f=1.22
 COMP = ComponentParams()
@@ -43,8 +44,8 @@ def first_max_over_point_builder(link, z, params, mu_grid):
 
 
 def efficiency_and_background(link, z, params):
-    budget = compute_noise_budget(link, COMP, z, params.delta_t_s)
-    return bb84._efficiency_and_background(link, COMP, params, z, budget)
+    eta_ch, budget = NoiseModel(link, COMP, params.delta_t_s).at(z)
+    return bb84._eta_and_y0(eta_ch, COMP, params, budget)
 
 
 def adjacent_floats(mu, n):
@@ -101,6 +102,11 @@ class TestBb84Params:
     def test_e0_outside_unit_interval_named(self, e0):
         with pytest.raises(DomainError, match="e0"):
             Bb84Params(e0=e0)
+
+    @pytest.mark.parametrize("delta_t_s", [0.0, -1e-9])
+    def test_non_positive_window_named(self, delta_t_s):
+        with pytest.raises(DomainError, match="delta_t_s"):
+            Bb84Params(delta_t_s=delta_t_s)
 
 
 class TestBinaryEntropy:
@@ -227,10 +233,10 @@ class TestOptimizeMu:
         object.__setattr__(forced, "e0", -1.0)
         eta, y0 = efficiency_and_background(MULTIPLEXED, 20, forced)
         with pytest.raises(DomainError):
-            bb84._half_head_bound(eta, y0, forced, DEFAULT_MU_GRID)
+            bb84._half_head_bound(eta, y0, forced, bb84._MuGrid(DEFAULT_MU_GRID))
         with pytest.raises(DomainError):
             optimize_mu(MULTIPLEXED, COMP, forced, 20)
-        monkeypatch.setattr(bb84, "_half_head_bound", lambda *args: math.inf)
+        monkeypatch.setattr(bb84, "_bound_over", lambda *args: math.inf)
         with pytest.raises(DomainError):
             optimize_mu(MULTIPLEXED, COMP, forced, 20)
 
@@ -262,7 +268,7 @@ class TestGridBound:
         # at every mu, and when it is <= 0 every mu's rate is exactly 0
         link = LinkParams(classical_channel_count=channels)
         eta, y0 = efficiency_and_background(link, z, params)
-        bound = bb84._half_head_bound(eta, y0, params, mu_grid)
+        bound = bb84._half_head_bound(eta, y0, params, bb84._MuGrid(mu_grid))
         for mu in mu_grid:
             point = bb84_point_from_rates(eta, y0, params, mu)
             if point.q_mu > 0 and point.q1 > 0:
@@ -289,12 +295,81 @@ class TestGridBound:
         assert [bound <= 0.0 for bound in bounds[:161]] == [row.z_km > 12.5 for row in result.rows]
         assert all(row.rate == 0.0 for row in result.rows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        VALID_PARAMS,
+        st.floats(min_value=0.0, max_value=150.0),
+        st.sampled_from([0, 1, 38]),
+        MU_GRIDS,
+    )
+    def test_block_bound_dominates_every_half_head_in_its_block(self, params, z, channels, mu_grid):
+        # each block of MU_BLOCK consecutive mus has its own bound, at least
+        # 0.5*head at every mu of that block; <= 0 means each of its rates is 0
+        link = LinkParams(classical_channel_count=channels)
+        eta, y0 = efficiency_and_background(link, z, params)
+        grid = bb84._MuGrid(mu_grid)
+        starts = range(0, len(mu_grid), bb84.MU_BLOCK)
+        assert len(grid.blocks) == (len(starts) if grid.whole else 0)
+        for start, block in zip(starts, grid.blocks):
+            bound = bb84._bound_over(eta, y0, params, *block)
+            for mu in mu_grid[start : start + bb84.MU_BLOCK]:
+                point = bb84_point_from_rates(eta, y0, params, mu)
+                if point.q_mu > 0 and point.q1 > 0:
+                    h_mu = binary_entropy(min(point.e_mu, 0.5))
+                    assert 0.5 * (point.q1 - params.f_ec * point.q_mu * h_mu) <= bound
+                if bound <= 0.0:
+                    assert point.rate == 0.0
+
+    def test_block_bounds_leave_four_rows_to_the_scan(self, monkeypatch):
+        # of the 26 bb84-0dBm rows whose whole-grid bound is > 0, the block
+        # bounds settle all but the four at 0-1.5 km, and only those read
+        # the exp(-mu) table that the scan reads
+        class ScanCounter:
+            def __init__(self, grid):
+                self.whole, self.blocks = grid.whole, grid.blocks
+                self.table, self.scans = grid.exp_neg, 0
+
+            @property
+            def exp_neg(self):
+                self.scans += 1
+                return self.table
+
+        counter = ScanCounter(bb84._DEFAULT_GRID)
+        monkeypatch.setattr(bb84, "_DEFAULT_GRID", counter)
+        scenario = scenario_by_name("bb84-0dBm")
+        scanned = []
+        for z in scenario.z_grid:
+            scans = counter.scans
+            assert evaluate(scenario, z).rate == 0.0
+            if counter.scans > scans:
+                scanned.append(z)
+        assert scanned == [0.0, 0.5, 1.0, 1.5]
+        counter.scans = 0
+        run_sweep(scenario)
+        assert counter.scans == 4
+
+    def test_default_table_equals_terms_recomputed_from_the_grid(self):
+        grid = bb84._DEFAULT_GRID
+        assert grid.exp_neg == tuple(math.exp(-mu) for mu in DEFAULT_MU_GRID)
+        assert grid.whole == (0.05, 1.0, 1.0, math.exp(-1.0))
+        # the default grid is sorted, so each block's least and largest mu
+        # are its ends
+        blocks = []
+        for start in range(0, 96, 12):
+            a, b = DEFAULT_MU_GRID[start], DEFAULT_MU_GRID[start + 11]
+            m = min(max(1.0, a), b)
+            blocks.append((a, b, m, math.exp(-m)))
+        assert grid.blocks == tuple(blocks)
+        assert len(grid.blocks) == 8 and grid.blocks[0][:2] == (0.05, 0.16)
+
     @pytest.mark.parametrize("mu_grid", [(0.05, math.nan, 0.1), (0.05, math.inf), (math.nan, 0.5)])
     def test_non_finite_mu_reaches_the_scan(self, mu_grid):
         # min and max skip a NaN, so the bound would cover only the finite
         # mus; a non-finite mu must still reach the scan, which rejects it
         eta, y0 = efficiency_and_background(MULTIPLEXED, 40, PARAMS)
-        assert bb84._half_head_bound(eta, y0, PARAMS, mu_grid) == math.inf
+        grid = bb84._MuGrid(mu_grid)
+        assert bb84._half_head_bound(eta, y0, PARAMS, grid) == math.inf
+        assert grid.blocks == ()
         with pytest.raises(DomainError):
             optimize_mu(MULTIPLEXED, COMP, PARAMS, 40, mu_grid)
 
@@ -302,7 +377,7 @@ class TestGridBound:
         # no classical channel at 20 km: some mu has key, so the bound stays
         # positive and the scan finds the first-max argmax
         eta, y0 = efficiency_and_background(UNMULTIPLEXED, 20, PARAMS)
-        assert bb84._half_head_bound(eta, y0, PARAMS, DEFAULT_MU_GRID) > 0.0
+        assert bb84._half_head_bound(eta, y0, PARAMS, bb84._MuGrid(DEFAULT_MU_GRID)) > 0.0
         mu, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)
         assert (mu, point) == first_max_over_point_builder(UNMULTIPLEXED, 20, PARAMS, DEFAULT_MU_GRID)
         assert point.rate > 0.0

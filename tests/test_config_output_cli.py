@@ -303,6 +303,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="e0"):
             parse_config(f"[bb84]\ne0 = {value}\n")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_window_names_key(self, value):
+        with pytest.raises(ConfigError, match="delta_t_s"):
+            parse_config(f"[bb84]\ndelta_t_ns = {value}\n")
+
     @pytest.mark.parametrize(
         "section, key",
         [
@@ -493,6 +498,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: lambda_quantum_nm must be positive, got {value}\n"
+
+    @pytest.mark.parametrize("command", ["noise", "bb84", "gmcs"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # cubing 1e291 m in the SASRS prefactor leaves the float range
+            ("lambda_quantum_nm = 1e300\nlambda_classical_nm = 2e300\n", "lambda_quantum_nm = 1e+300 overflows"),
+            # h*c / 1e299 m rounds to a zero photon energy
+            ("lambda_classical_nm = 1e308\n", "lambda_classical_nm = 1e+308 makes the photon energy underflow"),
+        ],
+    )
+    def test_huge_wavelength_is_an_error_line(self, command, text, message, tmp_path, capsys):
+        cfg = tmp_path / "wavelength.cfg"
+        cfg.write_text("[link]\n" + text)
+        assert main(["--config", str(cfg), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["noise", "bb84", "gmcs"])
+    def test_zero_window_is_an_error_line(self, command, tmp_path, capsys):
+        # gmcs reads no gating window, but the config that sets one is invalid
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text("[bb84]\ndelta_t_ns = 0\n")
+        assert main(["--config", str(cfg), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: delta_t_s must be positive, got 0.0\n"
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "x.cfg"

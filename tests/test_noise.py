@@ -329,6 +329,22 @@ class TestNoiseModel:
         with pytest.raises(DomainError, match="lambda_quantum_nm"):
             LinkParams(lambda_quantum_nm=lambda_q, lambda_classical_nm=lambda_c)
 
+    @pytest.mark.parametrize(
+        "lambda_q, lambda_c, name",
+        [(1e300, 2e300, "lambda_quantum_nm"), (6e111, 7e111, "lambda_quantum_nm"), (1550.0, 1e308, "lambda_classical_nm")],
+    )
+    def test_huge_wavelength_is_named(self, lambda_q, lambda_c, name):
+        # the SASRS prefactor cubes lambda_q in meters, and the leakage rate
+        # divides by the photon energy at lambda_c
+        with pytest.raises(DomainError, match=name):
+            LinkParams(lambda_quantum_nm=lambda_q, lambda_classical_nm=lambda_c)
+
+    def test_largest_cubable_wavelength_overflows_as_a_budget_error(self):
+        # 5e102 m still cubes to a float; the budget it gives is not finite
+        link = LinkParams(lambda_quantum_nm=5e111, lambda_classical_nm=6e111)
+        with pytest.raises(DomainError, match="overflows a float"):
+            NoiseModel(link, ComponentParams(), 1e-9).at(10.0)
+
 
 class TestRamanFit:
     def test_single_point_round_trip(self):
