@@ -108,8 +108,8 @@ def _extremes(mus: Sequence[float]) -> Tuple[float, float, float, float]:
 class _MuGrid:
     """The distance-independent terms of a mu grid, formed once per grid:
     exp(-mu) of each mu, and the extremes (see _extremes) of the whole grid
-    and of each block of MU_BLOCK consecutive mus. A grid with a NaN or an
-    infinite mu has whole = None and no blocks, so it reaches the scan.
+    and of each block of MU_BLOCK consecutive mus. Every mu must be finite
+    and > 0.
 
     A plain slotted class: the dataclass decorator generates its methods when
     the module is imported, which costs import time.
@@ -119,12 +119,12 @@ class _MuGrid:
 
     def __init__(self, mu_grid: Sequence[float]):
         mus = tuple(mu_grid)
+        for mu in mus:
+            if not (math.isfinite(mu) and mu > 0):
+                raise DomainError(f"mu_grid: mu must be finite and > 0, got {mu}")
         self.exp_neg = tuple([math.exp(-mu) for mu in mus])
-        if math.isfinite(sum(mus)):
-            self.whole = _extremes(mus)
-            self.blocks = tuple(_extremes(mus[i : i + MU_BLOCK]) for i in range(0, len(mus), MU_BLOCK))
-        else:
-            self.whole, self.blocks = None, ()
+        self.whole = _extremes(mus)
+        self.blocks = tuple(_extremes(mus[i : i + MU_BLOCK]) for i in range(0, len(mus), MU_BLOCK))
 
 
 def _bound_over(
@@ -166,10 +166,7 @@ def _bound_over(
 
 
 def _half_head_bound(eta: float, y0: float, params: Bb84Params, grid: _MuGrid) -> float:
-    """_bound_over the whole grid; inf for a grid with a NaN or an infinite
-    mu, which min and max would skip."""
-    if grid.whole is None:
-        return math.inf
+    """_bound_over the whole grid."""
     return _bound_over(eta, y0, params, *grid.whole)
 
 
@@ -210,7 +207,8 @@ def optimize_mu(
     z_km: float,
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
 ) -> Tuple[float, Bb84Point]:
-    """Grid argmax of the key rate over mu at z_km; ties go to the smaller mu."""
+    """Grid argmax of the key rate over mu at z_km; ties go to the smaller mu.
+    Each mu of mu_grid must be finite and > 0."""
     eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z_km)
     return _optimize_mu_with_budget(eta_ch, comp, params, budget, mu_grid)
 
@@ -252,9 +250,8 @@ def _optimize_mu_with_budget(
         raise ValueError("mu grid must be nonempty")
     grid = _DEFAULT_GRID if mu_grid is DEFAULT_MU_GRID else _MuGrid(mu_grid)
     eta, y0 = _eta_and_y0(eta_ch, comp, params, budget)
-    # a grid with a non-finite mu has no blocks, and goes to the scan
-    if _half_head_bound(eta, y0, params, grid) <= 0.0 or (
-        grid.blocks and all(_bound_over(eta, y0, params, *block) <= 0.0 for block in grid.blocks)
+    if _half_head_bound(eta, y0, params, grid) <= 0.0 or all(
+        _bound_over(eta, y0, params, *block) <= 0.0 for block in grid.blocks
     ):
         return mu_grid[0], bb84_point_from_rates(eta, y0, params, mu_grid[0])
     e_det, f_ec = params.e_det, params.f_ec

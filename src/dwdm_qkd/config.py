@@ -10,13 +10,13 @@ Config.z_km, the distance of the point commands when --z is not given.
 """
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import functools
 import math
+import re
 import typing
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
@@ -144,6 +144,56 @@ def _parse_value(section: str, key: str, raw: str):
         raise ConfigError(f"{section}.{key}: malformed value {raw!r}") from exc
 
 
+_DELIMITER = re.compile("[=:]")
+
+
+def _read_ini(text: str) -> List[Tuple[str, str, str]]:
+    """The (section, key, raw value) of each option line, in document order.
+
+    Lines split at "\\n" only and are stripped; blank lines and lines that
+    start with # or ; are skipped. A header is a whole line [name] of a
+    known section, read once. An option line splits at its first = or :
+    into a lowercased key, unique within its section, and its value. A line
+    indented deeper than the option line above it would continue that value
+    in configparser, and is rejected.
+    """
+    options = []
+    seen = set()  # section names, and (section, key) pairs
+    section = key = None
+    indent = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            raise ConfigError(f"malformed config: line {lineno}: {section}.{key} continues on an indented line")
+        indent = depth
+        if stripped[0] == "[":
+            if stripped[-1] != "]":
+                raise ConfigError(f"malformed config: line {lineno}: {stripped!r} is not a [section] header")
+            section, key = stripped[1:-1], None
+            if section not in _KEYS:
+                raise ConfigError(f"unknown section [{section}]")
+            if section in seen:
+                raise ConfigError(f"malformed config: line {lineno}: section [{section}] repeated")
+            seen.add(section)
+            continue
+        delimiter = _DELIMITER.search(stripped)
+        if delimiter is None:
+            raise ConfigError(f"malformed config: line {lineno}: no '=' or ':' in {stripped!r}")
+        key = stripped[: delimiter.start()].rstrip().lower()
+        if not key:
+            raise ConfigError(f"malformed config: line {lineno}: no key before {delimiter[0]!r}")
+        if section is None:
+            raise ConfigError(f"malformed config: line {lineno}: key {key!r} before any [section] header")
+        if (section, key) in seen:
+            raise ConfigError(f"malformed config: line {lineno}: key {section}.{key} repeated")
+        seen.add((section, key))
+        options.append((section, key, stripped[delimiter.end() :].lstrip()))
+    return options
+
+
 def _z_grid(z_min: float, z_max: float, z_step: float) -> Tuple[float, ...]:
     for key, value in (("z_min_km", z_min), ("z_max_km", z_max), ("z_step_km", z_step)):
         if not math.isfinite(value):
@@ -163,24 +213,16 @@ def _z_grid(z_min: float, z_max: float, z_step: float) -> Tuple[float, ...]:
 def parse_config(text: str) -> Config:
     """Parse and validate a configuration document.
 
-    Unknown sections or keys are rejected; out-of-range values raise a
-    ConfigError naming the offending key.
+    A grammar error raises a ConfigError that names its line, and unknown
+    sections or keys are rejected; out-of-range values raise a ConfigError
+    naming the offending key.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-
     values = {section: {} for section in _KEYS}
-    for section in parser.sections():
-        if section not in _KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser[section].items():
-            if key not in _KEYS[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-            field = _KEYS[section][key][0]
-            values[section][field] = _parse_value(section, key, raw)
+    for section, key, raw in _read_ini(text):
+        if key not in _KEYS[section]:
+            raise ConfigError(f"unknown key {section}.{key}")
+        field = _KEYS[section][key][0]
+        values[section][field] = _parse_value(section, key, raw)
 
     z_km = values["link"].pop("z_km", Config.z_km)
     params = {}

@@ -13,6 +13,7 @@ from dwdm_qkd.gmcs import GmcsParams, gmcs_point, secure_distance, theta, total_
 from dwdm_qkd.noise import (
     ComponentParams,
     LinkParams,
+    NoiseModel,
     ase_band_power_dbm,
     ase_per_mode,
     channel_transmittance,
@@ -43,13 +44,13 @@ def scenario_rate(name, strict=False, eps_scale=1.0):
     multiplexing excess noise of its noise budget multiplied by eps_scale."""
     scenario = scenario_by_name(name)
     det = scenario.detector
+    model = NoiseModel(
+        scenario.link, scenario.comp, 1e-9, eta_bob=det.eta_bob,
+        detector_bandwidth_hz=det.detector_bandwidth_hz, n_lo=det.n_lo,
+    )
 
     def rate(z):
-        budget = compute_noise_budget(
-            scenario.link, scenario.comp, z, 1e-9, eta_bob=det.eta_bob,
-            detector_bandwidth_hz=det.detector_bandwidth_hz, n_lo=det.n_lo,
-        )
-        eta_ch = channel_transmittance(z, scenario.link.alpha_db_per_km)
+        eta_ch, budget = model.at(z)
         eps_in = eps_scale * (budget.eps_in + (budget.eps_out if strict else 0.0))
         eps = total_excess_noise(
             det.eps0, eps_in, eta_ch, scenario.comp.eta_dmu, det.eta_bob,

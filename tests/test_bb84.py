@@ -309,7 +309,7 @@ class TestGridBound:
         eta, y0 = efficiency_and_background(link, z, params)
         grid = bb84._MuGrid(mu_grid)
         starts = range(0, len(mu_grid), bb84.MU_BLOCK)
-        assert len(grid.blocks) == (len(starts) if grid.whole else 0)
+        assert len(grid.blocks) == len(starts)
         for start, block in zip(starts, grid.blocks):
             bound = bb84._bound_over(eta, y0, params, *block)
             for mu in mu_grid[start : start + bb84.MU_BLOCK]:
@@ -362,15 +362,23 @@ class TestGridBound:
         assert grid.blocks == tuple(blocks)
         assert len(grid.blocks) == 8 and grid.blocks[0][:2] == (0.05, 0.16)
 
-    @pytest.mark.parametrize("mu_grid", [(0.05, math.nan, 0.1), (0.05, math.inf), (math.nan, 0.5)])
-    def test_non_finite_mu_reaches_the_scan(self, mu_grid):
-        # min and max skip a NaN, so the bound would cover only the finite
-        # mus; a non-finite mu must still reach the scan, which rejects it
-        eta, y0 = efficiency_and_background(MULTIPLEXED, 40, PARAMS)
-        grid = bb84._MuGrid(mu_grid)
-        assert bb84._half_head_bound(eta, y0, PARAMS, grid) == math.inf
-        assert grid.blocks == ()
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize(
+        "mu_grid, bad",
+        [
+            ((0.05, math.nan, 0.1), "nan"),
+            ((0.05, math.inf), "inf"),
+            ((math.nan, 0.5), "nan"),
+            ((-0.5, 0.5), "-0.5"),
+            ((0.0, 0.5), "0.0"),
+            ((-800.0, 0.5), "-800.0"),
+        ],
+    )
+    def test_invalid_mu_is_rejected_by_name(self, mu_grid, bad):
+        # min and max skip a NaN, so a bound over such a grid would cover
+        # only its finite mus; the grid is checked whole before any bound
+        with pytest.raises(DomainError, match=rf"^mu_grid: mu must be finite and > 0, got {bad}$"):
+            bb84._MuGrid(mu_grid)
+        with pytest.raises(DomainError, match=rf"^mu_grid: .* got {bad}$"):
             optimize_mu(MULTIPLEXED, COMP, PARAMS, 40, mu_grid)
 
     def test_positive_rate_scans(self):

@@ -1,10 +1,15 @@
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -135,6 +140,113 @@ def render(doc):
         f"[{section}]\n" + "".join(f"{k} = {text(v)}\n" for k, v in keys.items())
         for section, keys in doc.items()
     )
+
+
+def configparser_read(text):
+    """The option lines of a document as parse_config read them through
+    configparser.ConfigParser(interpolation=None), [DEFAULT] merge included:
+    the oracle for config._read_ini."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    options = []
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        options += [(section, key, raw) for key, raw in parser[section].items()]
+    return options
+
+
+def parse_through_configparser(text):
+    """(parse_config's result with configparser reading the document, and
+    whether a value spans lines), or (None, False) where either rejects it."""
+    try:
+        options = configparser_read(text)
+        with mock.patch.object(config, "_read_ini", lambda _: options):
+            return parse_config(text), any("\n" in raw for _, _, raw in options)
+    except ConfigError:
+        return None, False
+
+
+SPACES = ["", " ", "  ", "\t", " \t "]
+
+
+@functools.cache
+def value_texts():
+    """{section: {key: texts}}: the text of each key in the defaults and in
+    a config that changes a key of each section, plus bool spellings and an
+    unset gain_fixed."""
+    texts = {section: {key: set() for key in keys} for section, keys in CONFIG_KEYS.items()}
+    varied = (
+        "[link]\nfiber_length_km = 35\np_out_dbm = 3.4\nclassical_channel_count = 2\n"
+        "[components]\nxi1_db = -40\nxi2_db = -inf\nnsp_convention = exact\ngain_fixed = 200\n"
+        "[bb84]\nmu = 0.3\ndelta_t_ns = 0.5\n[gmcs]\nconservative = true\nv_el = 0.1\n"
+        "[scenario]\nz_min_km = 2\nz_max_km = 9\nz_step_km = 0.25\n"
+    )
+    for config in (default_config(), parse_config(varied)):
+        for section, key, raw in configparser_read(serialize_config(config)):
+            texts[section][key].add(raw)
+    texts["gmcs"]["conservative"] |= {"yes", "Off", "1"}
+    texts["components"]["gain_fixed"].add("")
+    return {section: {key: sorted(values) for key, values in keys.items()} for section, keys in texts.items()}
+
+
+@st.composite
+def ini_documents(draw):
+    """Documents in the layouts configparser's default grammar allows: keys
+    in mixed case, = or : padded with spaces or tabs, comments, blank lines,
+    uniform indentation and CRLF line ends; then up to three edits that
+    configparser may reject or read differently: a repeated key or section,
+    an indented line below an option, a value moved onto such a line, an
+    option before any header, an empty unknown section, an unknown key, and
+    lines with no delimiter or no key. No [DEFAULT] section and no text after
+    a header's closing ]."""
+    rnd = draw(st.randoms(use_true_random=True))
+    texts = value_texts()
+    indent = rnd.choice(["", " ", "   ", "\t"])
+
+    def option(key, value):
+        cased = "".join(c.upper() if rnd.random() < 0.3 else c for c in key)
+        return f"{cased}{rnd.choice(SPACES)}{rnd.choice('=:')}{rnd.choice(SPACES)}{value}"
+
+    lines = []
+    for section in rnd.sample(list(texts), rnd.randint(0, len(texts))):
+        lines.append(f"[{section}]")
+        keys = texts[section]
+        for key in rnd.sample(list(keys), rnd.randint(0, len(keys))):
+            lines.append(option(key, rnd.choice(keys[key])))
+    for _ in range(rnd.randint(0, 4)):
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(["", "  ", "# [gmcs] v_a = 1", "; mu: 2"]))
+    lines = [indent + line if line else line for line in lines]
+    for _ in range(rnd.choice([0, 0, 0, 1, 1, 2, 3])):
+        at = rnd.randint(0, len(lines))
+        options = [i for i, line in enumerate(lines) if re.match(r"\s*[^\s#;\[].*[=:]", line)]
+        edit = rnd.randrange(9)
+        if edit == 0 and options:  # a repeated key, in any case
+            key = re.split("[=:]", lines[rnd.choice(options)], maxsplit=1)[0].strip()
+            lines.insert(at, indent + option(key, "1"))
+        elif edit == 1:
+            lines.insert(at, indent + f"[{rnd.choice(list(CONFIG_KEYS))}]")
+        elif edit == 2:  # an indented line: continues the option above, if any
+            lines.insert(at, indent + rnd.choice([" ", "\t", "    "]) + rnd.choice(["0.3", "x = 1", "[gmcs]"]))
+        elif edit == 3 and options:  # an option's value moved onto the line below
+            i = rnd.choice(options)
+            delimiter = re.search("[=:]", lines[i])
+            lines[i : i + 1] = [lines[i][: delimiter.end()], indent + "  " + lines[i][delimiter.end() :].strip()]
+        elif edit == 4:
+            lines.insert(0, option("mu", "0.3"))
+        elif edit == 5:
+            lines.insert(at, indent + rnd.choice(["[turbo]", "[BB84]", "[ gmcs ]", "[]"]))
+        elif edit == 6:
+            lines.insert(at, indent + option("warp_factor", "9"))
+        elif edit == 7:
+            lines.insert(at, indent + rnd.choice(["mu 0.3", "[bb84", "conservative"]))
+        elif edit == 8:
+            lines.insert(at, indent + rnd.choice(["= 1", ": 0.3", " =x"]))
+    newline = rnd.choice(["\n", "\n", "\r\n"])
+    return newline.join(lines) + rnd.choice(["", newline])
 
 
 def small_sweep():
@@ -336,6 +448,80 @@ class TestConfig:
         assert len(config.z_grid) == MAX_GRID_POINTS
         with pytest.raises(ConfigError, match="z_step_km"):
             parse_config(f"[scenario]\nz_max_km = {at_cap + 0.5}\n")
+
+
+class TestConfigGrammar:
+    # configparser accepted each of these: [DEFAULT] keys were dropped, or
+    # merged into every section, and text after a header's ] was ignored;
+    # a value on the line below an empty one was joined to it
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[DEFAULT]\nmu = 0.3\n", r"^unknown section \[DEFAULT\]$"),
+            ("[DEFAULT]\nmu = 0.3\n[bb84]\neta_bob = 0.05\n", r"^unknown section \[DEFAULT\]$"),
+            ("[bb84] junk\nmu = 0.3\n", r"^malformed config: line 1: '\[bb84\] junk' is not a \[section\] header$"),
+            ("[bb84]\nmu =\n  0.3\n", r"^malformed config: line 3: bb84.mu continues on an indented line$"),
+        ],
+    )
+    def test_documents_configparser_read_are_rejected(self, text, message):
+        assert parse_through_configparser(text)[0] is not None
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[bb84]\nmu 0.3\n", "line 2: no '=' or ':' in 'mu 0.3'"),
+            ("[bb84]\n\n  = 0.3\n", "line 3: no key before '='"),
+            ("# head\nmu = 0.3\n[bb84]\n", "line 2: key 'mu' before any [section] header"),
+            ("[bb84]\nmu = 0.3\nMU: 0.4\n", "line 3: key bb84.mu repeated"),
+            ("[gmcs]\n[bb84]\n[gmcs]\n", "line 3: section [gmcs] repeated"),
+            ("[gmcs]\nv_a = 10\n  ; a comment\n\n   v_el = 0.1\n", "line 5: gmcs.v_a continues on an indented line"),
+        ],
+    )
+    def test_grammar_errors_name_their_line(self, text, message):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == f"malformed config: {message}"
+
+    def test_empty_unknown_section_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^unknown section \[turbo\]$"):
+            parse_config("[bb84]\nmu = 0.3\n[turbo]\n")
+
+    def test_layouts_configparser_allows(self):
+        text = "\r\n".join(
+            ["; note", "  [bb84]", "  MU\t:\t0.3", "  # eta_bob = 1", "", "  Eta_Bob=0.05", "[gmcs]", "conservative: yes"]
+        )
+        config = parse_config(text)
+        assert (config.bb84.mu, config.bb84.eta_bob, config.gmcs.conservative) == (0.3, 0.05, True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ini_documents())
+    @example("[bb84]\nmu =\n  0.3\n[gmcs]\n")
+    @example("\t[link]\r\n\tp_out_dbm: -3\r\n\r\n\t\t[gmcs]\r\n")
+    def test_equals_configparser(self, text):
+        # where configparser reads the document, the Config is the same;
+        # where it or the checks after it reject the document, so does
+        # parse_config. A value that configparser joins across lines is
+        # the one reading that differs: it is rejected by name.
+        expected, spans_lines = parse_through_configparser(text)
+        if expected is None:
+            with pytest.raises(ConfigError):
+                parse_config(text)
+        elif spans_lines:
+            with pytest.raises(ConfigError, match="continues on an indented line"):
+                parse_config(text)
+        else:
+            assert parse_config(text) == expected
+
+    def test_cli_import_leaves_out_configparser(self):
+        package_root = pathlib.Path(config.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        probe = "import sys, dwdm_qkd.cli; print('configparser' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "False\n"
 
 
 class TestOutput:

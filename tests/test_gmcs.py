@@ -14,19 +14,25 @@ from dwdm_qkd.gmcs import (
     theta,
     total_excess_noise,
 )
-from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, channel_transmittance, compute_noise_budget
+from dwdm_qkd.noise import (
+    ComponentParams,
+    DomainError,
+    LinkParams,
+    NoiseModel,
+    channel_transmittance,
+    compute_noise_budget,
+)
 
 PARAMS = GmcsParams()
 COMP = ComponentParams()
 
 
 def rate_at(z_km, m=1, det=PARAMS, comp=COMP, strict=False):
-    link = LinkParams(classical_channel_count=m)
-    budget = compute_noise_budget(
-        link, comp, z_km, 1e-9, eta_bob=det.eta_bob,
+    model = NoiseModel(
+        LinkParams(classical_channel_count=m), comp, 1e-9, eta_bob=det.eta_bob,
         detector_bandwidth_hz=det.detector_bandwidth_hz, n_lo=det.n_lo,
     )
-    eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
+    eta_ch, budget = model.at(z_km)
     eps_in = budget.eps_in + (budget.eps_out if strict else 0.0)
     eps = total_excess_noise(
         det.eps0, eps_in, eta_ch, comp.eta_dmu, det.eta_bob,
