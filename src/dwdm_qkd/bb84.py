@@ -17,6 +17,7 @@ from .noise import (
     NoiseBudget,
     NoiseModel,
     check_finite_fields,
+    direct_init,
 )
 
 DEFAULT_MU_GRID = tuple(round(0.05 + 0.01 * i, 2) for i in range(96))  # 0.05..1.0
@@ -50,6 +51,7 @@ class Bb84Params:
             raise DomainError(f"delta_t_s must be positive, got {self.delta_t_s}")
 
 
+@direct_init
 @dataclass(frozen=True)
 class Bb84Point:
     y0: float

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .noise import DomainError, check_finite_fields
+from .noise import DomainError, check_finite_fields, direct_init
 
 DISCRIMINANT_RTOL = 1e-9
 # gmcs_point extracts the symplectic eigenvalues without cancellation, so
@@ -52,6 +52,7 @@ class GmcsParams:
             raise DomainError("n_lo and detector bandwidth must be positive")
 
 
+@direct_init
 @dataclass(frozen=True)
 class GmcsPoint:
     eps: float  # total input-referred excess noise

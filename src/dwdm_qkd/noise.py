@@ -13,7 +13,7 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Optional, Sequence, Tuple
 
 from .units import (
@@ -44,6 +44,44 @@ def check_finite_fields(params) -> None:
         value = getattr(params, name)
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def direct_init(cls):
+    """Give a frozen dataclass an __init__ that stores each field straight
+    into the instance __dict__.
+
+    The __init__ that dataclass generates for a frozen class calls
+    object.__setattr__ once per field, which cost a row of a sweep about 5 us
+    over its three records. This one takes the same parameters in the same
+    order with the same defaults; every other generated method stays, so
+    assignment and deletion still raise FrozenInstanceError. A class with a
+    __post_init__, or a field that is not a plain init field, is refused
+    rather than initialized without it.
+
+    On CPython 3.11 and 3.12 a field read from such an instance misses one
+    attribute-read fast path, which a sweep more than recovers. Replacing
+    __dict__ with a dict built whole kept that path but held 0.4 MiB more
+    over the GMCS sweeps.
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"direct_init would skip {cls.__name__}.__post_init__")
+    params, stores, namespace = [], [], {}
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"direct_init cannot initialize field {f.name!r} of {cls.__name__}")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"    d[{f.name!r}] = {f.name}\n")
+    source = f"def __init__(self, {', '.join(params)}):\n    d = self.__dict__\n" + "".join(stores)
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 def db_field_to_linear(name: str, db: float) -> float:
@@ -139,6 +177,7 @@ class ComponentParams:
         return self.gain_g0 / eta_ch
 
 
+@direct_init
 @dataclass(frozen=True)
 class NoiseBudget:
     """Per-source noise tallies at one distance.

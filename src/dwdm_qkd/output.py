@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterator, Union
+from typing import IO, List, Union
 
 from .noise import DomainError
 from .scenarios import SweepResult
@@ -52,12 +52,18 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _rounded_rows(result: SweepResult) -> Iterator[str]:
-    """Each row as its CSV line: the fields in CSV_HEADER order, at 9
-    significant digits."""
+def _rounded_text(result: SweepResult) -> str:
+    """The sweep's rows as CSV lines: each row's fields in CSV_HEADER order
+    at 9 significant digits, rows joined by newlines.
+
+    The whole sweep goes through one finiteness check and one % over a
+    template of n rows of %.9g slots: the CSV writer takes the text as it
+    is, and the JSON writer splits it into its cells.
+    """
+    values: List[float] = []
     for row in result.rows:
         b = row.budget
-        values = (
+        values += (
             row.z_km,
             b.ase_window,
             b.leak_window,
@@ -65,16 +71,18 @@ def _rounded_rows(result: SweepResult) -> Iterator[str]:
             b.n_spd_window,
             b.eps_in,
             b.eps_out,
-            row.rate,
+            row.point.rate,
         )
-        if not all(map(math.isfinite, values)):
-            for name, value in zip(_FIELDS, values):
-                _finite(f"{name} of the row at z_km = {row.z_km}", value)
-        yield _CSV_ROW % values
+    if not all(map(math.isfinite, values)):
+        for i, value in enumerate(values):
+            row = result.rows[i // len(_FIELDS)]
+            _finite(f"{_FIELDS[i % len(_FIELDS)]} of the row at z_km = {row.z_km}", value)
+    return "\n".join([_CSV_ROW] * len(result.rows)) % tuple(values)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    return "\n".join([CSV_HEADER, *_rounded_rows(result)]) + "\n"
+    text = _rounded_text(result)
+    return f"{CSV_HEADER}\n{text}\n" if text else CSV_HEADER + "\n"
 
 
 def sweep_to_json(result: SweepResult) -> str:
@@ -83,13 +91,11 @@ def sweep_to_json(result: SweepResult) -> str:
     It is built from text directly: with an indent, json.dumps runs its
     pure-Python encoder, which took longer than the sweep it wrote.
     """
-    # tuple() of a list allocates the tuple at its size; tuple(map(...))
-    # resizes it, and the resized tuples pile up in CPython's free list of
-    # 8-tuples, about 200 KB of resident memory once it is full
-    rows = ",\n".join(
-        _JSON_ROW % tuple([_json_number(cell) for cell in line.split(",")])
-        for line in _rounded_rows(result)
-    )
+    text = _rounded_text(result)
+    cells = text.replace("\n", ",").split(",") if text else []
+    # a cell with a point and no exponent is already the text json.dumps writes
+    numbers = [cell if "." in cell and "e" not in cell else _json_number(cell) for cell in cells]
+    rows = ",\n".join([_JSON_ROW] * len(result.rows)) % tuple(numbers)
     distance = round9(_finite("secure_distance_km", result.secure_distance_km))
     crossover = result.noise_crossover_km
     if crossover is not None:

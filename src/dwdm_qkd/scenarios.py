@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple, Union
 
 from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
 from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
-from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel
+from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel, direct_init
 
 ADJACENT_ISOLATION = 1e-4  # -40 dB
 
@@ -50,6 +50,7 @@ class Scenario:
             _check_z_grid(self.z_grid)
 
 
+@direct_init
 @dataclass(frozen=True)
 class Evaluation:
     """Everything evaluated at one distance: the noise budget, the channel

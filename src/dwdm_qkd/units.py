@@ -16,13 +16,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    """Convert a linear power ratio to dB. Requires x > 0."""
-    if x <= 0:
-        raise ValueError(f"cannot express non-positive ratio {x} in dB")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
 

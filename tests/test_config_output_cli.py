@@ -532,6 +532,12 @@ class TestOutput:
         assert len(lines) == 1 + len(result.rows)
         assert lines[1].startswith("0,")
 
+    @pytest.mark.parametrize("rows", [AWKWARD_ROWS, []], ids=["awkward", "empty"])
+    def test_csv_matches_per_row_formatting(self, rows):
+        # each line formatted on its own, the way the rows read to a person
+        expected = [CSV_HEADER] + [",".join("%.9g" % v for v in row) for row in rows]
+        assert sweep_to_csv(hand_sweep(rows)) == "\n".join(expected) + "\n"
+
     def test_csv_json_same_values(self):
         result = small_sweep()
         csv_rows = [
@@ -590,9 +596,11 @@ class TestOutput:
     def test_non_finite_row_value_is_named_by_both_writers(self, field, bad):
         values = list(AWKWARD_ROWS[1])
         values[CSV_HEADER.split(",").index(field)] = bad
-        result = hand_sweep([AWKWARD_ROWS[0], values])
+        result = hand_sweep([AWKWARD_ROWS[0], values, AWKWARD_ROWS[2]])
+        # the message names the offending row by its own z_km
+        row = re.escape(f"{field} of the row at z_km = {values[0]} = {bad} ")
         for writer in (sweep_to_csv, sweep_to_json):
-            with pytest.raises(DomainError, match=rf"^{field} of the row"):
+            with pytest.raises(DomainError, match=rf"^{row}cannot be written"):
                 writer(result)
 
     @pytest.mark.parametrize("field", ["secure_distance_km", "noise_crossover_km"])

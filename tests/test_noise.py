@@ -8,6 +8,7 @@ from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
     LinkParams,
+    NoiseBudget,
     NoiseModel,
     UnfittableError,
     ase_after_mux,
@@ -15,6 +16,7 @@ from dwdm_qkd.noise import (
     ase_per_mode,
     channel_transmittance,
     compute_noise_budget,
+    direct_init,
     fit_raman_coefficient,
     leakage_rate,
     mode_count,
@@ -22,8 +24,9 @@ from dwdm_qkd.noise import (
     sasrs_band_power,
     sasrs_per_mode,
 )
-from dwdm_qkd.bb84 import Bb84Params
-from dwdm_qkd.gmcs import GmcsParams
+from dwdm_qkd.bb84 import Bb84Params, Bb84Point
+from dwdm_qkd.gmcs import GmcsParams, GmcsPoint
+from dwdm_qkd.scenarios import Evaluation
 from dwdm_qkd.units import PLANCK_H, SPEED_OF_LIGHT, dbm_to_watts, photon_energy
 
 TABLE_LINK = LinkParams()
@@ -378,3 +381,90 @@ class TestRamanFit:
     def test_unfittable(self):
         with pytest.raises(UnfittableError):
             fit_raman_coefficient([(0.0, 1e-11)], 1e-3, 0.6)
+
+
+_BUDGET = NoiseBudget(1e-3, 2.5e4, 3e-4, 1e-5, 2e-5, 3e-5, 6e-5, 4e-4, 5e-4, 8e-4, 9e-7)
+_GMCS_POINT = GmcsPoint(0.05, 1.2, 0.9, 0.18, (11.0, 0.5, 1.0, 2.0))
+# each frozen row record with its field names in order and one instance's values
+ROW_RECORDS = [
+    (
+        NoiseBudget,
+        (
+            "n_ase_per_mode_at_a",
+            "n_leak_per_s_at_c",
+            "n_sasrs_per_mode_at_c",
+            "ase_window",
+            "leak_window",
+            "sasrs_window",
+            "n_spd_window",
+            "n_gmcs_matched",
+            "n_gmcs_unmatched",
+            "eps_in",
+            "eps_out",
+        ),
+        dataclasses.astuple(_BUDGET),
+    ),
+    (Bb84Point, ("y0", "q_mu", "e_mu", "q1", "e1", "rate"), (1e-5, 0.01, 0.02, 0.005, 0.03, 1e-4)),
+    (GmcsPoint, ("eps", "i_ab", "chi_be", "rate", "sigma"), dataclasses.astuple(_GMCS_POINT)),
+    (Evaluation, ("z_km", "budget", "eta_ch", "point", "mu"), (12.5, _BUDGET, 0.55, _GMCS_POINT, 0.4)),
+]
+
+
+@pytest.mark.parametrize("cls, names, values", ROW_RECORDS, ids=[r[0].__name__ for r in ROW_RECORDS])
+def test_row_record_contract(cls, names, values):
+    """The frozen row records keep the behaviour of a frozen dataclass:
+    construction, equality, hashing, repr, fields, asdict and replace."""
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert repr(by_position) == repr(by_keyword) == (
+        f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    )
+    assert by_position != cls(*values[:-1], "other")
+
+    fields = dataclasses.fields(cls)
+    assert tuple(f.name for f in fields) == names
+    assert all(f.init and f.default_factory is dataclasses.MISSING for f in fields)
+    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    assert defaults == ({"mu": None} if cls is Evaluation else {})
+    if cls is Evaluation:
+        assert cls(*values[:-1]).mu is None
+    assert dataclasses.asdict(by_position) == {
+        n: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v for n, v in zip(names, values)
+    }
+
+    changed = dataclasses.replace(by_position, **{names[0]: 99.0})
+    assert dataclasses.astuple(changed)[1:] == dataclasses.astuple(by_position)[1:]
+    assert getattr(changed, names[0]) == 99.0
+    assert dataclasses.replace(by_position) == by_position
+    with pytest.raises(TypeError):
+        cls(*values, 0.0)
+    with pytest.raises(TypeError):
+        cls(*values[:-2])
+
+    for name in (names[0], "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(by_position, name, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(by_position, names[0])
+    assert tuple(getattr(by_position, n) for n in names) == values
+
+
+def test_direct_init_refuses_a_class_it_would_initialize_wrongly():
+    @dataclasses.dataclass(frozen=True)
+    class Checked:
+        x: float
+
+        def __post_init__(self):
+            raise AssertionError("never skipped")
+
+    with pytest.raises(TypeError, match="__post_init__"):
+        direct_init(Checked)
+
+    @dataclasses.dataclass(frozen=True)
+    class Listed:
+        xs: list = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match="'xs'"):
+        direct_init(Listed)

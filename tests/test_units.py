@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from dwdm_qkd.units import (
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
     photon_energy,
     watts_to_dbm,
 )
@@ -25,8 +24,8 @@ def test_db_known_values():
 
 
 @given(st.floats(min_value=-120, max_value=120))
-def test_db_round_trip(db):
-    assert linear_to_db(db_to_linear(db)) == pytest.approx(db, rel=1e-12, abs=1e-12)
+def test_db_to_linear_is_the_power_of_ten(db):
+    assert db_to_linear(db) == pytest.approx(10 ** (db / 10), rel=1e-13)
 
 
 @given(st.floats(min_value=-90, max_value=60))
@@ -35,8 +34,6 @@ def test_dbm_round_trip(dbm):
 
 
 def test_nonpositive_ratios_rejected():
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
     with pytest.raises(ValueError):
         watts_to_dbm(-1e-3)
     with pytest.raises(ValueError):
