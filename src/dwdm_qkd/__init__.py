@@ -10,17 +10,9 @@ from .noise import (
     NoiseBudget,
     NoiseModel,
     UnfittableError,
-    ase_after_mux,
-    ase_band_power_dbm,
-    ase_per_mode,
     channel_transmittance,
     compute_noise_budget,
     fit_raman_coefficient,
-    leakage_rate,
-    mode_count,
-    nsp_from_nf,
-    sasrs_band_power,
-    sasrs_per_mode,
 )
 from .output import emit, sweep_to_csv, sweep_to_json
 from .scenarios import Evaluation, Scenario, SweepResult, builtin_scenarios, evaluate, noise_crossover_km, run_sweep, scenario_by_name

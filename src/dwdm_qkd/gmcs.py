@@ -44,12 +44,14 @@ class GmcsParams:
             raise DomainError("v_a must be positive")
         if not 0 < self.eta_bob <= 1:
             raise DomainError("eta_bob must be in (0, 1]")
-        if min(self.eps0, self.v_el, self.sigma_meas) < 0:
-            raise DomainError("noise terms must be >= 0")
+        for name, value in (("eps0", self.eps0), ("v_el", self.v_el), ("sigma_meas", self.sigma_meas)):
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0, got {value}")
         if not 0 < self.gamma <= 1:
             raise DomainError("gamma must be in (0, 1]")
-        if self.n_lo <= 0 or self.detector_bandwidth_hz <= 0:
-            raise DomainError("n_lo and detector bandwidth must be positive")
+        for name, value in (("n_lo", self.n_lo), ("detector_bandwidth_hz", self.detector_bandwidth_hz)):
+            if value <= 0:
+                raise DomainError(f"{name} must be positive, got {value}")
 
 
 @direct_init

@@ -16,14 +16,7 @@ import math
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Optional, Sequence, Tuple
 
-from .units import (
-    PLANCK_H,
-    SPEED_OF_LIGHT,
-    db_to_linear,
-    dbm_to_watts,
-    photon_energy,
-    watts_to_dbm,
-)
+from .units import PLANCK_H, SPEED_OF_LIGHT, db_to_linear, dbm_to_watts, photon_energy
 
 
 class DomainError(ValueError):
@@ -110,16 +103,17 @@ class LinkParams:
     def __post_init__(self):
         check_finite_fields(self)
         db_field_to_linear("p_out_dbm", self.p_out_dbm)
-        if self.alpha_db_per_km < 0 or self.beta_raman < 0:
-            raise DomainError("alpha_db_per_km and beta_raman must be >= 0")
+        for name, value in (("alpha_db_per_km", self.alpha_db_per_km), ("beta_raman", self.beta_raman)):
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0, got {value}")
         if self.classical_channel_count < 0:
             raise DomainError("classical_channel_count must be >= 0")
         if self.lambda_quantum_nm <= 0:
             raise DomainError(f"lambda_quantum_nm must be positive, got {self.lambda_quantum_nm}")
         if self.lambda_classical_nm <= self.lambda_quantum_nm:
             raise DomainError(
-                "classical channels must sit at longer wavelengths than the "
-                "quantum channel"
+                f"lambda_classical_nm = {self.lambda_classical_nm} must exceed lambda_quantum_nm = "
+                f"{self.lambda_quantum_nm}: classical channels sit at longer wavelengths"
             )
         # the SASRS prefactor cubes the quantum wavelength, and the leakage
         # rate divides by the classical photon energy
@@ -160,16 +154,19 @@ class ComponentParams:
 
     def __post_init__(self):
         check_finite_fields(self)
-        if not (0 < self.eta_mux <= 1 and 0 < self.eta_dmu <= 1):
-            raise DomainError("insertion transmittances must be in (0, 1]")
-        if not (0 <= self.xi1 <= 1 and 0 <= self.xi2 <= 1):
-            raise DomainError("isolations must be in [0, 1]")
+        for name, value in (("eta_mux", self.eta_mux), ("eta_dmu", self.eta_dmu)):
+            if not 0 < value <= 1:
+                raise DomainError(f"{name} must be in (0, 1], got {value}")
+        for name, value in (("xi1", self.xi1), ("xi2", self.xi2)):
+            if not 0 <= value <= 1:
+                raise DomainError(f"{name} must be in [0, 1], got {value}")
         if db_field_to_linear("nf_db", self.nf_db) < 1:
-            raise DomainError("linear noise figure must be >= 1")
-        if self.gain_g0 < 1 or (self.gain_fixed is not None and self.gain_fixed < 1):
-            raise DomainError("amplifier gain must be >= 1")
+            raise DomainError(f"nf_db = {self.nf_db} gives a linear noise figure below 1")
+        for name, value in (("gain_g0", self.gain_g0), ("gain_fixed", self.gain_fixed)):
+            if value is not None and value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
         if self.delta_nu_hz <= 0:
-            raise DomainError("channel bandwidth must be positive")
+            raise DomainError(f"delta_nu_hz must be positive, got {self.delta_nu_hz}")
 
     def gain_at(self, eta_ch: float) -> float:
         if self.gain_fixed is not None:
@@ -211,107 +208,6 @@ def channel_transmittance(z_km: float, alpha_db_per_km: float) -> float:
     if eta_ch == 0:
         raise DomainError(f"z_km = {z_km} makes the channel transmittance underflow to 0")
     return eta_ch
-
-
-def nsp_from_nf(nf_linear: float, gain: float, high_gain: bool = False) -> float:
-    """Spontaneous emission factor of an amplifier with linear noise figure NF.
-
-    The exact unsaturated-regime inversion is (NF*G - 1) / (2*(G - 1));
-    with high_gain=True the G >> 1 limit n_sp = NF/2 is used instead.
-    """
-    if nf_linear < 1:
-        raise DomainError("linear noise figure must be >= 1")
-    if high_gain:
-        return nf_linear / 2.0
-    if gain <= 1:
-        raise DomainError("gain must exceed 1 to invert NF into n_sp")
-    return (nf_linear * gain - 1.0) / (2.0 * (gain - 1.0))
-
-
-def ase_per_mode(n_sp: float, gain: float) -> float:
-    """ASE photons per spatiotemporal mode at the amplifier output.
-
-    The factor 2 counts both polarization modes.
-    """
-    if n_sp < 1:
-        raise DomainError("n_sp must be >= 1 (spontaneous-emission limit)")
-    if gain < 1:
-        raise DomainError("gain must be >= 1")
-    return 2.0 * n_sp * (gain - 1.0)
-
-
-def ase_after_mux(n_ase_per_mode: float, xi1: float) -> float:
-    """In-band ASE per mode after bandpass filtering by the MUX isolation."""
-    if not 0 <= xi1 <= 1:
-        raise DomainError("xi1 must be in [0, 1]")
-    return xi1 * n_ase_per_mode
-
-
-def ase_band_power_dbm(
-    n_ase_per_mode: float,
-    delta_nu_hz: float,
-    photon_energy_j: float,
-    insertion_loss_db: float = 0.0,
-) -> float:
-    """Optical power (dBm) of the ASE within one channel bandwidth.
-
-    Reproduces the bench check n * delta_nu * h*nu attenuated by the
-    channel insertion loss.
-    """
-    if n_ase_per_mode <= 0:
-        raise DomainError("photon count must be positive to express a power")
-    if delta_nu_hz <= 0 or photon_energy_j <= 0:
-        raise DomainError("bandwidth and photon energy must be positive")
-    p_w = n_ase_per_mode * delta_nu_hz * photon_energy_j
-    p_w *= db_to_linear(-insertion_loss_db)
-    return watts_to_dbm(p_w)
-
-
-def leakage_rate(p_out_w: float, xi2: float, photon_energy_j: float) -> float:
-    """Classical-carrier photons per second leaking through the DEMUX."""
-    if p_out_w < 0:
-        raise DomainError("p_out must be >= 0")
-    if not 0 <= xi2 <= 1:
-        raise DomainError("xi2 must be in [0, 1]")
-    return xi2 * p_out_w / photon_energy_j
-
-
-def sasrs_band_power(
-    p_out_w: float, beta: float, z_km: float, delta_lambda_nm: float
-) -> float:
-    """SASRS power (W) within delta_lambda_nm at the fiber output."""
-    if min(p_out_w, beta, z_km, delta_lambda_nm) < 0:
-        raise DomainError("all SASRS inputs must be >= 0")
-    return p_out_w * beta * z_km * delta_lambda_nm
-
-
-def sasrs_per_mode(
-    p_out_w: float, beta: float, z_km: float, eta_dmu: float, lambda_m: float
-) -> float:
-    """In-band SASRS photons per spatiotemporal mode after the DEMUX.
-
-    Equals sasrs_band_power / (h*nu * N_mode) * eta_dmu with
-    N_mode = (c / lambda^2) * delta_lambda; the bandwidth cancels, leaving
-    the closed form lambda^3 / (h c^2) * P_out * beta * z * eta_dmu.
-    """
-    if min(p_out_w, beta, z_km, eta_dmu) < 0:
-        raise DomainError("all SASRS inputs must be >= 0")
-    if lambda_m <= 0:
-        raise DomainError("wavelength must be positive")
-    return _sasrs_prefactor(p_out_w, beta, lambda_m) * z_km * eta_dmu
-
-
-def _sasrs_prefactor(p_out_w: float, beta: float, lambda_m: float) -> float:
-    """lambda^3 / (h c^2) * P_out * beta, the distance-independent part of
-    sasrs_per_mode, with beta converted from 1/(km*nm) to 1/(km*m)."""
-    return lambda_m**3 / (PLANCK_H * SPEED_OF_LIGHT**2) * p_out_w * (beta * 1e9)
-
-
-def mode_count(delta_nu_hz: float, delta_t_s: float) -> float:
-    """Number of spatiotemporal modes in a bandwidth-time window."""
-    if delta_nu_hz <= 0 or delta_t_s <= 0:
-        raise DomainError("bandwidth and time window must be positive")
-    return delta_nu_hz * delta_t_s
 
 
 def fit_raman_coefficient(
@@ -365,15 +261,27 @@ def fit_raman_coefficient(
 
 
 class NoiseModel:
-    """The noise budget of one link as a function of distance.
+    """The noise budget of one link as a function of distance, and the one
+    place where each noise formula lives. Per classical channel:
 
-    Built and validated once per (link, components, window and homodyne
-    detector); at(z_km) does only the work that depends on distance. The
-    arguments are those of compute_noise_budget without z_km: delta_t_s is
-    the SPD gating window (it also sets the reference window for
-    unmatched-mode homodyne noise). eta_bob, detector_bandwidth_hz and n_lo
-    are only needed for the homodyne excess-noise outputs; when they are
-    absent the corresponding fields are zero.
+    * ASE: 2*n_sp*(G - 1) photons per mode at the EDFA output (both
+      polarizations), times xi1 after the MUX. n_sp is NF/2 in the
+      high-gain convention, or (NF*G - 1) / (2*(G - 1)) with nsp_exact.
+    * leakage: xi2 * P_out / (h*nu_c) carrier photons per second through
+      the DEMUX.
+    * SASRS: lambda^3 / (h*c^2) * P_out * beta * z * eta_dmu photons per
+      mode after the DEMUX. This is the band power P_out*beta*z*d_lambda
+      over h*nu and N_mode = (c / lambda^2) * d_lambda modes, so the
+      bandwidth d_lambda cancels.
+
+    A window holds delta_nu * delta_t modes. Built and validated once per
+    (link, components, window and homodyne detector); at(z_km) does only
+    the work that depends on distance. The arguments are those of
+    compute_noise_budget without z_km: delta_t_s is the SPD gating window
+    (it also sets the reference window for unmatched-mode homodyne noise).
+    eta_bob, detector_bandwidth_hz and n_lo are only needed for the
+    homodyne excess-noise outputs; when they are absent the corresponding
+    fields are zero.
 
     Frozen like the parameter dataclasses, but a plain class: the
     dataclass decorator generates its methods when the module is imported,
@@ -391,19 +299,27 @@ class NoiseModel:
         detector_bandwidth_hz: Optional[float] = None,
         n_lo: Optional[float] = None,
     ):
+        # each comparison is False for a NaN
+        if not 0 < delta_t_s < math.inf:
+            raise DomainError(f"delta_t_s must be finite and > 0, got {delta_t_s}")
+        if not 0 <= eta_bob <= 1:
+            raise DomainError(f"eta_bob must be finite and in [0, 1], got {eta_bob}")
+        for name, value in (("detector_bandwidth_hz", detector_bandwidth_hz), ("n_lo", n_lo)):
+            if value is not None and not 0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
         m = link.classical_channel_count
         p_out = link.p_out_w
         if m > 0:
             e_classical = photon_energy(link.lambda_classical_nm * 1e-9)
-            n_leak = m * leakage_rate(p_out, comp.xi2, e_classical)
-            sasrs_k = _sasrs_prefactor(p_out, link.beta_raman, link.lambda_quantum_nm * 1e-9)
+            n_leak = m * (comp.xi2 * p_out / e_classical)
+            # beta converted from 1/(km*nm) to 1/(km*m)
+            lambda_q = link.lambda_quantum_nm * 1e-9
+            sasrs_k = lambda_q**3 / (PLANCK_H * SPEED_OF_LIGHT**2) * p_out * (link.beta_raman * 1e9)
         else:
             n_leak = sasrs_k = 0.0
-        n_mod = mode_count(comp.delta_nu_hz, delta_t_s)
+        n_mod = comp.delta_nu_hz * delta_t_s
         window_ratio = None
         if detector_bandwidth_hz is not None and n_lo is not None:
-            if detector_bandwidth_hz <= 0 or n_lo <= 0:
-                raise DomainError("detector bandwidth and LO photon number must be positive")
             delta_t_hom = 1.0 / (2.0 * math.pi * detector_bandwidth_hz)
             window_ratio = delta_t_hom / delta_t_s
         init = object.__setattr__
@@ -425,10 +341,9 @@ class NoiseModel:
 
     def at(self, z_km: float) -> Tuple[float, NoiseBudget]:
         """(eta_ch, budget) at z_km of fiber: the channel transmittance and
-        every noise quantity. Each product keeps the operand order of the
-        per-source functions above (nsp_from_nf, ase_per_mode,
-        ase_after_mux, sasrs_per_mode), so the budget equals theirs bit for
-        bit."""
+        every noise quantity, from the formulas in the class docstring. An
+        n_sp below 1, the spontaneous-emission limit, is rejected wherever
+        the gain exceeds 1."""
         link, comp = self.link, self.comp
         n_mod, n_leak, leak_window, nf, sasrs_k, eta_bob, window_ratio, n_lo = self._terms
         m = link.classical_channel_count
@@ -442,7 +357,16 @@ class NoiseModel:
                     n_sp = (nf * gain - 1.0) / (2.0 * (gain - 1.0))
                 else:
                     n_sp = nf / 2.0
-                n_ase = ase_per_mode(n_sp, gain)
+                if n_sp < 1:
+                    if comp.nsp_exact:
+                        convention = f"(NF*G - 1)/(2*(G - 1)) at G = {gain:.6g}, nsp_convention = exact"
+                    else:
+                        convention = "NF/2, nsp_convention = highgain"
+                    raise DomainError(
+                        f"nf_db = {comp.nf_db} gives n_sp = {n_sp:.6g} < 1 ({convention}); "
+                        "n_sp must be >= 1, the spontaneous-emission limit"
+                    )
+                n_ase = 2.0 * n_sp * (gain - 1.0)
             else:
                 n_ase = 0.0
             n_ase_a = m * (comp.xi1 * n_ase)

@@ -5,8 +5,6 @@ only at the I/O boundary.
 """
 from __future__ import annotations
 
-import math
-
 PLANCK_H = 6.62607015e-34  # J*s
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -18,12 +16,6 @@ def db_to_linear(db: float) -> float:
 
 def dbm_to_watts(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def watts_to_dbm(p_w: float) -> float:
-    if p_w <= 0:
-        raise ValueError(f"cannot express non-positive power {p_w} W in dBm")
-    return 10.0 * math.log10(p_w / 1e-3)
 
 
 def photon_energy(lambda_m: float) -> float:

@@ -326,9 +326,45 @@ class TestConfig:
         config = parse_config("[components]\nxi1_db = -200\n")
         assert config.comp.xi1 == pytest.approx(1e-20)
 
-    def test_range_error_names_key(self):
-        with pytest.raises(ConfigError):
-            parse_config("[gmcs]\neta_bob = 1.5\n")
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("link", "fiber_length_km", "-1", "link.fiber_length_km"),
+            ("link", "alpha_db_per_km", "-0.1", "alpha_db_per_km"),
+            ("link", "beta_raman", "-1e-9", "beta_raman"),
+            ("link", "classical_channel_count", "-1", "classical_channel_count"),
+            ("link", "p_out_dbm", "4000", "p_out_dbm"),
+            ("link", "lambda_quantum_nm", "0", "lambda_quantum_nm"),
+            ("link", "lambda_classical_nm", "1000", "lambda_classical_nm"),
+            ("components", "nf_db", "-1", "nf_db"),
+            ("components", "gain_g0", "0.5", "gain_g0"),
+            ("components", "gain_fixed", "0.5", "gain_fixed"),
+            ("components", "xi1_db", "10", "xi1"),
+            ("components", "xi2_db", "10", "xi2"),
+            ("components", "eta_mux", "0", "eta_mux"),
+            ("components", "eta_dmu", "1.5", "eta_dmu"),
+            ("components", "delta_nu_hz", "0", "delta_nu_hz"),
+            ("bb84", "mu", "0", "mu"),
+            ("bb84", "y0_base", "-1", "y0_base"),
+            ("bb84", "e_det", "0.6", "e_det"),
+            ("bb84", "e0", "1.5", "e0"),
+            ("bb84", "eta_bob", "1.5", "eta_bob"),
+            ("bb84", "f_ec", "0.5", "f_ec"),
+            ("bb84", "delta_t_ns", "0", "delta_t_s"),
+            ("gmcs", "v_a", "0", "v_a"),
+            ("gmcs", "eta_bob", "1.5", "eta_bob"),
+            ("gmcs", "eps0", "-0.1", "eps0"),
+            ("gmcs", "v_el", "-0.1", "v_el"),
+            ("gmcs", "gamma", "0", "gamma"),
+            ("gmcs", "n_lo", "0", "n_lo"),
+            ("gmcs", "detector_bandwidth_hz", "0", "detector_bandwidth_hz"),
+            ("gmcs", "sigma_meas", "-0.1", "sigma_meas"),
+        ],
+    )
+    def test_range_error_names_key(self, section, key, value, field):
+        # the message opens with the one field at fault
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -720,6 +756,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: delta_t_s must be positive, got 0.0\n"
+
+    @pytest.mark.parametrize("command", ["noise", "bb84", "gmcs"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # parses, but n_sp = NF/2 < 1 wherever the amplifier has gain
+            (
+                "nf_db = 2.0\n",
+                "nf_db = 2.0 gives n_sp = 0.792447 < 1 (NF/2, nsp_convention = highgain); "
+                "n_sp must be >= 1, the spontaneous-emission limit",
+            ),
+            ("xi1_db = 10\n", "xi1 must be in [0, 1], got 10.0"),
+        ],
+    )
+    def test_component_error_line_names_its_key(self, command, text, message, tmp_path, capsys):
+        cfg = tmp_path / "components.cfg"
+        cfg.write_text("[components]\n" + text)
+        assert main(["--config", str(cfg), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "x.cfg"

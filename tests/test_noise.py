@@ -11,18 +11,10 @@ from dwdm_qkd.noise import (
     NoiseBudget,
     NoiseModel,
     UnfittableError,
-    ase_after_mux,
-    ase_band_power_dbm,
-    ase_per_mode,
     channel_transmittance,
     compute_noise_budget,
     direct_init,
     fit_raman_coefficient,
-    leakage_rate,
-    mode_count,
-    nsp_from_nf,
-    sasrs_band_power,
-    sasrs_per_mode,
 )
 from dwdm_qkd.bb84 import Bb84Params, Bb84Point
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint
@@ -31,6 +23,72 @@ from dwdm_qkd.units import PLANCK_H, SPEED_OF_LIGHT, dbm_to_watts, photon_energy
 
 TABLE_LINK = LinkParams()
 TABLE_COMP = ComponentParams()
+
+
+def closed_form_budget(link, comp, z_km, delta_t_s, eta_bob=0.0, detector_bandwidth_hz=None, n_lo=None):
+    """Every NoiseBudget field from the paper's closed forms, written out
+    here apart from the noise model: ASE 2*n_sp*(G - 1) per mode times xi1,
+    leakage xi2*P_out/(h*nu_c) per second, SASRS
+    lambda^3/(h*c^2)*P_out*beta*z*eta_dmu per mode, each times the channel
+    count, and delta_nu*delta_t modes per window."""
+    m = link.classical_channel_count
+    p_w = 1e-3 * 10.0 ** (link.p_out_dbm / 10.0)
+    eta_ch = 10.0 ** (-link.alpha_db_per_km * z_km / 10.0)
+    modes = comp.delta_nu_hz * delta_t_s
+    gain = comp.gain_fixed if comp.gain_fixed is not None else comp.gain_g0 / eta_ch
+    nf = 10.0 ** (comp.nf_db / 10.0)
+    if m == 0 or gain <= 1:
+        n_ase = 0.0
+    else:
+        n_sp = (nf * gain - 1.0) / (2.0 * (gain - 1.0)) if comp.nsp_exact else nf / 2.0
+        n_ase = 2.0 * n_sp * (gain - 1.0)
+    lam_q = link.lambda_quantum_nm * 1e-9
+    lam_c = link.lambda_classical_nm * 1e-9
+    ase_mode = m * comp.xi1 * n_ase
+    leak_rate = m * comp.xi2 * p_w * lam_c / (PLANCK_H * SPEED_OF_LIGHT)
+    sasrs_mode = m * lam_q**3 / (PLANCK_H * SPEED_OF_LIGHT**2) * p_w * link.beta_raman * 1e9 * z_km * comp.eta_dmu
+    ase_window = modes * eta_ch * comp.eta_dmu * ase_mode
+    leak_window = leak_rate * delta_t_s
+    sasrs_window = modes * sasrs_mode
+    n_spd = ase_window + leak_window + sasrs_window
+    matched = 0.5 * (eta_ch * comp.eta_dmu * ase_mode + sasrs_mode)
+    unmatched = eps_out = 0.0
+    if detector_bandwidth_hz is not None and n_lo is not None:
+        unmatched = n_spd / (2.0 * math.pi * detector_bandwidth_hz * delta_t_s)
+        eps_out = eta_bob * unmatched / n_lo
+    return {
+        "n_ase_per_mode_at_a": ase_mode,
+        "n_leak_per_s_at_c": leak_rate,
+        "n_sasrs_per_mode_at_c": sasrs_mode,
+        "ase_window": ase_window,
+        "leak_window": leak_window,
+        "sasrs_window": sasrs_window,
+        "n_spd_window": n_spd,
+        "n_gmcs_matched": matched,
+        "n_gmcs_unmatched": unmatched,
+        "eps_in": 2.0 * eta_bob * matched,
+        "eps_out": eps_out,
+    }
+
+
+def sasrs_band_power_w(p_out_w, beta, z_km, delta_lambda_nm):
+    """SASRS power (W) within delta_lambda_nm at the fiber output."""
+    return p_out_w * beta * z_km * delta_lambda_nm
+
+
+def band_power_dbm(photons_per_mode, delta_nu_hz, photon_energy_j, insertion_loss_db=0.0):
+    """Optical power (dBm) of photons_per_mode over one channel bandwidth,
+    after an insertion loss."""
+    p_w = photons_per_mode * delta_nu_hz * photon_energy_j * 10 ** (-insertion_loss_db / 10)
+    return 10 * math.log10(p_w / 1e-3)
+
+
+def ase_photons_per_mode(nf_linear, gain, nsp_exact=False):
+    """ASE photons per mode at the amplifier output, read through the noise
+    model: one channel, gain pinned to gain, and xi1 = 1 so that the MUX
+    passes all of it."""
+    comp = ComponentParams(nf_db=10 * math.log10(nf_linear), gain_fixed=gain, xi1=1.0, nsp_exact=nsp_exact)
+    return NoiseModel(TABLE_LINK, comp, 1e-9).at(20.0)[1].n_ase_per_mode_at_a
 
 
 class TestChannelTransmittance:
@@ -90,98 +148,124 @@ class TestParamsValidation:
 
 
 class TestNsp:
+    # n_sp is the ASE per mode over 2*(G - 1)
     def test_high_gain_identity(self):
-        # NF = 2 n_sp exactly in the high-gain convention
-        assert nsp_from_nf(3.0, 1e9, high_gain=True) == 1.5
+        # NF = 2 n_sp in the high-gain convention
+        assert ase_photons_per_mode(3.0, 1e9) / (2 * (1e9 - 1)) == pytest.approx(1.5, rel=1e-12)
 
     def test_exact_inversion(self):
         nf = 10 ** 0.55  # 5.5 dB
-        assert nsp_from_nf(nf, 100) == pytest.approx(1.78694, rel=1e-4)
-        assert nsp_from_nf(nf, 100, high_gain=True) == pytest.approx(1.77407, rel=1e-4)
+        assert ase_photons_per_mode(nf, 100, nsp_exact=True) / 198 == pytest.approx(1.78694, rel=1e-4)
+        assert ase_photons_per_mode(nf, 100) / 198 == pytest.approx(1.77407, rel=1e-4)
 
-    def test_unity_gain_rejected(self):
-        with pytest.raises(DomainError):
-            nsp_from_nf(2.0, 1.0)
-        with pytest.raises(DomainError):
-            nsp_from_nf(0.5, 100)
+    def test_unity_gain_and_sub_unity_nf(self):
+        # a unity-gain amplifier emits no ASE, so n_sp is never inverted
+        assert ase_photons_per_mode(2.0, 1.0, nsp_exact=True) == 0.0
+        with pytest.raises(DomainError, match="^nf_db"):
+            ComponentParams(nf_db=10 * math.log10(0.5))
 
 
 class TestAse:
     def test_unity_gain_amplifier(self):
-        assert ase_per_mode(1.5, 1.0) == 0.0
+        assert ase_photons_per_mode(3.0, 1.0) == 0.0
 
     def test_ideal_amplifier(self):
-        assert ase_per_mode(1.0, 2.0) == 2.0
+        assert ase_photons_per_mode(2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_bench_value(self):
         # NF = 5.5 dB, G = 100, high-gain convention
-        n_sp = nsp_from_nf(10 ** 0.55, 100, high_gain=True)
-        assert ase_per_mode(n_sp, 100) == pytest.approx(351.27, abs=0.01)
+        assert ase_photons_per_mode(10 ** 0.55, 100) == pytest.approx(351.27, abs=0.01)
 
     def test_below_spontaneous_limit(self):
-        with pytest.raises(DomainError):
-            ase_per_mode(0.9, 100)
+        comp = ComponentParams(nf_db=10 * math.log10(1.8), gain_fixed=100.0)
+        with pytest.raises(DomainError, match="^nf_db .* n_sp = 0.9 < 1"):
+            NoiseModel(TABLE_LINK, comp, 1e-9).at(20.0)
+
+    def test_sub_limit_nf_passes_where_no_amplifier_gain_is_used(self):
+        # n_sp is only formed for an amplifier with gain above 1 on a link
+        # that carries classical channels
+        comp = ComponentParams(nf_db=2.0)
+        quiet = LinkParams(classical_channel_count=0)
+        assert NoiseModel(quiet, comp, 1e-9).at(20.0)[1].n_spd_window == 0.0
+        unity = ComponentParams(nf_db=2.0, gain_fixed=1.0)
+        assert NoiseModel(TABLE_LINK, unity, 1e-9).at(20.0)[1].ase_window == 0.0
 
     def test_after_mux(self):
-        assert ase_after_mux(351.2, 0.0) == 0.0
-        assert ase_after_mux(351.2, 1e-8) == pytest.approx(3.512e-6)
-        # linear in the input
-        assert ase_after_mux(702.4, 1e-8) == pytest.approx(2 * ase_after_mux(351.2, 1e-8))
+        def after_mux(xi1):
+            comp = ComponentParams(nf_db=5.5, gain_fixed=100.0, xi1=xi1)
+            return NoiseModel(TABLE_LINK, comp, 1e-9).at(20.0)[1].n_ase_per_mode_at_a
+
+        assert after_mux(0.0) == 0.0
+        assert after_mux(1e-8) == pytest.approx(3.5127e-6, rel=1e-4)
+        # linear in the isolation
+        assert after_mux(2e-8) == pytest.approx(2 * after_mux(1e-8), rel=1e-12)
 
     def test_band_power(self):
-        assert ase_band_power_dbm(351, 75e9, 1.28e-19) == pytest.approx(-24.72, abs=0.01)
-        assert ase_band_power_dbm(351, 75e9, 1.28e-19, insertion_loss_db=0.9) == pytest.approx(
-            -25.62, abs=0.01
-        )
-        with pytest.raises(DomainError):
-            ase_band_power_dbm(0.0, 75e9, 1.28e-19)
+        n_ase = ase_photons_per_mode(10 ** 0.55, 100)
+        assert band_power_dbm(n_ase, 75e9, 1.28e-19) == pytest.approx(-24.72, abs=0.01)
+        assert band_power_dbm(n_ase, 75e9, 1.28e-19, insertion_loss_db=0.9) == pytest.approx(-25.62, abs=0.01)
 
 
 class TestLeakage:
+    @staticmethod
+    def leak_rate(link=TABLE_LINK, xi2=1e-8):
+        comp = ComponentParams(xi2=xi2)
+        return NoiseModel(link, comp, 1e-9).at(20.0)[1].n_leak_per_s_at_c
+
     def test_no_power(self):
-        assert leakage_rate(0.0, 1e-8, 1.28e-19) == 0.0
+        assert self.leak_rate(xi2=0.0) == 0.0
+        assert self.leak_rate(link=LinkParams(classical_channel_count=0)) == 0.0
 
     def test_hand_value(self):
-        assert leakage_rate(1e-3, 1e-8, 1.28e-19) == pytest.approx(7.8125e7)
+        # 1 mW at 1550.8 nm, h*nu ~ 1.28e-19 J
+        assert self.leak_rate() == pytest.approx(7.8125e7, rel=1e-3)
+        assert self.leak_rate() == pytest.approx(1e-8 * 1e-3 / photon_energy(1550.8e-9), rel=1e-12)
 
     def test_adjacent_isolation_scaling(self):
-        assert leakage_rate(1e-3, 1e-4, 1.28e-19) == pytest.approx(7.8125e11)
+        assert self.leak_rate(xi2=1e-4) == pytest.approx(1e4 * self.leak_rate(), rel=1e-12)
 
 
 class TestSasrs:
+    @staticmethod
+    def per_mode(z_km):
+        return compute_noise_budget(TABLE_LINK, TABLE_COMP, z_km, 1e-9).n_sasrs_per_mode_at_c
+
     def test_zero_length(self):
-        assert sasrs_band_power(1e-3, 4e-9, 0.0, 0.6) == 0.0
-        assert sasrs_per_mode(1e-3, 4e-9, 0.0, 0.71, 1.55e-6) == 0.0
+        assert sasrs_band_power_w(1e-3, 4e-9, 0.0, 0.6) == 0.0
+        assert self.per_mode(0.0) == 0.0
 
     def test_band_power_values(self):
+        # the synthetic Raman points of the fit tests rest on these
         p4dbm = dbm_to_watts(4.0)
-        assert sasrs_band_power(p4dbm, 2.85e-9, 20, 0.6) == pytest.approx(8.59e-11, rel=1e-3)
-        assert sasrs_band_power(1e-3, 4e-9, 20, 0.6) == pytest.approx(4.8e-11, rel=1e-9)
+        assert sasrs_band_power_w(p4dbm, 2.85e-9, 20, 0.6) == pytest.approx(8.59e-11, rel=1e-3)
+        assert sasrs_band_power_w(1e-3, 4e-9, 20, 0.6) == pytest.approx(4.8e-11, rel=1e-9)
 
     def test_per_mode_value_and_linearity(self):
-        per20 = sasrs_per_mode(1e-3, 4e-9, 20, 0.71, 1.55e-6)
+        # 0 dBm, beta = 4e-9 /(km nm), 1550 nm, eta_dmu = 0.71
+        per20 = self.per_mode(20.0)
         assert per20 == pytest.approx(3.5518e-3, rel=1e-4)
-        assert sasrs_per_mode(1e-3, 4e-9, 10, 0.71, 1.55e-6) == pytest.approx(per20 / 2)
+        assert self.per_mode(10.0) == pytest.approx(per20 / 2, rel=1e-12)
 
     @pytest.mark.parametrize("dl_nm", [0.1, 0.6, 1.0])
     def test_bandwidth_cancellation(self, dl_nm):
         # per-mode closed form must equal band power / (h nu N_mode) * eta_dmu
         # for any bandwidth choice
         lam = 1.55e-6
-        band_w = sasrs_band_power(1e-3, 4e-9, 20, dl_nm)
+        band_w = sasrs_band_power_w(1e-3, 4e-9, 20, dl_nm)
         n_mode = SPEED_OF_LIGHT / lam**2 * (dl_nm * 1e-9)
         h_nu = PLANCK_H * SPEED_OF_LIGHT / lam
         via_band = band_w / (h_nu * n_mode) * 0.71
-        closed = sasrs_per_mode(1e-3, 4e-9, 20, 0.71, lam)
-        assert closed == pytest.approx(via_band, rel=1e-12)
+        assert self.per_mode(20.0) == pytest.approx(via_band, rel=1e-12)
 
 
 class TestModeCount:
     def test_values(self):
-        assert mode_count(75e9, 1e-9) == pytest.approx(75.0)
-        assert mode_count(75e9, 1 / 75e9) == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            mode_count(0, 1e-9)
+        # a window of delta_nu * delta_t modes, read off the SASRS window
+        for delta_t_s, modes in ((1e-9, 75.0), (1 / 75e9, 1.0)):
+            budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, delta_t_s)
+            assert budget.sasrs_window == pytest.approx(modes * budget.n_sasrs_per_mode_at_c, rel=1e-12)
+        with pytest.raises(DomainError, match="^delta_nu_hz"):
+            ComponentParams(delta_nu_hz=0.0)
 
 
 class TestBudget:
@@ -198,7 +282,7 @@ class TestBudget:
     def test_eq8_recomputable_from_mode_fields(self):
         budget = compute_noise_budget(TABLE_LINK, TABLE_COMP, 20.0, 1e-9)
         eta_ch = channel_transmittance(20, 0.21)
-        n_mod = mode_count(75e9, 1e-9)
+        n_mod = 75e9 * 1e-9
         recomputed = (
             n_mod * eta_ch * 0.71 * budget.n_ase_per_mode_at_a
             + budget.n_leak_per_s_at_c * 1e-9
@@ -259,59 +343,78 @@ class TestBudget:
 HOMODYNE = {"eta_bob": 0.6, "detector_bandwidth_hz": 1e6, "n_lo": 1e8}
 
 # (link, comp, z_km, delta_t_s, homodyne keywords, message): each input breaks
-# one thing, and the message is the one compute_noise_budget raised for it
-# before the noise model existed
+# one thing, and the message names it
 BUDGET_ERRORS = [
     (TABLE_LINK, TABLE_COMP, -1.0, 1e-9, {}, "z_km must be finite and >= 0, got -1.0"),
     (TABLE_LINK, TABLE_COMP, math.nan, 1e-9, {}, "z_km must be finite and >= 0, got nan"),
     (TABLE_LINK, TABLE_COMP, math.inf, 1e-9, {}, "z_km must be finite and >= 0, got inf"),
     (TABLE_LINK, TABLE_COMP, 1e308, 1e-9, {}, "z_km = 1e+308 makes the channel transmittance underflow to 0"),
     # high gain: n_sp = NF/2 < 1 for NF = 10^0.2
-    (TABLE_LINK, ComponentParams(nf_db=2.0), 20.0, 1e-9, {}, "n_sp must be >= 1 (spontaneous-emission limit)"),
+    (
+        TABLE_LINK,
+        ComponentParams(nf_db=2.0),
+        20.0,
+        1e-9,
+        {},
+        "nf_db = 2.0 gives n_sp = 0.792447 < 1 (NF/2, nsp_convention = highgain); "
+        "n_sp must be >= 1, the spontaneous-emission limit",
+    ),
     (
         TABLE_LINK,
         ComponentParams(nf_db=1.0, gain_fixed=2.0, nsp_exact=True),
         20.0,
         1e-9,
         {},
-        "n_sp must be >= 1 (spontaneous-emission limit)",
+        "nf_db = 1.0 gives n_sp = 0.758925 < 1 ((NF*G - 1)/(2*(G - 1)) at G = 2, nsp_convention = exact); "
+        "n_sp must be >= 1, the spontaneous-emission limit",
     ),
-    (TABLE_LINK, TABLE_COMP, 20.0, 0.0, {}, "bandwidth and time window must be positive"),
-    (TABLE_LINK, TABLE_COMP, 20.0, -1e-9, {}, "bandwidth and time window must be positive"),
-    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {**HOMODYNE, "n_lo": 0.0}, "detector bandwidth and LO photon number must be positive"),
+    (TABLE_LINK, TABLE_COMP, 20.0, 0.0, {}, "delta_t_s must be finite and > 0, got 0.0"),
+    (TABLE_LINK, TABLE_COMP, 20.0, -1e-9, {}, "delta_t_s must be finite and > 0, got -1e-09"),
+    (TABLE_LINK, TABLE_COMP, 20.0, math.nan, {}, "delta_t_s must be finite and > 0, got nan"),
+    (TABLE_LINK, TABLE_COMP, 20.0, math.inf, {}, "delta_t_s must be finite and > 0, got inf"),
+    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {"eta_bob": math.inf}, "eta_bob must be finite and in [0, 1], got inf"),
+    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {"eta_bob": -1.0}, "eta_bob must be finite and in [0, 1], got -1.0"),
+    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {**HOMODYNE, "n_lo": 0.0}, "n_lo must be finite and > 0, got 0.0"),
+    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {**HOMODYNE, "n_lo": math.inf}, "n_lo must be finite and > 0, got inf"),
     (
         TABLE_LINK,
         TABLE_COMP,
         20.0,
         1e-9,
         {**HOMODYNE, "detector_bandwidth_hz": -1.0},
-        "detector bandwidth and LO photon number must be positive",
+        "detector_bandwidth_hz must be finite and > 0, got -1.0",
     ),
-    # the gain schedule gain_g0 / eta_ch overflows
-    (TABLE_LINK, TABLE_COMP, 14800.0, 1e-9, {}, "the noise budget at z_km = 14800.0 overflows a float"),
-    (TABLE_LINK, TABLE_COMP, 20.0, math.nan, {}, "the noise budget at z_km = 20.0 overflows a float"),
-    (TABLE_LINK, TABLE_COMP, 20.0, 1e-9, {"eta_bob": math.inf}, "the noise budget at z_km = 20.0 overflows a float"),
     (
         TABLE_LINK,
         TABLE_COMP,
         20.0,
         1e-9,
         {**HOMODYNE, "detector_bandwidth_hz": math.nan},
-        "the noise budget at z_km = 20.0 overflows a float",
+        "detector_bandwidth_hz must be finite and > 0, got nan",
     ),
+    # the gain schedule gain_g0 / eta_ch overflows
+    (TABLE_LINK, TABLE_COMP, 14800.0, 1e-9, {}, "the noise budget at z_km = 14800.0 overflows a float"),
 ]
 
 
 class TestNoiseModel:
     @pytest.mark.parametrize("homodyne", [{}, HOMODYNE])
+    @pytest.mark.parametrize("gain_fixed", [None, 1.0, 50.0])
+    @pytest.mark.parametrize("nsp_exact", [False, True])
     @pytest.mark.parametrize("channels", [0, 1, 38])
-    def test_at_is_the_transmittance_and_the_budget(self, channels, homodyne):
-        link = dataclasses.replace(TABLE_LINK, classical_channel_count=channels)
-        model = NoiseModel(link, TABLE_COMP, 1e-9, **homodyne)
+    def test_at_is_the_closed_form_budget(self, channels, nsp_exact, gain_fixed, homodyne):
+        # distinct isolations, so that a model that swaps them fails
+        link = dataclasses.replace(TABLE_LINK, classical_channel_count=channels, p_out_dbm=1.5)
+        comp = dataclasses.replace(TABLE_COMP, nsp_exact=nsp_exact, gain_fixed=gain_fixed, xi1=2e-8, xi2=5e-9)
+        model = NoiseModel(link, comp, 1e-9, **homodyne)
         for z in (0.0, 0.5, 1.0, 9.890625, 20.0, 80.0, 700.0):
             eta_ch, budget = model.at(z)
             assert eta_ch == channel_transmittance(z, link.alpha_db_per_km)
-            assert budget == compute_noise_budget(link, TABLE_COMP, z, 1e-9, **homodyne)
+            expected = closed_form_budget(link, comp, z, 1e-9, **homodyne)
+            got = dataclasses.asdict(budget)
+            assert got.keys() == expected.keys()
+            for name, value in expected.items():
+                assert math.isclose(got[name], value, rel_tol=1e-12, abs_tol=0.0), (z, name, got[name], value)
 
     def test_model_is_frozen(self):
         model = NoiseModel(TABLE_LINK, TABLE_COMP, 1e-9)
@@ -319,7 +422,7 @@ class TestNoiseModel:
             model.link = LinkParams()
 
     @pytest.mark.parametrize("link, comp, z_km, delta_t_s, homodyne, message", BUDGET_ERRORS)
-    def test_errors_are_unchanged(self, link, comp, z_km, delta_t_s, homodyne, message):
+    def test_errors_name_their_input(self, link, comp, z_km, delta_t_s, homodyne, message):
         with pytest.raises(DomainError) as wrapped:
             compute_noise_budget(link, comp, z_km, delta_t_s, **homodyne)
         assert str(wrapped.value) == message
@@ -353,7 +456,7 @@ class TestRamanFit:
     def test_single_point_round_trip(self):
         beta = 4e-9
         p_out = 1e-3
-        p20 = sasrs_band_power(p_out, beta, 20, 0.6)
+        p20 = sasrs_band_power_w(p_out, beta, 20, 0.6)
         assert fit_raman_coefficient([(20, p20)], p_out, 0.6) == pytest.approx(beta, rel=1e-12)
 
     def test_two_spool_fit_with_insertion_loss(self):
@@ -361,7 +464,7 @@ class TestRamanFit:
         p_out = dbm_to_watts(4.0)
         il_db = 1.43
         points = [
-            (z, sasrs_band_power(p_out, beta, z, 0.6) * 10 ** (-il_db / 10))
+            (z, sasrs_band_power_w(p_out, beta, z, 0.6) * 10 ** (-il_db / 10))
             for z in (20, 40)
         ]
         fitted = fit_raman_coefficient(points, p_out, 0.6, insertion_loss_db=il_db)
@@ -372,7 +475,7 @@ class TestRamanFit:
         beta = 3.1e-9
         p_out = 2e-3
         points = [
-            (z, sasrs_band_power(p_out, beta, z, 0.6) * (1 + rng.gauss(0, 0.01)))
+            (z, sasrs_band_power_w(p_out, beta, z, 0.6) * (1 + rng.gauss(0, 0.01)))
             for z in range(5, 45, 5)
         ]
         fitted = fit_raman_coefficient(points, p_out, 0.6)

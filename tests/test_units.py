@@ -7,7 +7,6 @@ from dwdm_qkd.units import (
     db_to_linear,
     dbm_to_watts,
     photon_energy,
-    watts_to_dbm,
 )
 
 
@@ -30,11 +29,9 @@ def test_db_to_linear_is_the_power_of_ten(db):
 
 @given(st.floats(min_value=-90, max_value=60))
 def test_dbm_round_trip(dbm):
-    assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, rel=1e-12, abs=1e-12)
+    assert 10 * math.log10(dbm_to_watts(dbm) / 1e-3) == pytest.approx(dbm, rel=1e-12, abs=1e-12)
 
 
 def test_nonpositive_ratios_rejected():
-    with pytest.raises(ValueError):
-        watts_to_dbm(-1e-3)
     with pytest.raises(ValueError):
         photon_energy(0.0)
