@@ -131,45 +131,51 @@ class _MuGrid:
 
 def _bound_over(
     eta: float, y0: float, params: Bb84Params, a: float, b: float, m: float, exp_m: float
-) -> float:
-    """Upper bound on 0.5*head = 0.5*(q1 - f_ec*q_mu*h(min(E_mu, 1/2))) over
-    every mu of a set of grid points with least a and largest b, padded for
-    rounding; inf when it cannot be formed. m = clamp(1, a, b), exp_m = exp(-m).
+) -> Tuple[float, float, float]:
+    """(bound, q_a, e_a): an upper bound on the unclamped rate
+    0.5*(q1 - f_ec*q_mu*h(min(E_mu, 1/2)) - q1*h(min(e1, 1/2))) over every mu
+    of a set of grid points with least a and largest b, padded for rounding,
+    or inf when it cannot be formed; and q_mu and E_mu at a, as
+    bb84_point_from_rates computes them. m = clamp(1, a, b), exp_m = exp(-m).
 
     In exact arithmetic, with x = 1 - exp(-eta*mu): q1 = (y0 + eta)*mu*exp(-mu)
     is at most its value at m, where mu*exp(-mu) peaks; q_mu = y0 + x grows
     with mu, so q_mu >= q_a; E_mu = (e0*y0 + e_det*x)/(y0 + x) is monotone in
     x (dE/dx has the sign of y0*(e_det - e0)), and h(min(E, 1/2)) is
-    nondecreasing in E, so h >= min(h_a, h_b). Hence
-    0.5*head <= 0.5*(q1_max - f_ec*q_a*h_min), and each mu's rate, at most
-    max(0, 0.5*head), is 0 when that is <= 0. Nothing else of the set is
-    used, so the bound holds for the whole grid and for any block of it.
+    nondecreasing in E, so h >= min(h_a, h_b). mu*exp(-mu) cancels between
+    e1's numerator and q1, so e1 = e_bar = (e0*y0 + e_det*eta)/(y0 + eta) at
+    every mu, and q1*(1 - h(min(e1, 1/2))) <= q1_max*(1 - h_bar). Hence each
+    mu's rate is at most 0.5*(q1_max*(1 - h_bar) - f_ec*q_a*h_min), and is 0
+    when that is <= 0. Nothing else of the set is used, so the bound holds
+    for the whole grid and for any block of it.
 
     In floats, a and b are grid points whose q, E and h use the scan's own
     expressions, so they are its values bit for bit. With w = exp(-eta*mu)
     monotone in mu, q_mu = fl(fl(y0 + 1) - w) >= q_a exactly, and E_mu is a
-    fixed monotone function of w times (1 + a few ulps). The pad covers the
-    rest: 1e-9 relative for the few-ulp errors of q1, E and the products, and
-    2**-40*f_ec*q_b (q_mu <= q_b) for the entropy formula's absolute error of
-    a few ulps of 1. q_a <= 0 or a NaN gives inf or NaN, so the scan runs; a
-    negative E raises DomainError through binary_entropy, as in the scan.
+    fixed monotone function of w times (1 + a few ulps). The scan's e1 is
+    e_bar times (1 + a few ulps), and p*log2((1 - p)/p) < 1 on (0, 1/2), so
+    its h(min(e1, 1/2)) is within a few ulps of 1 of h_bar. The pad covers
+    the rest: 1e-9*(q1_max + f_ec*q_a*h_min) for the few-ulp errors of q1, E
+    and the products, and for h_1's (q1 <= q1_max), and 2**-40*f_ec*q_b for
+    the entropy formula's absolute error of a few ulps of 1 in h_mu
+    (q_mu <= q_b). q_a <= 0 or a NaN gives inf or NaN, so the scan runs; a
+    negative E or e_bar raises DomainError through binary_entropy, as in the
+    scan.
     """
     exp_a, exp_b = math.exp(-eta * a), math.exp(-eta * b)
     q_a, q_b = y0 + 1.0 - exp_a, y0 + 1.0 - exp_b
     if not q_a > 0:
-        return math.inf
-    q1_max = (y0 + eta) * m * exp_m
-    e0_y0 = params.e0 * y0
-    e_a = (e0_y0 + params.e_det * (1.0 - exp_a)) / q_a
-    e_b = (e0_y0 + params.e_det * (1.0 - exp_b)) / q_b
+        return math.inf, q_a, 0.0
+    y0_plus_eta = y0 + eta
+    q1_max = y0_plus_eta * m * exp_m
+    e0_y0, e_det = params.e0 * y0, params.e_det
+    e_a = (e0_y0 + e_det * (1.0 - exp_a)) / q_a
+    e_b = (e0_y0 + e_det * (1.0 - exp_b)) / q_b
     h_min = min(binary_entropy(min(e_a, 0.5)), binary_entropy(min(e_b, 0.5)))
+    h_bar = binary_entropy(min((e0_y0 + e_det * eta) / y0_plus_eta, 0.5))
     neg = params.f_ec * q_a * h_min
-    return 0.5 * (q1_max - neg) + 1e-9 * (q1_max + neg) + 2**-40 * params.f_ec * q_b
-
-
-def _half_head_bound(eta: float, y0: float, params: Bb84Params, grid: _MuGrid) -> float:
-    """_bound_over the whole grid."""
-    return _bound_over(eta, y0, params, *grid.whole)
+    bound = 0.5 * (q1_max * (1.0 - h_bar) - neg) + 1e-9 * (q1_max + neg) + 2**-40 * params.f_ec * q_b
+    return bound, q_a, e_a
 
 
 _DEFAULT_GRID = _MuGrid(DEFAULT_MU_GRID)
@@ -241,21 +247,33 @@ def _optimize_mu_with_budget(
     fl(head - q1*h(e1)) <= head, and the mu's rate is at most
     max(0, 0.5*head) <= best_rate, which cannot win.
 
-    A grid that _half_head_bound proves has no mu of positive rate returns,
-    without a scan, what the scan returns when every rate is 0. So does one
+    A grid whose _bound_over is <= 0 has no mu of positive rate, and returns
+    without a scan what the scan returns when every rate is 0. So does one
     whose block bounds are all <= 0, checked in grid order; the first block
-    whose bound is > 0 ends the checks, and the whole grid is scanned. The
-    default grid's terms are formed once, when the module is imported, and
-    any other grid forms its own on each call.
+    whose bound is > 0 ends the checks, and the whole grid is scanned. When
+    mu_grid[0] is the grid's least mu, as on the default grid, that settled
+    record takes q_mu and E_mu from the whole-grid bound, which computes them
+    at that mu with bb84_point_from_rates' expressions, and exp(-mu) from the
+    grid's table; any other grid calls bb84_point_from_rates. The default
+    grid's terms are formed once, when the module is imported, and any other
+    grid forms its own on each call.
     """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
     grid = _DEFAULT_GRID if mu_grid is DEFAULT_MU_GRID else _MuGrid(mu_grid)
     eta, y0 = _eta_and_y0(eta_ch, comp, params, budget)
-    if _half_head_bound(eta, y0, params, grid) <= 0.0 or all(
-        _bound_over(eta, y0, params, *block) <= 0.0 for block in grid.blocks
-    ):
-        return mu_grid[0], bb84_point_from_rates(eta, y0, params, mu_grid[0])
+    bound, q_a, e_a = _bound_over(eta, y0, params, *grid.whole)
+    if bound <= 0.0 or all(_bound_over(eta, y0, params, *block)[0] <= 0.0 for block in grid.blocks):
+        mu = mu_grid[0]
+        if mu != grid.whole[0]:
+            return mu, bb84_point_from_rates(eta, y0, params, mu)
+        # bb84_point_from_rates at mu, whose q_mu = q_a > 0 and rate is 0
+        exp_mu = grid.exp_neg[0]
+        q1 = (y0 + eta) * mu * exp_mu
+        if q1 <= 0:
+            return mu, Bb84Point(y0, q_a, 0.0, q1, 0.0, 0.0)
+        e1 = (params.e0 * y0 + params.e_det * eta) * mu * exp_mu / q1
+        return mu, Bb84Point(y0, q_a, e_a, q1, e1, 0.0)
     e_det, f_ec = params.e_det, params.f_ec
     exp, log2 = math.exp, math.log2
     neg_eta = -eta

@@ -198,8 +198,12 @@ def _z_grid(z_min: float, z_max: float, z_step: float) -> Tuple[float, ...]:
     for key, value in (("z_min_km", z_min), ("z_max_km", z_max), ("z_step_km", z_step)):
         if not math.isfinite(value):
             raise ConfigError(f"scenario.{key}: must be finite, got {value}")
-    if z_step <= 0 or z_max < z_min or z_min < 0:
-        raise ConfigError("scenario.z_min_km/z_max_km/z_step_km: invalid grid")
+    if z_step <= 0:
+        raise ConfigError(f"scenario.z_step_km: must be > 0, got {z_step}")
+    if z_min < 0:
+        raise ConfigError(f"scenario.z_min_km: must be >= 0, got {z_min}")
+    if z_max < z_min:
+        raise ConfigError(f"scenario.z_max_km: must be >= z_min_km ({z_min}), got {z_max}")
     steps = (z_max - z_min) / z_step
     if not steps <= MAX_GRID_POINTS - 1:
         raise ConfigError(

@@ -48,6 +48,22 @@ def efficiency_and_background(link, z, params):
     return bb84._eta_and_y0(eta_ch, COMP, params, budget)
 
 
+def whole_bound(eta, y0, params, mu_grid):
+    """The grid bound over the whole of mu_grid."""
+    return bb84._bound_over(eta, y0, params, *bb84._MuGrid(mu_grid).whole)[0]
+
+
+def assert_bound_dominates(bound, eta, y0, params, mu):
+    """bound is at least mu's unclamped rate, and when it is <= 0 mu's rate is
+    exactly 0."""
+    point = bb84_point_from_rates(eta, y0, params, mu)
+    if point.q_mu > 0 and point.q1 > 0:
+        head = point.q1 - params.f_ec * point.q_mu * binary_entropy(min(point.e_mu, 0.5))
+        assert 0.5 * (head - point.q1 * binary_entropy(min(point.e1, 0.5))) <= bound
+    if bound <= 0.0:
+        assert point.rate == 0.0
+
+
 def adjacent_floats(mu, n):
     """mu and the n - 1 floats above it: rates that tie or differ by rounding."""
     grid = [mu]
@@ -233,10 +249,10 @@ class TestOptimizeMu:
         object.__setattr__(forced, "e0", -1.0)
         eta, y0 = efficiency_and_background(MULTIPLEXED, 20, forced)
         with pytest.raises(DomainError):
-            bb84._half_head_bound(eta, y0, forced, bb84._MuGrid(DEFAULT_MU_GRID))
+            whole_bound(eta, y0, forced, DEFAULT_MU_GRID)
         with pytest.raises(DomainError):
             optimize_mu(MULTIPLEXED, COMP, forced, 20)
-        monkeypatch.setattr(bb84, "_bound_over", lambda *args: math.inf)
+        monkeypatch.setattr(bb84, "_bound_over", lambda *args: (math.inf, 0.0, 0.0))
         with pytest.raises(DomainError):
             optimize_mu(MULTIPLEXED, COMP, forced, 20)
 
@@ -263,37 +279,47 @@ class TestGridBound:
         st.sampled_from([0, 1, 38]),
         MU_GRIDS,
     )
-    def test_bound_dominates_every_half_head(self, params, z, channels, mu_grid):
-        # the padded bound over [min, max] of the grid is at least 0.5*head
-        # at every mu, and when it is <= 0 every mu's rate is exactly 0
+    def test_bound_dominates_every_rate(self, params, z, channels, mu_grid):
+        # the padded bound over [min, max] of the grid is at least every mu's
+        # unclamped rate, and when it is <= 0 every mu's rate is exactly 0
         link = LinkParams(classical_channel_count=channels)
         eta, y0 = efficiency_and_background(link, z, params)
-        bound = bb84._half_head_bound(eta, y0, params, bb84._MuGrid(mu_grid))
+        bound = whole_bound(eta, y0, params, mu_grid)
         for mu in mu_grid:
-            point = bb84_point_from_rates(eta, y0, params, mu)
-            if point.q_mu > 0 and point.q1 > 0:
-                h_mu = binary_entropy(min(point.e_mu, 0.5))
-                assert 0.5 * (point.q1 - params.f_ec * point.q_mu * h_mu) <= bound
-            if bound <= 0.0:
-                assert point.rate == 0.0
+            assert_bound_dominates(bound, eta, y0, params, mu)
 
     def test_bound_settles_the_noise_dominated_rows(self, monkeypatch):
-        # bb84-0dBm has no key at any distance: the bound proves it for the
-        # 135 rows past 12.5 km, and the 26 rows up to 12.5 km fall back to
-        # the scan; the 1 km crossover reads the noise budget alone
-        bound_of = bb84._half_head_bound
+        # bb84-0dBm has no key at any distance: the whole-grid bound proves it
+        # for the 148 rows past 6 km, and the 13 rows up to 6 km fall back to
+        # the block bounds
+        bound_of, whole = bb84._bound_over, bb84._DEFAULT_GRID.whole
         bounds = []
 
-        def counted(*args):
-            bounds.append(bound_of(*args))
-            return bounds[-1]
+        def counted(eta, y0, params, *extremes):
+            result = bound_of(eta, y0, params, *extremes)
+            if extremes == whole:
+                bounds.append(result[0])
+            return result
 
-        monkeypatch.setattr(bb84, "_half_head_bound", counted)
+        monkeypatch.setattr(bb84, "_bound_over", counted)
         result = run_sweep(scenario_by_name("bb84-0dBm"))
         assert len(bounds) == 161
-        assert sum(bound <= 0.0 for bound in bounds) == 135
-        assert [bound <= 0.0 for bound in bounds[:161]] == [row.z_km > 12.5 for row in result.rows]
+        assert sum(bound <= 0.0 for bound in bounds) == 148
+        assert [bound <= 0.0 for bound in bounds] == [row.z_km > 6.0 for row in result.rows]
         assert all(row.rate == 0.0 for row in result.rows)
+
+    def test_bound_counts_single_photon_errors_past_one_half(self):
+        # every background count errs (e0 = 1) and background is 9 times the
+        # signal, so e1 = 0.9 at every mu, h(min(e1, 1/2)) = 1 and no mu has
+        # key; at mu = 700, E_mu is about 0.018, so the head's entropy term is
+        # small, and only the clamped e1 term takes the bound below 0
+        params = Bb84Params(e0=1.0, e_det=0.0, f_ec=1.0)
+        eta, y0 = 1e-3, 9e-3
+        bound = whole_bound(eta, y0, params, (0.05, 700.0))
+        assert bound <= 0.0
+        for mu in (0.05, 700.0):
+            assert bb84_point_from_rates(eta, y0, params, mu).e1 == pytest.approx(0.9)
+            assert_bound_dominates(bound, eta, y0, params, mu)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -302,37 +328,35 @@ class TestGridBound:
         st.sampled_from([0, 1, 38]),
         MU_GRIDS,
     )
-    def test_block_bound_dominates_every_half_head_in_its_block(self, params, z, channels, mu_grid):
+    def test_block_bound_dominates_every_rate_in_its_block(self, params, z, channels, mu_grid):
         # each block of MU_BLOCK consecutive mus has its own bound, at least
-        # 0.5*head at every mu of that block; <= 0 means each of its rates is 0
+        # the unclamped rate at every mu of that block; <= 0 means each of its
+        # rates is 0
         link = LinkParams(classical_channel_count=channels)
         eta, y0 = efficiency_and_background(link, z, params)
         grid = bb84._MuGrid(mu_grid)
         starts = range(0, len(mu_grid), bb84.MU_BLOCK)
         assert len(grid.blocks) == len(starts)
         for start, block in zip(starts, grid.blocks):
-            bound = bb84._bound_over(eta, y0, params, *block)
+            bound = bb84._bound_over(eta, y0, params, *block)[0]
             for mu in mu_grid[start : start + bb84.MU_BLOCK]:
-                point = bb84_point_from_rates(eta, y0, params, mu)
-                if point.q_mu > 0 and point.q1 > 0:
-                    h_mu = binary_entropy(min(point.e_mu, 0.5))
-                    assert 0.5 * (point.q1 - params.f_ec * point.q_mu * h_mu) <= bound
-                if bound <= 0.0:
-                    assert point.rate == 0.0
+                assert_bound_dominates(bound, eta, y0, params, mu)
 
-    def test_block_bounds_leave_four_rows_to_the_scan(self, monkeypatch):
-        # of the 26 bb84-0dBm rows whose whole-grid bound is > 0, the block
-        # bounds settle all but the four at 0-1.5 km, and only those read
-        # the exp(-mu) table that the scan reads
+    def test_block_bounds_settle_the_rows_up_to_6_km(self, monkeypatch):
+        # the block bounds settle the 13 bb84-0dBm rows at 0-6 km whose
+        # whole-grid bound is > 0, so no row iterates the exp(-mu) table as
+        # the scan does; a settled record reads only its first entry
         class ScanCounter:
             def __init__(self, grid):
-                self.whole, self.blocks = grid.whole, grid.blocks
-                self.table, self.scans = grid.exp_neg, 0
+                counter = self
 
-            @property
-            def exp_neg(self):
-                self.scans += 1
-                return self.table
+                class Table(tuple):
+                    def __iter__(self):
+                        counter.scans += 1
+                        return super().__iter__()
+
+                self.whole, self.blocks = grid.whole, grid.blocks
+                self.exp_neg, self.scans = Table(grid.exp_neg), 0
 
         counter = ScanCounter(bb84._DEFAULT_GRID)
         monkeypatch.setattr(bb84, "_DEFAULT_GRID", counter)
@@ -343,10 +367,40 @@ class TestGridBound:
             assert evaluate(scenario, z).rate == 0.0
             if counter.scans > scans:
                 scanned.append(z)
-        assert scanned == [0.0, 0.5, 1.0, 1.5]
-        counter.scans = 0
+        assert scanned == []
         run_sweep(scenario)
-        assert counter.scans == 4
+        assert counter.scans == 0
+        # the table still counts the scan of a row that has key
+        assert optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)[1].rate > 0.0
+        assert counter.scans == 1
+
+    @pytest.mark.parametrize(
+        "mu_grid, z",
+        [
+            (DEFAULT_MU_GRID, 3.0),
+            (DEFAULT_MU_GRID, 40.0),
+            ((0.1, 0.2, 0.35, 0.5, 0.8), 6.5),
+            ((0.1, 0.2, 0.35, 0.5, 0.8), 40.0),
+            ((0.5, 0.1, 0.9), 6.5),
+            ((0.5, 0.1, 0.9), 40.0),
+            ((800.0, 900.0), 3.0),
+        ],
+        ids=["default-blocks", "default", "sorted", "sorted-far", "unsorted", "unsorted-far", "q1-underflows"],
+    )
+    def test_settled_record_equals_point_builder(self, mu_grid, z):
+        # a settled row's record, whether built from the bound's own terms
+        # (least mu first) or by bb84_point_from_rates, is that function's
+        # record at mu_grid[0] field for field
+        eta, y0 = efficiency_and_background(MULTIPLEXED, z, PARAMS)
+        grid = bb84._MuGrid(mu_grid)
+        assert whole_bound(eta, y0, PARAMS, mu_grid) <= 0.0 or all(
+            bb84._bound_over(eta, y0, PARAMS, *block)[0] <= 0.0 for block in grid.blocks
+        )
+        mu, point = optimize_mu(MULTIPLEXED, COMP, PARAMS, z, mu_grid)
+        expected = bb84_point_from_rates(eta, y0, PARAMS, mu_grid[0])
+        assert mu == mu_grid[0]
+        assert dataclasses.astuple(point) == dataclasses.astuple(expected)
+        assert point.rate == 0.0
 
     def test_default_table_equals_terms_recomputed_from_the_grid(self):
         grid = bb84._DEFAULT_GRID
@@ -385,7 +439,7 @@ class TestGridBound:
         # no classical channel at 20 km: some mu has key, so the bound stays
         # positive and the scan finds the first-max argmax
         eta, y0 = efficiency_and_background(UNMULTIPLEXED, 20, PARAMS)
-        assert bb84._half_head_bound(eta, y0, PARAMS, bb84._MuGrid(DEFAULT_MU_GRID)) > 0.0
+        assert whole_bound(eta, y0, PARAMS, DEFAULT_MU_GRID) > 0.0
         mu, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)
         assert (mu, point) == first_max_over_point_builder(UNMULTIPLEXED, 20, PARAMS, DEFAULT_MU_GRID)
         assert point.rate > 0.0

@@ -476,6 +476,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(f"[scenario]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("z_step_km = 0", r"^scenario\.z_step_km: must be > 0, got 0\.0$"),
+            ("z_min_km = -1", r"^scenario\.z_min_km: must be >= 0, got -1\.0$"),
+            ("z_min_km = 90", r"^scenario\.z_max_km: must be >= z_min_km \(90\.0\), got 80\.0$"),
+            ("z_max_km = -5", r"^scenario\.z_max_km: must be >= z_min_km \(0\.0\), got -5\.0$"),
+        ],
+    )
+    def test_invalid_grid_names_its_key_and_value(self, line, message):
+        # each bad key, against the defaults of the other two, has its own
+        # message rather than one shared by all three keys
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"[scenario]\n{line}\n")
+
     def test_grid_size_cap_checked_before_the_grid_is_built(self):
         # 0.5 km steps: (MAX_GRID_POINTS - 1) of them give exactly the cap,
         # one more step is over it; both are small enough to build anyway
