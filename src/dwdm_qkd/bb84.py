@@ -13,11 +13,11 @@ from typing import Optional, Sequence, Tuple
 from .noise import (
     ComponentParams,
     DomainError,
+    FrozenRecord,
     LinkParams,
     NoiseBudget,
     NoiseModel,
     check_finite_fields,
-    direct_init,
 )
 
 DEFAULT_MU_GRID = tuple(round(0.05 + 0.01 * i, 2) for i in range(96))  # 0.05..1.0
@@ -51,15 +51,17 @@ class Bb84Params:
             raise DomainError(f"delta_t_s must be positive, got {self.delta_t_s}")
 
 
-@direct_init
-@dataclass(frozen=True)
-class Bb84Point:
-    y0: float
-    q_mu: float
-    e_mu: float
-    q1: float
-    e1: float
-    rate: float
+class Bb84Point(FrozenRecord):
+    _fields = ("y0", "q_mu", "e_mu", "q1", "e1", "rate")
+
+    def __init__(self, y0: float, q_mu: float, e_mu: float, q1: float, e1: float, rate: float):
+        d = self.__dict__
+        d["y0"] = y0
+        d["q_mu"] = q_mu
+        d["e_mu"] = e_mu
+        d["q1"] = q1
+        d["e1"] = e1
+        d["rate"] = rate
 
 
 def background_rate(y0_base: float, eta_bob: float, n_spd_window: float) -> float:

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -109,7 +110,7 @@ def cmd_noise(args, config: Config) -> int:
     )
     budget = model.at(args.z)[1]
     _print_json(
-        {"z_km": args.z, **{k: round9(v) for k, v in dataclasses.asdict(budget).items()}},
+        {"z_km": args.z, **{k: round9(v) for k, v in budget.as_dict().items()}},
         args.out,
     )
     return 0
@@ -122,7 +123,7 @@ def cmd_bb84(args, config: Config) -> int:
         scenario = Scenario("bb84", "BB84", config.link, config.comp, config.bb84)
         evaluation = evaluate(scenario, args.z)
         mu, point = evaluation.mu, evaluation.point
-    doc = {"protocol": "BB84", "mu": mu, "z_km": args.z, **dataclasses.asdict(point)}
+    doc = {"protocol": "BB84", "mu": mu, "z_km": args.z, **point.as_dict()}
     _print_json({k: (round9(v) if isinstance(v, float) else v) for k, v in doc.items()}, args.out)
     return 0
 
@@ -156,7 +157,7 @@ def cmd_sweep(args, scenario: Optional[Scenario]) -> int:
         raise ConfigError("sweep runs a built-in scenario as defined and does not read --config")
     if args.conservative:
         det = dataclasses.replace(scenario.detector, conservative=True)
-        scenario = dataclasses.replace(scenario, detector=det)
+        scenario = scenario.replace(detector=det)
     result = run_sweep(scenario, strict_eps_out=args.strict_eps_out)
     emit(result, args.format, args.out or sys.stdout)
     return 0
@@ -170,6 +171,8 @@ def cmd_fit_beta(args) -> int:
             points.append((float(z_str), float(p_str)))
         except ValueError:
             raise DomainError(f"malformed --point {spec!r}; expected Z_KM:POWER_W")
+    if not math.isfinite(args.p_out_dbm):
+        raise DomainError(f"--p-out-dbm must be finite, got {args.p_out_dbm}")
     db_field_to_linear("--p-out-dbm", args.p_out_dbm)
     p_out_w = dbm_to_watts(args.p_out_dbm)
     if p_out_w == 0:

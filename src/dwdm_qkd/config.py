@@ -14,30 +14,41 @@ import dataclasses
 import functools
 import math
 import re
-import typing
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
-from .noise import ComponentParams, DomainError, LinkParams, channel_transmittance, db_field_to_linear
+from .noise import ComponentParams, DomainError, FrozenRecord, LinkParams, channel_transmittance, db_field_to_linear
 
 # the [scenario] grid is checked against this before it is built
 MAX_GRID_POINTS = 100_000
+# the distance of the point commands when neither --z nor fiber_length_km is given
+DEFAULT_Z_KM = 20.0
 
 
 class ConfigError(ValueError):
     """A configuration document failed validation; the message names the key."""
 
 
-@dataclass(frozen=True)
-class Config:
-    link: LinkParams
-    comp: ComponentParams
-    bb84: Bb84Params
-    gmcs: GmcsParams
-    z_grid: Tuple[float, ...]
-    z_km: float = 20.0
+class Config(FrozenRecord):
+    _fields = ("link", "comp", "bb84", "gmcs", "z_grid", "z_km")
+
+    def __init__(
+        self,
+        link: LinkParams,
+        comp: ComponentParams,
+        bb84: Bb84Params,
+        gmcs: GmcsParams,
+        z_grid: Tuple[float, ...],
+        z_km: float = DEFAULT_Z_KM,
+    ):
+        d = self.__dict__
+        d["link"] = link
+        d["comp"] = comp
+        d["bb84"] = bb84
+        d["gmcs"] = gmcs
+        d["z_grid"] = z_grid
+        d["z_km"] = z_km
 
 
 # section -> (Config attribute, parameter dataclass)
@@ -108,22 +119,30 @@ def _plain_text(value) -> str:
 
 # config key -> (field, text -> field value, field value -> text) for the
 # keys whose name or unit differs from their field; the others parse by the
-# field's type
+# type of the field's default
 _CONVERTED = {
     "xi1_db": _scaled("xi1", lambda db: db_field_to_linear("xi1_db", db), _field_to_db),
     "xi2_db": _scaled("xi2", lambda db: db_field_to_linear("xi2_db", db), _field_to_db),
     "nsp_convention": ("nsp_exact", _nsp_exact, lambda exact: "exact" if exact else "highgain"),
     "delta_t_ns": _scaled("delta_t_s", lambda ns: ns * 1e-9, lambda s: s * 1e9),
 }
-_PARSE_BY_TYPE = {float: float, int: int, bool: _bool, Optional[float]: _optional_float}
+
+
+def _parser_of(default) -> Callable[[str], object]:
+    # bool before int: a bool is an int. The one field whose default is
+    # None, gain_fixed, is an optional float.
+    if default is None:
+        return _optional_float
+    if isinstance(default, bool):
+        return _bool
+    return int if isinstance(default, int) else float
 
 
 def _keys(cls) -> Dict[str, tuple]:
     converted = {entry[0]: (key, entry) for key, entry in _CONVERTED.items()}
-    hints = typing.get_type_hints(cls)
     keys = {}
     for f in dataclasses.fields(cls):
-        plain = (f.name, (f.name, _PARSE_BY_TYPE[hints[f.name]], _plain_text))
+        plain = (f.name, (f.name, _parser_of(f.default), _plain_text))
         key, entry = converted.get(f.name, plain)
         keys[key] = entry
     return keys
@@ -228,7 +247,7 @@ def parse_config(text: str) -> Config:
         field = _KEYS[section][key][0]
         values[section][field] = _parse_value(section, key, raw)
 
-    z_km = values["link"].pop("z_km", Config.z_km)
+    z_km = values["link"].pop("z_km", DEFAULT_Z_KM)
     params = {}
     try:
         for section, (attr, cls) in _SECTIONS.items():

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .noise import DomainError, check_finite_fields, direct_init
+from .noise import DomainError, FrozenRecord, check_finite_fields
 
 DISCRIMINANT_RTOL = 1e-9
 # gmcs_point extracts the symplectic eigenvalues without cancellation, so
@@ -54,14 +54,23 @@ class GmcsParams:
                 raise DomainError(f"{name} must be positive, got {value}")
 
 
-@direct_init
-@dataclass(frozen=True)
-class GmcsPoint:
-    eps: float  # total input-referred excess noise
-    i_ab: float
-    chi_be: float
-    rate: float
-    sigma: Tuple[float, float, float, float]
+class GmcsPoint(FrozenRecord):
+    _fields = ("eps", "i_ab", "chi_be", "rate", "sigma")
+
+    def __init__(
+        self,
+        eps: float,  # total input-referred excess noise
+        i_ab: float,
+        chi_be: float,
+        rate: float,
+        sigma: Tuple[float, float, float, float],
+    ):
+        d = self.__dict__
+        d["eps"] = eps
+        d["i_ab"] = i_ab
+        d["chi_be"] = chi_be
+        d["rate"] = rate
+        d["sigma"] = sigma
 
 
 def theta(x: float) -> float:

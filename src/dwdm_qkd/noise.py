@@ -13,7 +13,7 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Sequence, Tuple
 
 from .units import PLANCK_H, SPEED_OF_LIGHT, db_to_linear, dbm_to_watts, photon_energy
@@ -39,42 +39,59 @@ def check_finite_fields(params) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def direct_init(cls):
-    """Give a frozen dataclass an __init__ that stores each field straight
-    into the instance __dict__.
+class FrozenRecord:
+    """A frozen record that behaves as a frozen dataclass, with its methods
+    written here: the dataclass decorator generates them when the module is
+    imported, about a millisecond per class.
 
-    The __init__ that dataclass generates for a frozen class calls
-    object.__setattr__ once per field, which cost a row of a sweep about 5 us
-    over its three records. This one takes the same parameters in the same
-    order with the same defaults; every other generated method stays, so
-    assignment and deletion still raise FrozenInstanceError. A class with a
-    __post_init__, or a field that is not a plain init field, is refused
-    rather than initialized without it.
+    A subclass names its fields in order in _fields, and its __init__
+    stores each one straight into the instance __dict__; assignment and
+    deletion raise FrozenInstanceError. Equality, hashing and the repr read
+    the fields in that order, as a frozen dataclass's do.
 
-    On CPython 3.11 and 3.12 a field read from such an instance misses one
-    attribute-read fast path, which a sweep more than recovers. Replacing
-    __dict__ with a dict built whole kept that path but held 0.4 MiB more
-    over the GMCS sweeps.
+    The __dict__ stores are for speed: object.__setattr__ once per field,
+    as a frozen dataclass's __init__ does, cost a sweep row about 5 us over
+    its three records. On CPython 3.11 and 3.12 a field read from such an
+    instance misses one attribute-read fast path, which a sweep more than
+    recovers. Replacing __dict__ with a dict built whole kept that path but
+    held 0.4 MiB more over the GMCS sweeps.
     """
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"direct_init would skip {cls.__name__}.__post_init__")
-    params, stores, namespace = [], [], {}
-    for f in fields(cls):
-        if not f.init or f.kw_only or f.default_factory is not MISSING:
-            raise TypeError(f"direct_init cannot initialize field {f.name!r} of {cls.__name__}")
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        stores.append(f"    d[{f.name!r}] = {f.name}\n")
-    source = f"def __init__(self, {', '.join(params)}):\n    d = self.__dict__\n" + "".join(stores)
-    exec(source, namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
-    return cls
+
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        fields_text = ", ".join([f"{name}={d[name]!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields_text})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A new record with the named fields changed, built and checked by
+        __init__ as any other."""
+        return type(self)(**{**self.as_dict(), **changes})
+
+    def as_dict(self) -> dict:
+        """Each field's name and value, in field order; a record held in a
+        field stays a record."""
+        d = self.__dict__
+        return {name: d[name] for name in self._fields}
 
 
 def db_field_to_linear(name: str, db: float) -> float:
@@ -174,9 +191,7 @@ class ComponentParams:
         return self.gain_g0 / eta_ch
 
 
-@direct_init
-@dataclass(frozen=True)
-class NoiseBudget:
+class NoiseBudget(FrozenRecord):
     """Per-source noise tallies at one distance.
 
     Mode/rate quantities are aggregated over all classical channels.
@@ -184,17 +199,38 @@ class NoiseBudget:
     n_spd_window == ase_window + leak_window + sasrs_window exactly.
     """
 
-    n_ase_per_mode_at_a: float
-    n_leak_per_s_at_c: float
-    n_sasrs_per_mode_at_c: float
-    ase_window: float
-    leak_window: float
-    sasrs_window: float
-    n_spd_window: float
-    n_gmcs_matched: float
-    n_gmcs_unmatched: float
-    eps_in: float
-    eps_out: float
+    _fields = (
+        "n_ase_per_mode_at_a", "n_leak_per_s_at_c", "n_sasrs_per_mode_at_c",
+        "ase_window", "leak_window", "sasrs_window", "n_spd_window",
+        "n_gmcs_matched", "n_gmcs_unmatched", "eps_in", "eps_out",
+    )
+
+    def __init__(
+        self,
+        n_ase_per_mode_at_a: float,
+        n_leak_per_s_at_c: float,
+        n_sasrs_per_mode_at_c: float,
+        ase_window: float,
+        leak_window: float,
+        sasrs_window: float,
+        n_spd_window: float,
+        n_gmcs_matched: float,
+        n_gmcs_unmatched: float,
+        eps_in: float,
+        eps_out: float,
+    ):
+        d = self.__dict__
+        d["n_ase_per_mode_at_a"] = n_ase_per_mode_at_a
+        d["n_leak_per_s_at_c"] = n_leak_per_s_at_c
+        d["n_sasrs_per_mode_at_c"] = n_sasrs_per_mode_at_c
+        d["ase_window"] = ase_window
+        d["leak_window"] = leak_window
+        d["sasrs_window"] = sasrs_window
+        d["n_spd_window"] = n_spd_window
+        d["n_gmcs_matched"] = n_gmcs_matched
+        d["n_gmcs_unmatched"] = n_gmcs_unmatched
+        d["eps_in"] = eps_in
+        d["eps_out"] = eps_out
 
 
 def channel_transmittance(z_km: float, alpha_db_per_km: float) -> float:

@@ -8,12 +8,11 @@ detector with the conservative excess-noise estimate).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
 from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
-from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel, direct_init
+from .noise import ComponentParams, DomainError, FrozenRecord, LinkParams, NoiseBudget, NoiseModel
 
 ADJACENT_ISOLATION = 1e-4  # -40 dB
 
@@ -34,45 +33,72 @@ DEFAULT_Z_GRID: Tuple[float, ...] = tuple(0.5 * i for i in range(161))
 _check_z_grid(DEFAULT_Z_GRID)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    protocol: str  # "BB84" | "GMCS"
-    link: LinkParams
-    comp: ComponentParams
-    detector: Union[Bb84Params, GmcsParams]
-    z_grid: Tuple[float, ...] = DEFAULT_Z_GRID
+class Scenario(FrozenRecord):
+    _fields = ("name", "protocol", "link", "comp", "detector", "z_grid")
 
-    def __post_init__(self):
-        if self.protocol not in ("BB84", "GMCS"):
-            raise DomainError(f"unknown protocol {self.protocol!r}")
-        if self.z_grid is not DEFAULT_Z_GRID:
-            _check_z_grid(self.z_grid)
+    def __init__(
+        self,
+        name: str,
+        protocol: str,  # "BB84" | "GMCS"
+        link: LinkParams,
+        comp: ComponentParams,
+        detector: Union[Bb84Params, GmcsParams],
+        z_grid: Tuple[float, ...] = DEFAULT_Z_GRID,
+    ):
+        if protocol not in ("BB84", "GMCS"):
+            raise DomainError(f"unknown protocol {protocol!r}")
+        if z_grid is not DEFAULT_Z_GRID:
+            _check_z_grid(z_grid)
+        d = self.__dict__
+        d["name"] = name
+        d["protocol"] = protocol
+        d["link"] = link
+        d["comp"] = comp
+        d["detector"] = detector
+        d["z_grid"] = z_grid
 
 
-@direct_init
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(FrozenRecord):
     """Everything evaluated at one distance: the noise budget, the channel
     transmittance and the key-rate point; mu is the BB84 grid optimum."""
 
-    z_km: float
-    budget: NoiseBudget
-    eta_ch: float
-    point: Union[Bb84Point, GmcsPoint]
-    mu: Optional[float] = None
+    _fields = ("z_km", "budget", "eta_ch", "point", "mu")
+
+    def __init__(
+        self,
+        z_km: float,
+        budget: NoiseBudget,
+        eta_ch: float,
+        point: Union[Bb84Point, GmcsPoint],
+        mu: Optional[float] = None,
+    ):
+        d = self.__dict__
+        d["z_km"] = z_km
+        d["budget"] = budget
+        d["eta_ch"] = eta_ch
+        d["point"] = point
+        d["mu"] = mu
 
     @property
     def rate(self) -> float:
         return self.point.rate
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    scenario: str
-    rows: Tuple[Evaluation, ...]
-    secure_distance_km: float
-    noise_crossover_km: Optional[float]
+class SweepResult(FrozenRecord):
+    _fields = ("scenario", "rows", "secure_distance_km", "noise_crossover_km")
+
+    def __init__(
+        self,
+        scenario: str,
+        rows: Tuple[Evaluation, ...],
+        secure_distance_km: float,
+        noise_crossover_km: Optional[float],
+    ):
+        d = self.__dict__
+        d["scenario"] = scenario
+        d["rows"] = rows
+        d["secure_distance_km"] = secure_distance_km
+        d["noise_crossover_km"] = noise_crossover_km
 
 
 def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> Evaluation:

@@ -399,7 +399,7 @@ class TestGridBound:
         mu, point = optimize_mu(MULTIPLEXED, COMP, PARAMS, z, mu_grid)
         expected = bb84_point_from_rates(eta, y0, PARAMS, mu_grid[0])
         assert mu == mu_grid[0]
-        assert dataclasses.astuple(point) == dataclasses.astuple(expected)
+        assert point == expected
         assert point.rate == 0.0
 
     def test_default_table_equals_terms_recomputed_from_the_grid(self):

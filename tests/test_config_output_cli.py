@@ -1,6 +1,5 @@
 import argparse
 import configparser
-import dataclasses
 import functools
 import json
 import math
@@ -9,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import typing
 from unittest import mock
 
 import pytest
@@ -251,7 +251,7 @@ def ini_documents(draw):
 
 def small_sweep():
     scenario = scenario_by_name("gmcs-38ch")
-    scenario = dataclasses.replace(scenario, z_grid=tuple(float(z) for z in range(0, 21, 2)))
+    scenario = scenario.replace(z_grid=tuple(float(z) for z in range(0, 21, 2)))
     return run_sweep(scenario)
 
 
@@ -417,6 +417,19 @@ class TestConfig:
         written = {section: set(parser[section]) for section in parser.sections()}
         assert written == CONFIG_KEYS
         assert sum(len(keys) for keys in CONFIG_KEYS.values()) == 35
+
+    def test_each_plain_key_parses_by_its_field_annotation(self):
+        # the key table takes each parser from the type of the field's
+        # default; a key named as its field parses as its annotation says
+        by_hint = {float: float, int: int, bool: config._bool, typing.Optional[float]: config._optional_float}
+        plain = 0
+        for section, (_, cls) in config._SECTIONS.items():
+            hints = typing.get_type_hints(cls)
+            for key, (field, parse, _) in config._KEYS[section].items():
+                if key == field:
+                    assert parse is by_hint[hints[field]], (section, key)
+                    plain += 1
+        assert plain == 27
 
     def test_malformed_gain_fixed_names_key(self):
         with pytest.raises(ConfigError, match="components.gain_fixed"):
@@ -657,7 +670,7 @@ class TestOutput:
     @pytest.mark.parametrize("field", ["secure_distance_km", "noise_crossover_km"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_scalar_is_named(self, field, bad):
-        result = dataclasses.replace(hand_sweep(AWKWARD_ROWS, noise_crossover_km=5.0), **{field: bad})
+        result = hand_sweep(AWKWARD_ROWS, noise_crossover_km=5.0).replace(**{field: bad})
         with pytest.raises(DomainError, match=rf"^{field} = "):
             sweep_to_json(result)
 
@@ -893,6 +906,8 @@ class TestCli:
         "argv, name",
         [
             (FIT + ["--p-out-dbm", "4000", "--point", "20:1e-10"], "--p-out-dbm"),
+            (FIT + ["--p-out-dbm", "nan", "--point", "20:1e-10"], "--p-out-dbm must be finite"),
+            (FIT + ["--p-out-dbm", "inf", "--point", "20:1e-10"], "--p-out-dbm must be finite"),
             (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "-4000", "--point", "20:1e-10"], "insertion_loss_db"),
             (FIT + ["--p-out-dbm", "0", "--point", "20:nan"], "measurement point"),
             (["bb84", "--z", "20", "--mu", "-1"], "mu"),
@@ -969,7 +984,7 @@ class TestCli:
 
         gmcs_row, bb84_row = row("gmcs-1ch-nonadj"), row("bb84-0dBm")
         noise = point("noise")
-        for key, value in dataclasses.asdict(gmcs_row.budget).items():
+        for key, value in gmcs_row.budget.as_dict().items():
             assert noise[key] == g(value), key
         gmcs = point("gmcs")
         for key in ("eps", "i_ab", "chi_be", "rate"):
@@ -978,7 +993,7 @@ class TestCli:
         assert gmcs["eps_out"] == g(gmcs_row.budget.eps_out)
         bb84 = point("bb84")
         assert bb84["mu"] == bb84_row.mu
-        for key, value in dataclasses.asdict(bb84_row.point).items():
+        for key, value in bb84_row.point.as_dict().items():
             assert bb84[key] == g(value), key
 
     def test_usage_error_exit_code(self):

@@ -1,9 +1,15 @@
 import dataclasses
+import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import dwdm_qkd
 from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
@@ -13,12 +19,12 @@ from dwdm_qkd.noise import (
     UnfittableError,
     channel_transmittance,
     compute_noise_budget,
-    direct_init,
     fit_raman_coefficient,
 )
 from dwdm_qkd.bb84 import Bb84Params, Bb84Point
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint
-from dwdm_qkd.scenarios import Evaluation
+from dwdm_qkd.config import DEFAULT_Z_KM, Config
+from dwdm_qkd.scenarios import DEFAULT_Z_GRID, Evaluation, Scenario, SweepResult
 from dwdm_qkd.units import PLANCK_H, SPEED_OF_LIGHT, dbm_to_watts, photon_energy
 
 TABLE_LINK = LinkParams()
@@ -411,7 +417,7 @@ class TestNoiseModel:
             eta_ch, budget = model.at(z)
             assert eta_ch == channel_transmittance(z, link.alpha_db_per_km)
             expected = closed_form_budget(link, comp, z, 1e-9, **homodyne)
-            got = dataclasses.asdict(budget)
+            got = budget.as_dict()
             assert got.keys() == expected.keys()
             for name, value in expected.items():
                 assert math.isclose(got[name], value, rel_tol=1e-12, abs_tol=0.0), (z, name, got[name], value)
@@ -488,8 +494,33 @@ class TestRamanFit:
 
 _BUDGET = NoiseBudget(1e-3, 2.5e4, 3e-4, 1e-5, 2e-5, 3e-5, 6e-5, 4e-4, 5e-4, 8e-4, 9e-7)
 _GMCS_POINT = GmcsPoint(0.05, 1.2, 0.9, 0.18, (11.0, 0.5, 1.0, 2.0))
-# each frozen row record with its field names in order and one instance's values
-ROW_RECORDS = [
+_EVALUATION = Evaluation(12.5, _BUDGET, 0.55, _GMCS_POINT, 0.4)
+
+# the repr of each instance below, as the frozen dataclasses wrote it
+_BUDGET_REPR = (
+    "NoiseBudget(n_ase_per_mode_at_a=0.001, n_leak_per_s_at_c=25000.0, n_sasrs_per_mode_at_c=0.0003, "
+    "ase_window=1e-05, leak_window=2e-05, sasrs_window=3e-05, n_spd_window=6e-05, n_gmcs_matched=0.0004, "
+    "n_gmcs_unmatched=0.0005, eps_in=0.0008, eps_out=9e-07)"
+)
+_GMCS_POINT_REPR = "GmcsPoint(eps=0.05, i_ab=1.2, chi_be=0.9, rate=0.18, sigma=(11.0, 0.5, 1.0, 2.0))"
+_EVALUATION_REPR = f"Evaluation(z_km=12.5, budget={_BUDGET_REPR}, eta_ch=0.55, point={_GMCS_POINT_REPR}, mu=0.4)"
+_LINK_REPR = (
+    "LinkParams(alpha_db_per_km=0.21, beta_raman=4e-09, classical_channel_count=1, p_out_dbm=0.0, "
+    "lambda_quantum_nm=1550.0, lambda_classical_nm=1550.8)"
+)
+_COMP_REPR = (
+    "ComponentParams(nf_db=6.0206, gain_g0=100.0, gain_fixed=None, xi1=1e-08, xi2=1e-08, eta_mux=0.71, "
+    "eta_dmu=0.71, delta_nu_hz=75000000000.0, nsp_exact=False)"
+)
+_BB84_REPR = "Bb84Params(mu=0.5, y0_base=5e-06, e_det=0.003, e0=0.5, eta_bob=0.038, f_ec=1.22, delta_t_s=1e-09)"
+_GMCS_REPR = (
+    "GmcsParams(v_a=10.0, eta_bob=0.6, eps0=0.01, v_el=0.01, gamma=0.9, n_lo=100000000.0, "
+    "detector_bandwidth_hz=1000000.0, sigma_meas=0.024, conservative=False)"
+)
+
+# each frozen record: its field names in order, one instance's values, the
+# defaults of its trailing fields, and that instance's repr
+RECORDS = [
     (
         NoiseBudget,
         (
@@ -505,69 +536,116 @@ ROW_RECORDS = [
             "eps_in",
             "eps_out",
         ),
-        dataclasses.astuple(_BUDGET),
+        (1e-3, 2.5e4, 3e-4, 1e-5, 2e-5, 3e-5, 6e-5, 4e-4, 5e-4, 8e-4, 9e-7),
+        {},
+        _BUDGET_REPR,
     ),
-    (Bb84Point, ("y0", "q_mu", "e_mu", "q1", "e1", "rate"), (1e-5, 0.01, 0.02, 0.005, 0.03, 1e-4)),
-    (GmcsPoint, ("eps", "i_ab", "chi_be", "rate", "sigma"), dataclasses.astuple(_GMCS_POINT)),
-    (Evaluation, ("z_km", "budget", "eta_ch", "point", "mu"), (12.5, _BUDGET, 0.55, _GMCS_POINT, 0.4)),
+    (
+        Bb84Point,
+        ("y0", "q_mu", "e_mu", "q1", "e1", "rate"),
+        (1e-5, 0.01, 0.02, 0.005, 0.03, 1e-4),
+        {},
+        "Bb84Point(y0=1e-05, q_mu=0.01, e_mu=0.02, q1=0.005, e1=0.03, rate=0.0001)",
+    ),
+    (GmcsPoint, ("eps", "i_ab", "chi_be", "rate", "sigma"), (0.05, 1.2, 0.9, 0.18, (11.0, 0.5, 1.0, 2.0)), {}, _GMCS_POINT_REPR),
+    (
+        Evaluation,
+        ("z_km", "budget", "eta_ch", "point", "mu"),
+        (12.5, _BUDGET, 0.55, _GMCS_POINT, 0.4),
+        {"mu": None},
+        _EVALUATION_REPR,
+    ),
+    (
+        Scenario,
+        ("name", "protocol", "link", "comp", "detector", "z_grid"),
+        ("two-points", "GMCS", LinkParams(), ComponentParams(), GmcsParams(), (0.0, 10.0)),
+        {"z_grid": DEFAULT_Z_GRID},
+        f"Scenario(name='two-points', protocol='GMCS', link={_LINK_REPR}, comp={_COMP_REPR}, "
+        f"detector={_GMCS_REPR}, z_grid=(0.0, 10.0))",
+    ),
+    (
+        SweepResult,
+        ("scenario", "rows", "secure_distance_km", "noise_crossover_km"),
+        ("two-points", (_EVALUATION,), 31.5, None),
+        {},
+        f"SweepResult(scenario='two-points', rows=({_EVALUATION_REPR},), secure_distance_km=31.5, "
+        "noise_crossover_km=None)",
+    ),
+    (
+        Config,
+        ("link", "comp", "bb84", "gmcs", "z_grid", "z_km"),
+        (LinkParams(), ComponentParams(), Bb84Params(), GmcsParams(), (0.0, 10.0), 35.0),
+        {"z_km": DEFAULT_Z_KM},
+        f"Config(link={_LINK_REPR}, comp={_COMP_REPR}, bb84={_BB84_REPR}, gmcs={_GMCS_REPR}, "
+        "z_grid=(0.0, 10.0), z_km=35.0)",
+    ),
 ]
 
 
-@pytest.mark.parametrize("cls, names, values", ROW_RECORDS, ids=[r[0].__name__ for r in ROW_RECORDS])
-def test_row_record_contract(cls, names, values):
-    """The frozen row records keep the behaviour of a frozen dataclass:
-    construction, equality, hashing, repr, fields, asdict and replace."""
+@pytest.mark.parametrize("cls, names, values, defaults, pinned_repr", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_row_record_contract(cls, names, values, defaults, pinned_repr):
+    """The seven frozen records keep the behaviour of the frozen dataclasses
+    they were: construction, defaults, equality, hashing, repr and
+    immutability, with replace and as_dict as methods."""
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
+    assert tuple(getattr(by_position, n) for n in names) == values
+    assert cls._fields == names
+    assert not dataclasses.is_dataclass(cls)
     assert by_position == by_keyword
-    assert hash(by_position) == hash(by_keyword)
-    assert repr(by_position) == repr(by_keyword) == (
-        f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
-    )
-    assert by_position != cls(*values[:-1], "other")
+    assert hash(by_position) == hash(by_keyword) == hash(values)
+    assert repr(by_position) == repr(by_keyword) == pinned_repr
+    assert by_position.__eq__(values) is NotImplemented
 
-    fields = dataclasses.fields(cls)
-    assert tuple(f.name for f in fields) == names
-    assert all(f.init and f.default_factory is dataclasses.MISSING for f in fields)
-    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
-    assert defaults == ({"mu": None} if cls is Evaluation else {})
-    if cls is Evaluation:
-        assert cls(*values[:-1]).mu is None
-    assert dataclasses.asdict(by_position) == {
-        n: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v for n, v in zip(names, values)
-    }
-
-    changed = dataclasses.replace(by_position, **{names[0]: 99.0})
-    assert dataclasses.astuple(changed)[1:] == dataclasses.astuple(by_position)[1:]
-    assert getattr(changed, names[0]) == 99.0
-    assert dataclasses.replace(by_position) == by_position
+    required = len(names) - len(defaults)
+    assert tuple(names[required:]) == tuple(defaults)
+    defaulted = cls(*values[:required])
+    for name, default in defaults.items():
+        assert getattr(defaulted, name) is default
+    with pytest.raises(TypeError):
+        cls(*values[: required - 1])
     with pytest.raises(TypeError):
         cls(*values, 0.0)
+
+    assert by_position.as_dict() == dict(zip(names, values))
+    assert list(by_position.as_dict()) == list(names)
+    changed = by_position.replace(**{names[0]: "changed"})
+    assert changed != by_position
+    assert getattr(changed, names[0]) == "changed"
+    assert tuple(changed.as_dict().values())[1:] == values[1:]
+    assert by_position.replace() == by_position
+    assert by_position.replace() is not by_position
     with pytest.raises(TypeError):
-        cls(*values[:-2])
+        by_position.replace(not_a_field=1.0)
 
     for name in (names[0], "not_a_field"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(by_position, name, 1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{names[0]}'"):
         delattr(by_position, names[0])
     assert tuple(getattr(by_position, n) for n in names) == values
 
 
-def test_direct_init_refuses_a_class_it_would_initialize_wrongly():
-    @dataclasses.dataclass(frozen=True)
-    class Checked:
-        x: float
+def test_cli_import_generates_only_the_parameter_dataclasses():
+    """Importing the CLI runs the dataclass decorator for the four parameter
+    classes alone; the seven records are written out in the source."""
+    probe = """
+import dataclasses, json
+generated = []
+process_class = dataclasses._process_class
 
-        def __post_init__(self):
-            raise AssertionError("never skipped")
+def recording(cls, *args, **kwargs):
+    generated.append(cls.__qualname__)
+    return process_class(cls, *args, **kwargs)
 
-    with pytest.raises(TypeError, match="__post_init__"):
-        direct_init(Checked)
-
-    @dataclasses.dataclass(frozen=True)
-    class Listed:
-        xs: list = dataclasses.field(default_factory=list)
-
-    with pytest.raises(TypeError, match="'xs'"):
-        direct_init(Listed)
+dataclasses._process_class = recording
+import dwdm_qkd, dwdm_qkd.cli
+records = ["NoiseBudget", "Bb84Point", "GmcsPoint", "Evaluation", "Scenario", "SweepResult", "Config"]
+print(json.dumps([sorted(generated), [name for name in records if dataclasses.is_dataclass(getattr(dwdm_qkd, name))]]))
+"""
+    package_root = pathlib.Path(dwdm_qkd.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    generated, record_dataclasses = json.loads(result.stdout)
+    assert generated == ["Bb84Params", "ComponentParams", "GmcsParams", "LinkParams"]
+    assert record_dataclasses == []

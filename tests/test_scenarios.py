@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -30,7 +29,7 @@ NAMES = [
 
 def small_grid(scenario, step=5.0, z_max=40.0):
     n = int(z_max / step)
-    return dataclasses.replace(scenario, z_grid=tuple(step * i for i in range(n + 1)))
+    return scenario.replace(z_grid=tuple(step * i for i in range(n + 1)))
 
 
 class TestBuiltins:
@@ -71,9 +70,11 @@ class TestBuiltins:
     def test_invalid_grid_rejected(self):
         base = scenario_by_name("gmcs-none")
         with pytest.raises(DomainError):
-            dataclasses.replace(base, z_grid=(0.0, 2.0, 1.0))
+            base.replace(z_grid=(0.0, 2.0, 1.0))
         with pytest.raises(DomainError):
-            dataclasses.replace(base, z_grid=())
+            base.replace(z_grid=())
+        with pytest.raises(DomainError, match="unknown protocol 'CV'"):
+            base.replace(protocol="CV")
 
 
 class TestRunSweep:
