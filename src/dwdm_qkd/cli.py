@@ -28,7 +28,14 @@ def _load_config(path: Optional[str]) -> Config:
     if path is None:
         return default_config()
     with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            # one read of the whole file, so exc.start is its byte offset
+            raise ConfigError(
+                f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+            ) from None
+    return parse_config(text)
 
 
 def _write(text: str, out: Optional[str]) -> None:

@@ -10,7 +10,6 @@ Config.z_km, the distance of the point commands when --z is not given.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import re
@@ -139,11 +138,17 @@ def _parser_of(default) -> Callable[[str], object]:
 
 
 def _keys(cls) -> Dict[str, tuple]:
+    # each field's default is its constructor's; the guard keeps a field
+    # without one, or out of order, from shifting the parsers
+    code = cls.__init__.__code__
+    defaults = cls.__init__.__defaults__ or ()
+    if code.co_varnames[1 : code.co_argcount] != cls._fields or len(defaults) != len(cls._fields):
+        raise TypeError(f"{cls.__name__}.__init__ must take each field in order, each with a default")
     converted = {entry[0]: (key, entry) for key, entry in _CONVERTED.items()}
     keys = {}
-    for f in dataclasses.fields(cls):
-        plain = (f.name, (f.name, _parser_of(f.default), _plain_text))
-        key, entry = converted.get(f.name, plain)
+    for name, default in zip(cls._fields, defaults):
+        plain = (name, (name, _parser_of(default), _plain_text))
+        key, entry = converted.get(name, plain)
         keys[key] = entry
     return keys
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .noise import DomainError, FrozenRecord, check_finite_fields
+from .noise import DomainError, FrozenRecord, check_finite_fields, frozen_params
 
 DISCRIMINANT_RTOL = 1e-9
 # gmcs_point extracts the symplectic eigenvalues without cancellation, so
@@ -26,17 +25,43 @@ class PhysicalityError(ValueError):
     """A covariance discriminant came out negative beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class GmcsParams:
-    v_a: float = 10.0  # modulation variance, shot-noise units
-    eta_bob: float = 0.6
-    eps0: float = 0.01  # intrinsic excess noise, input-referred
-    v_el: float = 0.01  # electronic noise of the homodyne detector
-    gamma: float = 0.9  # reconciliation efficiency
-    n_lo: float = 1e8  # LO photons per pulse
-    detector_bandwidth_hz: float = 1e6
-    sigma_meas: float = 0.024  # excess-noise measurement uncertainty
-    conservative: bool = False  # add sigma_meas to the excess-noise estimate
+@frozen_params
+class GmcsParams(FrozenRecord):
+    """Homodyne GMCS source, detector, reconciliation and excess-noise parameters."""
+
+    v_a: float
+    eta_bob: float
+    eps0: float
+    v_el: float
+    gamma: float
+    n_lo: float
+    detector_bandwidth_hz: float
+    sigma_meas: float
+    conservative: bool
+
+    def __init__(
+        self,
+        v_a: float = 10.0,  # modulation variance, shot-noise units
+        eta_bob: float = 0.6,
+        eps0: float = 0.01,  # intrinsic excess noise, input-referred
+        v_el: float = 0.01,  # electronic noise of the homodyne detector
+        gamma: float = 0.9,  # reconciliation efficiency
+        n_lo: float = 1e8,  # LO photons per pulse
+        detector_bandwidth_hz: float = 1e6,
+        sigma_meas: float = 0.024,  # excess-noise measurement uncertainty
+        conservative: bool = False,  # add sigma_meas to the excess-noise estimate
+    ):
+        init = object.__setattr__
+        init(self, "v_a", v_a)
+        init(self, "eta_bob", eta_bob)
+        init(self, "eps0", eps0)
+        init(self, "v_el", v_el)
+        init(self, "gamma", gamma)
+        init(self, "n_lo", n_lo)
+        init(self, "detector_bandwidth_hz", detector_bandwidth_hz)
+        init(self, "sigma_meas", sigma_meas)
+        init(self, "conservative", conservative)
+        self.__post_init__()
 
     def __post_init__(self):
         check_finite_fields(self)

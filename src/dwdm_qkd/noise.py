@@ -28,12 +28,12 @@ class UnfittableError(ValueError):
 
 
 def check_finite_fields(params) -> None:
-    """Reject a dataclass whose float fields include a NaN or an infinity."""
-    # the field dict, not dataclasses.fields(): that builds its tuple from a
+    """Reject a record whose float fields include a NaN or an infinity."""
+    # _fields, not dataclasses.fields(): that builds its tuple from a
     # generator, which resizes it, and one resized tuple per call fills
     # CPython's free list of that size; full, the lists held about 1 MB of a
     # process that runs many CLI calls
-    for name in params.__dataclass_fields__:
+    for name in params._fields:
         value = getattr(params, name)
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -45,23 +45,27 @@ class FrozenRecord:
     imported, about a millisecond per class.
 
     A subclass names its fields in order in _fields, and its __init__
-    stores each one straight into the instance __dict__; assignment and
-    deletion raise FrozenInstanceError. Equality, hashing and the repr read
-    the fields in that order, as a frozen dataclass's do.
+    stores each one; assignment and deletion raise FrozenInstanceError.
+    Equality, hashing and the repr read the fields in that order, as a
+    frozen dataclass's do.
 
-    The __dict__ stores are for speed: object.__setattr__ once per field,
-    as a frozen dataclass's __init__ does, cost a sweep row about 5 us over
-    its three records. On CPython 3.11 and 3.12 a field read from such an
-    instance misses one attribute-read fast path, which a sweep more than
-    recovers. Replacing __dict__ with a dict built whole kept that path but
-    held 0.4 MiB more over the GMCS sweeps.
+    The records a sweep builds per row store straight into the instance
+    __dict__, for speed: object.__setattr__ once per field, as a frozen
+    dataclass's __init__ does, cost a sweep row about 5 us over its three
+    records. On CPython 3.11 and 3.12 a field read from such an instance
+    misses one attribute-read fast path, which a sweep more than recovers.
+    Replacing __dict__ with a dict built whole kept that path but held
+    0.4 MiB more over the GMCS sweeps. The parameter classes (see
+    frozen_params) are built once and read on every row, so they store by
+    object.__setattr__ and keep the fast path. The methods here read fields
+    by getattr: on 3.11 and 3.12, reading an instance's __dict__ also costs
+    it the fast path.
     """
 
     _fields: Tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        d = self.__dict__
-        return tuple([d[name] for name in self._fields])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -72,8 +76,7 @@ class FrozenRecord:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        d = self.__dict__
-        fields_text = ", ".join([f"{name}={d[name]!r}" for name in self._fields])
+        fields_text = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields_text})"
 
     def __setattr__(self, name, value):
@@ -90,8 +93,23 @@ class FrozenRecord:
     def as_dict(self) -> dict:
         """Each field's name and value, in field order; a record held in a
         field stays a record."""
-        d = self.__dict__
-        return {name: d[name] for name in self._fields}
+        return {name: getattr(self, name) for name in self._fields}
+
+
+def frozen_params(cls):
+    """Make a FrozenRecord subclass a dataclass as well, so that
+    dataclasses.replace, fields and is_dataclass apply to it, and set its
+    _fields from the annotated fields in order.
+
+    The class writes its own __init__, which takes each field's default,
+    stores the fields by object.__setattr__ (see FrozenRecord) and calls
+    __post_init__; FrozenRecord gives the rest.
+    So the decorator generates no method, and the dataclass fields carry
+    no default. The class needs a docstring: without one, the decorator
+    builds it from inspect.signature."""
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    cls._fields = tuple(cls.__dataclass_fields__)
+    return cls
 
 
 def db_field_to_linear(name: str, db: float) -> float:
@@ -102,20 +120,38 @@ def db_field_to_linear(name: str, db: float) -> float:
         raise DomainError(f"{name} = {db} overflows a float in linear units") from None
 
 
-@dataclass(frozen=True)
-class LinkParams:
+@frozen_params
+class LinkParams(FrozenRecord):
     """Fiber span and classical-traffic description.
 
     p_out_dbm is the per-channel classical power at the fiber output
     (just before the DEMUX), held constant by the amplifier gain schedule.
     """
 
-    alpha_db_per_km: float = 0.21
-    beta_raman: float = 4e-9  # spontaneous Raman coefficient, 1/(km*nm)
-    classical_channel_count: int = 1
-    p_out_dbm: float = 0.0
-    lambda_quantum_nm: float = 1550.0
-    lambda_classical_nm: float = 1550.8
+    alpha_db_per_km: float
+    beta_raman: float
+    classical_channel_count: int
+    p_out_dbm: float
+    lambda_quantum_nm: float
+    lambda_classical_nm: float
+
+    def __init__(
+        self,
+        alpha_db_per_km: float = 0.21,
+        beta_raman: float = 4e-9,  # spontaneous Raman coefficient, 1/(km*nm)
+        classical_channel_count: int = 1,
+        p_out_dbm: float = 0.0,
+        lambda_quantum_nm: float = 1550.0,
+        lambda_classical_nm: float = 1550.8,
+    ):
+        init = object.__setattr__
+        init(self, "alpha_db_per_km", alpha_db_per_km)
+        init(self, "beta_raman", beta_raman)
+        init(self, "classical_channel_count", classical_channel_count)
+        init(self, "p_out_dbm", p_out_dbm)
+        init(self, "lambda_quantum_nm", lambda_quantum_nm)
+        init(self, "lambda_classical_nm", lambda_classical_nm)
+        self.__post_init__()
 
     def __post_init__(self):
         check_finite_fields(self)
@@ -150,8 +186,8 @@ class LinkParams:
         return dbm_to_watts(self.p_out_dbm)
 
 
-@dataclass(frozen=True)
-class ComponentParams:
+@frozen_params
+class ComponentParams(FrozenRecord):
     """EDFA and MUX/DEMUX characteristics.
 
     The amplifier gain either follows the schedule G = gain_g0 / eta_ch
@@ -159,15 +195,39 @@ class ComponentParams:
     pinned to gain_fixed when that is set.
     """
 
-    nf_db: float = 6.0206  # linear NF = 4
-    gain_g0: float = 100.0
-    gain_fixed: Optional[float] = None
-    xi1: float = 1e-8  # MUX cross-channel isolation, linear
-    xi2: float = 1e-8  # DEMUX cross-channel isolation, linear
-    eta_mux: float = 0.71
-    eta_dmu: float = 0.71
-    delta_nu_hz: float = 75e9
-    nsp_exact: bool = False  # False: n_sp = NF/2 high-gain convention
+    nf_db: float
+    gain_g0: float
+    gain_fixed: Optional[float]
+    xi1: float
+    xi2: float
+    eta_mux: float
+    eta_dmu: float
+    delta_nu_hz: float
+    nsp_exact: bool
+
+    def __init__(
+        self,
+        nf_db: float = 6.0206,  # linear NF = 4
+        gain_g0: float = 100.0,
+        gain_fixed: Optional[float] = None,
+        xi1: float = 1e-8,  # MUX cross-channel isolation, linear
+        xi2: float = 1e-8,  # DEMUX cross-channel isolation, linear
+        eta_mux: float = 0.71,
+        eta_dmu: float = 0.71,
+        delta_nu_hz: float = 75e9,
+        nsp_exact: bool = False,  # False: n_sp = NF/2 high-gain convention
+    ):
+        init = object.__setattr__
+        init(self, "nf_db", nf_db)
+        init(self, "gain_g0", gain_g0)
+        init(self, "gain_fixed", gain_fixed)
+        init(self, "xi1", xi1)
+        init(self, "xi2", xi2)
+        init(self, "eta_mux", eta_mux)
+        init(self, "eta_dmu", eta_dmu)
+        init(self, "delta_nu_hz", delta_nu_hz)
+        init(self, "nsp_exact", nsp_exact)
+        self.__post_init__()
 
     def __post_init__(self):
         check_finite_fields(self)

@@ -25,7 +25,7 @@ from dwdm_qkd.config import (
     serialize_config,
 )
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint, PhysicalityError
-from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, NoiseBudget
+from dwdm_qkd.noise import ComponentParams, DomainError, FrozenRecord, LinkParams, NoiseBudget, frozen_params
 from dwdm_qkd.output import CSV_HEADER, emit, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import Evaluation, SweepResult, builtin_scenarios, run_sweep, scenario_by_name
 
@@ -431,6 +431,33 @@ class TestConfig:
                     plain += 1
         assert plain == 27
 
+    def test_key_table_refuses_a_constructor_it_would_misread(self):
+        # a field without a constructor default, or out of order, would
+        # shift every later key's parser
+        @frozen_params
+        class Undefaulted(FrozenRecord):
+            """One field without a default."""
+
+            a: float
+            b: bool
+
+            def __init__(self, a: float, b: bool = False):
+                self.__dict__.update(a=a, b=b)
+
+        @frozen_params
+        class Reordered(FrozenRecord):
+            """Its constructor takes its fields in another order."""
+
+            a: float
+            b: bool
+
+            def __init__(self, b: bool = False, a: float = 1.0):
+                self.__dict__.update(a=a, b=b)
+
+        for cls in (Undefaulted, Reordered):
+            with pytest.raises(TypeError, match=f"^{cls.__name__}.__init__ must take each field in order"):
+                config._keys(cls)
+
     def test_malformed_gain_fixed_names_key(self):
         with pytest.raises(ConfigError, match="components.gain_fixed"):
             parse_config("[components]\ngain_fixed = fast\n")
@@ -817,6 +844,17 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[link]\nwarp_factor = 9\n")
         assert main(["--config", str(cfg), "noise", "--z", "20"]) == 1
+
+    def test_non_utf8_config_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        # the offset counts bytes from the file's start, with its \r\n line ends
+        data = b"[link]\r\nalpha_db_per_km = 0.2\xff\r\n"
+        cfg.write_bytes(data)
+        assert main(["--config", str(cfg), "noise"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert data.index(b"\xff") == 29
+        assert captured.err == f"error: {cfg}: not UTF-8: byte 0xff at offset 29\n"
 
     def test_fit_beta(self, capsys):
         # synthetic powers generated from beta = 2.85e-9 at P_out = 4 dBm

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import json
 import math
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -626,26 +628,123 @@ def test_row_record_contract(cls, names, values, defaults, pinned_repr):
     assert tuple(getattr(by_position, n) for n in names) == values
 
 
+# each parameter class: its field names in order, its defaults, other valid
+# values for every field, and the repr of its default instance
+PARAMETER_CLASSES = [
+    (
+        LinkParams,
+        ("alpha_db_per_km", "beta_raman", "classical_channel_count", "p_out_dbm", "lambda_quantum_nm", "lambda_classical_nm"),
+        (0.21, 4e-9, 1, 0.0, 1550.0, 1550.8),
+        (0.2, 2.85e-9, 38, -3.0, 1549.5, 1551.2),
+        _LINK_REPR,
+    ),
+    (
+        ComponentParams,
+        ("nf_db", "gain_g0", "gain_fixed", "xi1", "xi2", "eta_mux", "eta_dmu", "delta_nu_hz", "nsp_exact"),
+        (6.0206, 100.0, None, 1e-8, 1e-8, 0.71, 0.71, 75e9, False),
+        (5.0, 50.0, 200.0, 2e-8, 3e-8, 0.8, 0.9, 50e9, True),
+        _COMP_REPR,
+    ),
+    (
+        Bb84Params,
+        ("mu", "y0_base", "e_det", "e0", "eta_bob", "f_ec", "delta_t_s"),
+        (0.5, 5e-6, 0.003, 0.5, 0.038, 1.22, 1e-9),
+        (0.4, 1e-5, 0.01, 0.4, 0.1, 1.1, 2e-9),
+        _BB84_REPR,
+    ),
+    (
+        GmcsParams,
+        ("v_a", "eta_bob", "eps0", "v_el", "gamma", "n_lo", "detector_bandwidth_hz", "sigma_meas", "conservative"),
+        (10.0, 0.6, 0.01, 0.01, 0.9, 1e8, 1e6, 0.024, False),
+        (20.0, 0.5, 0.02, 0.05, 0.95, 1e7, 1e8, 0.01, True),
+        _GMCS_REPR,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names, defaults, values, pinned_repr", PARAMETER_CLASSES, ids=[c[0].__name__ for c in PARAMETER_CLASSES]
+)
+def test_parameter_class_contract(cls, names, defaults, values, pinned_repr):
+    """The four parameter classes keep the behaviour of the frozen
+    dataclasses they were, and stay dataclasses."""
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    assert tuple(getattr(by_position, n) for n in names) == values
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword) == hash(values)
+    assert by_position.__eq__(values) is NotImplemented
+    with pytest.raises(TypeError):
+        cls(*values, 0.0)
+
+    default = cls()
+    assert tuple(getattr(default, n) for n in names) == defaults
+    assert default == cls(*defaults)
+    assert default != by_position
+    assert hash(default) == hash(defaults)
+    assert repr(default) == pinned_repr
+
+    for name in (names[0], "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(by_position, name, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{names[0]}'"):
+        delattr(by_position, names[0])
+    assert tuple(getattr(by_position, n) for n in names) == values
+
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(default)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert cls.__match_args__ == cls._fields == names
+    # replace builds through the constructor, so it validates again
+    assert dataclasses.replace(default, **dict(zip(names, values))) == by_position
+    with pytest.raises(DomainError, match=f"^{names[0]} must be finite, got nan$"):
+        dataclasses.replace(default, **{names[0]: math.nan})
+
+    for copied in (pickle.loads(pickle.dumps(by_position)), copy.deepcopy(by_position)):
+        assert copied == by_position
+        assert copied is not by_position
+
+
+@pytest.mark.parametrize("cls", [c[0] for c in PARAMETER_CLASSES], ids=[c[0].__name__ for c in PARAMETER_CLASSES])
+def test_parameter_class_methods_are_written_in_the_source(cls):
+    # the dataclass decorator compiles the methods it generates from a
+    # string, so their code comes from no file in the package
+    package = pathlib.Path(dwdm_qkd.__file__).resolve().parent
+    for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+        source = pathlib.Path(getattr(cls, name).__code__.co_filename).resolve()
+        assert source.parent == package and source.suffix == ".py", (name, str(source))
+
+
 def test_cli_import_generates_only_the_parameter_dataclasses():
     """Importing the CLI runs the dataclass decorator for the four parameter
-    classes alone; the seven records are written out in the source."""
+    classes alone, and below Python 3.13 the decorator compiles no code for
+    them; the seven records are written out in the source."""
     probe = """
 import dataclasses, json
 generated = []
+compiled = []
 process_class = dataclasses._process_class
 
 def recording(cls, *args, **kwargs):
     generated.append(cls.__qualname__)
     return process_class(cls, *args, **kwargs)
 
+def recording_exec(*args, **kwargs):
+    compiled.append(1)
+    return exec(*args, **kwargs)
+
 dataclasses._process_class = recording
+dataclasses.exec = recording_exec
 import dwdm_qkd, dwdm_qkd.cli
 records = ["NoiseBudget", "Bb84Point", "GmcsPoint", "Evaluation", "Scenario", "SweepResult", "Config"]
-print(json.dumps([sorted(generated), [name for name in records if dataclasses.is_dataclass(getattr(dwdm_qkd, name))]]))
+print(json.dumps([sorted(generated), [name for name in records if dataclasses.is_dataclass(getattr(dwdm_qkd, name))], len(compiled)]))
 """
     package_root = pathlib.Path(dwdm_qkd.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(package_root)}
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    generated, record_dataclasses = json.loads(result.stdout)
+    generated, record_dataclasses, execs = json.loads(result.stdout)
     assert generated == ["Bb84Params", "ComponentParams", "GmcsParams", "LinkParams"]
     assert record_dataclasses == []
+    # 3.13 gathers a class's generated methods into one exec, and runs it
+    # when there are none
+    if sys.version_info < (3, 13):
+        assert execs == 0
