@@ -16,7 +16,6 @@ from .noise import (
     LinkParams,
     NoiseBudget,
     NoiseModel,
-    check_finite_fields,
     frozen_params,
 )
 
@@ -27,36 +26,15 @@ DEFAULT_MU_GRID = tuple(round(0.05 + 0.01 * i, 2) for i in range(96))  # 0.05..1
 class Bb84Params(FrozenRecord):
     """Decoy-BB84 source, detector and post-processing parameters."""
 
-    mu: float
-    y0_base: float
-    e_det: float
-    e0: float
-    eta_bob: float
-    f_ec: float
-    delta_t_s: float
-
-    def __init__(
-        self,
-        mu: float = 0.5,  # signal mean photon number
-        y0_base: float = 5e-6,  # intrinsic background rate per gate
-        e_det: float = 0.003,  # misalignment error probability
-        e0: float = 0.5,  # background error rate
-        eta_bob: float = 0.038,
-        f_ec: float = 1.22,  # error-correction inefficiency
-        delta_t_s: float = 1e-9,  # SPD gating window
-    ):
-        init = object.__setattr__
-        init(self, "mu", mu)
-        init(self, "y0_base", y0_base)
-        init(self, "e_det", e_det)
-        init(self, "e0", e0)
-        init(self, "eta_bob", eta_bob)
-        init(self, "f_ec", f_ec)
-        init(self, "delta_t_s", delta_t_s)
-        self.__post_init__()
+    mu: float = 0.5  # signal mean photon number
+    y0_base: float = 5e-6  # intrinsic background rate per gate
+    e_det: float = 0.003  # misalignment error probability
+    e0: float = 0.5  # background error rate
+    eta_bob: float = 0.038
+    f_ec: float = 1.22  # error-correction inefficiency
+    delta_t_s: float = 1e-9  # SPD gating window
 
     def __post_init__(self):
-        check_finite_fields(self)
         if self.mu <= 0:
             raise DomainError("mu must be positive")
         if not 0 <= self.e_det <= 0.5:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -138,7 +137,7 @@ def cmd_bb84(args, config: Config) -> int:
 def cmd_gmcs(args, config: Config) -> int:
     det = config.gmcs
     if args.conservative:
-        det = dataclasses.replace(det, conservative=True)
+        det = det.replace(conservative=True)
     scenario = Scenario("gmcs", "GMCS", config.link, config.comp, det)
     evaluation = evaluate(scenario, args.z, args.strict_eps_out)
     point, budget = evaluation.point, evaluation.budget
@@ -163,7 +162,7 @@ def cmd_sweep(args, scenario: Optional[Scenario]) -> int:
     if args.config is not None:
         raise ConfigError("sweep runs a built-in scenario as defined and does not read --config")
     if args.conservative:
-        det = dataclasses.replace(scenario.detector, conservative=True)
+        det = scenario.detector.replace(conservative=True)
         scenario = scenario.replace(detector=det)
     result = run_sweep(scenario, strict_eps_out=args.strict_eps_out)
     emit(result, args.format, args.out or sys.stdout)

@@ -138,15 +138,9 @@ def _parser_of(default) -> Callable[[str], object]:
 
 
 def _keys(cls) -> Dict[str, tuple]:
-    # each field's default is its constructor's; the guard keeps a field
-    # without one, or out of order, from shifting the parsers
-    code = cls.__init__.__code__
-    defaults = cls.__init__.__defaults__ or ()
-    if code.co_varnames[1 : code.co_argcount] != cls._fields or len(defaults) != len(cls._fields):
-        raise TypeError(f"{cls.__name__}.__init__ must take each field in order, each with a default")
     converted = {entry[0]: (key, entry) for key, entry in _CONVERTED.items()}
     keys = {}
-    for name, default in zip(cls._fields, defaults):
+    for name, default in cls._defaults.items():
         plain = (name, (name, _parser_of(default), _plain_text))
         key, entry = converted.get(name, plain)
         keys[key] = entry
@@ -156,16 +150,6 @@ def _keys(cls) -> Dict[str, tuple]:
 _KEYS = {section: _keys(cls) for section, (_, cls) in _SECTIONS.items()}
 _KEYS["link"]["fiber_length_km"] = ("z_km", float, _plain_text)
 _KEYS["scenario"] = {key: (key, float, _plain_text) for key in _SCENARIO_DEFAULTS}
-
-
-def _parse_value(section: str, key: str, raw: str):
-    _, parse, _ = _KEYS[section][key]
-    try:
-        return parse(raw)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: malformed value {raw!r}") from exc
 
 
 _DELIMITER = re.compile("[=:]")
@@ -235,7 +219,7 @@ def _z_grid(z_min: float, z_max: float, z_step: float) -> Tuple[float, ...]:
             f"gives more than {MAX_GRID_POINTS} grid points"
         )
     n = int(round(steps))
-    return tuple(z_min + i * z_step for i in range(n + 1))
+    return tuple([z_min + i * z_step for i in range(n + 1)])
 
 
 def parse_config(text: str) -> Config:
@@ -249,8 +233,13 @@ def parse_config(text: str) -> Config:
     for section, key, raw in _read_ini(text):
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {section}.{key}")
-        field = _KEYS[section][key][0]
-        values[section][field] = _parse_value(section, key, raw)
+        field, parse, _ = _KEYS[section][key]
+        try:
+            values[section][field] = parse(raw)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: malformed value {raw!r}") from exc
 
     z_km = values["link"].pop("z_km", DEFAULT_Z_KM)
     params = {}

@@ -12,7 +12,7 @@ import math
 import warnings
 from typing import Callable, Optional, Tuple
 
-from .noise import DomainError, FrozenRecord, check_finite_fields, frozen_params
+from .noise import DomainError, FrozenRecord, frozen_params
 
 DISCRIMINANT_RTOL = 1e-9
 # gmcs_point extracts the symplectic eigenvalues without cancellation, so
@@ -29,42 +29,17 @@ class PhysicalityError(ValueError):
 class GmcsParams(FrozenRecord):
     """Homodyne GMCS source, detector, reconciliation and excess-noise parameters."""
 
-    v_a: float
-    eta_bob: float
-    eps0: float
-    v_el: float
-    gamma: float
-    n_lo: float
-    detector_bandwidth_hz: float
-    sigma_meas: float
-    conservative: bool
-
-    def __init__(
-        self,
-        v_a: float = 10.0,  # modulation variance, shot-noise units
-        eta_bob: float = 0.6,
-        eps0: float = 0.01,  # intrinsic excess noise, input-referred
-        v_el: float = 0.01,  # electronic noise of the homodyne detector
-        gamma: float = 0.9,  # reconciliation efficiency
-        n_lo: float = 1e8,  # LO photons per pulse
-        detector_bandwidth_hz: float = 1e6,
-        sigma_meas: float = 0.024,  # excess-noise measurement uncertainty
-        conservative: bool = False,  # add sigma_meas to the excess-noise estimate
-    ):
-        init = object.__setattr__
-        init(self, "v_a", v_a)
-        init(self, "eta_bob", eta_bob)
-        init(self, "eps0", eps0)
-        init(self, "v_el", v_el)
-        init(self, "gamma", gamma)
-        init(self, "n_lo", n_lo)
-        init(self, "detector_bandwidth_hz", detector_bandwidth_hz)
-        init(self, "sigma_meas", sigma_meas)
-        init(self, "conservative", conservative)
-        self.__post_init__()
+    v_a: float = 10.0  # modulation variance, shot-noise units
+    eta_bob: float = 0.6
+    eps0: float = 0.01  # intrinsic excess noise, input-referred
+    v_el: float = 0.01  # electronic noise of the homodyne detector
+    gamma: float = 0.9  # reconciliation efficiency
+    n_lo: float = 1e8  # LO photons per pulse
+    detector_bandwidth_hz: float = 1e6
+    sigma_meas: float = 0.024  # excess-noise measurement uncertainty
+    conservative: bool = False  # add sigma_meas to the excess-noise estimate
 
     def __post_init__(self):
-        check_finite_fields(self)
         if self.v_a <= 0:
             raise DomainError("v_a must be positive")
         if not 0 < self.eta_bob <= 1:
@@ -209,7 +184,8 @@ def gmcs_point(
 
     s1sq, s2sq = _split_roots(a, sqrt_b, channel_gap * channel_gap)
     s3sq, s4sq = _split_roots(c, sqrt_d, conditional_gap_sq)
-    # a tuple display, sized once (see noise.check_finite_fields)
+    # a tuple display, sized once: a generator's tuple is resized, and one a
+    # call filled CPython's free list of that size, about 1 MB over many CLI calls
     sigma = (math.sqrt(s1sq), math.sqrt(s2sq), math.sqrt(s3sq), math.sqrt(s4sq))
 
     chi_be = (

@@ -13,7 +13,7 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from typing import Optional, Sequence, Tuple
 
 from .units import PLANCK_H, SPEED_OF_LIGHT, db_to_linear, dbm_to_watts, photon_energy
@@ -25,18 +25,6 @@ class DomainError(ValueError):
 
 class UnfittableError(ValueError):
     """The measurement set cannot determine the requested coefficient."""
-
-
-def check_finite_fields(params) -> None:
-    """Reject a record whose float fields include a NaN or an infinity."""
-    # _fields, not dataclasses.fields(): that builds its tuple from a
-    # generator, which resizes it, and one resized tuple per call fills
-    # CPython's free list of that size; full, the lists held about 1 MB of a
-    # process that runs many CLI calls
-    for name in params._fields:
-        value = getattr(params, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class FrozenRecord:
@@ -96,19 +84,54 @@ class FrozenRecord:
         return {name: getattr(self, name) for name in self._fields}
 
 
-def frozen_params(cls):
-    """Make a FrozenRecord subclass a dataclass as well, so that
-    dataclasses.replace, fields and is_dataclass apply to it, and set its
-    _fields from the annotated fields in order.
+def _params_init(self, *args, **kwargs):
+    """The constructor of a parameter class (see frozen_params). Each field
+    is taken from the positional arguments in field order, then from the
+    keywords, then from its default. A field whose default is a bool or an
+    int must be of that very type, and a float field must be finite. Each
+    field is stored by object.__setattr__ (see FrozenRecord), and then the
+    class's __post_init__ checks their ranges."""
+    cls = type(self)
+    fields, defaults = cls._fields, cls._defaults
+    if args:
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes at most {len(fields)} positional arguments ({len(args)} given)")
+        for name in fields[: len(args)]:
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        kwargs.update(zip(fields, args))
+    if not kwargs.keys() <= defaults.keys():
+        unknown = next(name for name in kwargs if name not in defaults)
+        raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {unknown!r}")
+    store = object.__setattr__
+    for name, default in defaults.items():
+        value = kwargs.get(name, default)
+        if type(value) is not type(default) and isinstance(default, int):
+            raise DomainError(f"{name} must be of type {type(default).__name__}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+        store(self, name, value)
+    self.__post_init__()
 
-    The class writes its own __init__, which takes each field's default,
-    stores the fields by object.__setattr__ (see FrozenRecord) and calls
-    __post_init__; FrozenRecord gives the rest.
-    So the decorator generates no method, and the dataclass fields carry
-    no default. The class needs a docstring: without one, the decorator
-    builds it from inspect.signature."""
+
+def frozen_params(cls):
+    """Make a FrozenRecord subclass a parameter class. Each field is an
+    annotated class attribute with its default, as in a dataclass; _fields
+    names the fields in order and _defaults maps each to its default, and a
+    field without one is a TypeError. The class is made a dataclass, so that
+    dataclasses.replace, fields and is_dataclass apply to it, with
+    _params_init as its constructor and FrozenRecord giving the rest; the
+    decorator generates no method. The class needs a docstring: without
+    one, the decorator builds it from inspect.signature."""
     cls = dataclass(init=False, repr=False, eq=False)(cls)
-    cls._fields = tuple(cls.__dataclass_fields__)
+    defaults = {}
+    for field in cls.__dataclass_fields__.values():
+        if field.default is MISSING:
+            raise TypeError(f"{cls.__name__}.{field.name} has no default")
+        defaults[field.name] = field.default
+    cls._defaults = defaults
+    cls._fields = tuple(defaults)
+    cls.__init__ = _params_init
     return cls
 
 
@@ -128,33 +151,14 @@ class LinkParams(FrozenRecord):
     (just before the DEMUX), held constant by the amplifier gain schedule.
     """
 
-    alpha_db_per_km: float
-    beta_raman: float
-    classical_channel_count: int
-    p_out_dbm: float
-    lambda_quantum_nm: float
-    lambda_classical_nm: float
-
-    def __init__(
-        self,
-        alpha_db_per_km: float = 0.21,
-        beta_raman: float = 4e-9,  # spontaneous Raman coefficient, 1/(km*nm)
-        classical_channel_count: int = 1,
-        p_out_dbm: float = 0.0,
-        lambda_quantum_nm: float = 1550.0,
-        lambda_classical_nm: float = 1550.8,
-    ):
-        init = object.__setattr__
-        init(self, "alpha_db_per_km", alpha_db_per_km)
-        init(self, "beta_raman", beta_raman)
-        init(self, "classical_channel_count", classical_channel_count)
-        init(self, "p_out_dbm", p_out_dbm)
-        init(self, "lambda_quantum_nm", lambda_quantum_nm)
-        init(self, "lambda_classical_nm", lambda_classical_nm)
-        self.__post_init__()
+    alpha_db_per_km: float = 0.21
+    beta_raman: float = 4e-9  # spontaneous Raman coefficient, 1/(km*nm)
+    classical_channel_count: int = 1
+    p_out_dbm: float = 0.0
+    lambda_quantum_nm: float = 1550.0
+    lambda_classical_nm: float = 1550.8
 
     def __post_init__(self):
-        check_finite_fields(self)
         db_field_to_linear("p_out_dbm", self.p_out_dbm)
         for name, value in (("alpha_db_per_km", self.alpha_db_per_km), ("beta_raman", self.beta_raman)):
             if value < 0:
@@ -195,42 +199,17 @@ class ComponentParams(FrozenRecord):
     pinned to gain_fixed when that is set.
     """
 
-    nf_db: float
-    gain_g0: float
-    gain_fixed: Optional[float]
-    xi1: float
-    xi2: float
-    eta_mux: float
-    eta_dmu: float
-    delta_nu_hz: float
-    nsp_exact: bool
-
-    def __init__(
-        self,
-        nf_db: float = 6.0206,  # linear NF = 4
-        gain_g0: float = 100.0,
-        gain_fixed: Optional[float] = None,
-        xi1: float = 1e-8,  # MUX cross-channel isolation, linear
-        xi2: float = 1e-8,  # DEMUX cross-channel isolation, linear
-        eta_mux: float = 0.71,
-        eta_dmu: float = 0.71,
-        delta_nu_hz: float = 75e9,
-        nsp_exact: bool = False,  # False: n_sp = NF/2 high-gain convention
-    ):
-        init = object.__setattr__
-        init(self, "nf_db", nf_db)
-        init(self, "gain_g0", gain_g0)
-        init(self, "gain_fixed", gain_fixed)
-        init(self, "xi1", xi1)
-        init(self, "xi2", xi2)
-        init(self, "eta_mux", eta_mux)
-        init(self, "eta_dmu", eta_dmu)
-        init(self, "delta_nu_hz", delta_nu_hz)
-        init(self, "nsp_exact", nsp_exact)
-        self.__post_init__()
+    nf_db: float = 6.0206  # linear NF = 4
+    gain_g0: float = 100.0
+    gain_fixed: Optional[float] = None
+    xi1: float = 1e-8  # MUX cross-channel isolation, linear
+    xi2: float = 1e-8  # DEMUX cross-channel isolation, linear
+    eta_mux: float = 0.71
+    eta_dmu: float = 0.71
+    delta_nu_hz: float = 75e9
+    nsp_exact: bool = False  # False: n_sp = NF/2 high-gain convention
 
     def __post_init__(self):
-        check_finite_fields(self)
         for name, value in (("eta_mux", self.eta_mux), ("eta_dmu", self.eta_dmu)):
             if not 0 < value <= 1:
                 raise DomainError(f"{name} must be in (0, 1], got {value}")
@@ -429,11 +408,8 @@ class NoiseModel:
             (n_mod, n_leak, n_leak * delta_t_s, db_to_linear(comp.nf_db), sasrs_k, eta_bob, window_ratio, n_lo),
         )
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = FrozenRecord.__setattr__
+    __delattr__ = FrozenRecord.__delattr__
 
     def at(self, z_km: float) -> Tuple[float, NoiseBudget]:
         """(eta_ch, budget) at z_km of fiber: the channel transmittance and

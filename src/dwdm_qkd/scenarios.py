@@ -7,7 +7,7 @@ detector with the conservative excess-noise estimate).
 """
 from __future__ import annotations
 
-import dataclasses
+import functools
 from typing import List, Optional, Tuple, Union
 
 from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
@@ -47,6 +47,11 @@ class Scenario(FrozenRecord):
     ):
         if protocol not in ("BB84", "GMCS"):
             raise DomainError(f"unknown protocol {protocol!r}")
+        detector_class = Bb84Params if protocol == "BB84" else GmcsParams
+        if not isinstance(detector, detector_class):
+            raise DomainError(
+                f"a {protocol} scenario needs a {detector_class.__name__} detector, got {type(detector).__name__}"
+            )
         if z_grid is not DEFAULT_Z_GRID:
             _check_z_grid(z_grid)
         d = self.__dict__
@@ -188,21 +193,24 @@ def _crossover_km(model: NoiseModel) -> Optional[float]:
 
 
 def builtin_scenarios() -> List[Scenario]:
-    """The seven canonical scenarios used throughout the documentation."""
+    """The seven canonical scenarios used throughout the documentation, in
+    a new list on each call."""
+    return list(_builtin_scenarios())
+
+
+@functools.cache
+def _builtin_scenarios() -> Tuple[Scenario, ...]:
+    # built once per process; every Scenario and its parameters are frozen
     table2 = ComponentParams()
-    table2_adj = dataclasses.replace(
-        table2, xi1=ADJACENT_ISOLATION, xi2=ADJACENT_ISOLATION
-    )
+    table2_adj = table2.replace(xi1=ADJACENT_ISOLATION, xi2=ADJACENT_ISOLATION)
     one_ch = LinkParams(classical_channel_count=1, p_out_dbm=0.0)
-    no_ch = dataclasses.replace(one_ch, classical_channel_count=0)
-    many_ch = dataclasses.replace(one_ch, classical_channel_count=38)
+    no_ch = one_ch.replace(classical_channel_count=0)
+    many_ch = one_ch.replace(classical_channel_count=38)
     bb84 = Bb84Params()
     gmcs = GmcsParams()
-    gmcs_100mhz = dataclasses.replace(
-        gmcs, v_el=0.1, detector_bandwidth_hz=100e6, conservative=True
-    )
+    gmcs_100mhz = gmcs.replace(v_el=0.1, detector_bandwidth_hz=100e6, conservative=True)
 
-    return [
+    return (
         Scenario("fig3-noise", "BB84", one_ch, table2, bb84),
         Scenario("bb84-0dBm", "BB84", one_ch, table2, bb84),
         Scenario("gmcs-none", "GMCS", no_ch, table2, gmcs),
@@ -210,7 +218,7 @@ def builtin_scenarios() -> List[Scenario]:
         Scenario("gmcs-1ch-adj", "GMCS", one_ch, table2_adj, gmcs),
         Scenario("gmcs-38ch", "GMCS", many_ch, table2, gmcs),
         Scenario("gmcs-1ch-100MHz-detector", "GMCS", one_ch, table2, gmcs_100mhz),
-    ]
+    )
 
 
 class UnknownScenarioError(KeyError):
@@ -222,7 +230,7 @@ class UnknownScenarioError(KeyError):
 
 
 def scenario_by_name(name: str) -> Scenario:
-    scenarios = builtin_scenarios()
+    scenarios = _builtin_scenarios()
     for scenario in scenarios:
         if scenario.name == name:
             return scenario

@@ -25,7 +25,7 @@ from dwdm_qkd.config import (
     serialize_config,
 )
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint, PhysicalityError
-from dwdm_qkd.noise import ComponentParams, DomainError, FrozenRecord, LinkParams, NoiseBudget, frozen_params
+from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, NoiseBudget
 from dwdm_qkd.output import CSV_HEADER, emit, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import Evaluation, SweepResult, builtin_scenarios, run_sweep, scenario_by_name
 
@@ -431,33 +431,6 @@ class TestConfig:
                     plain += 1
         assert plain == 27
 
-    def test_key_table_refuses_a_constructor_it_would_misread(self):
-        # a field without a constructor default, or out of order, would
-        # shift every later key's parser
-        @frozen_params
-        class Undefaulted(FrozenRecord):
-            """One field without a default."""
-
-            a: float
-            b: bool
-
-            def __init__(self, a: float, b: bool = False):
-                self.__dict__.update(a=a, b=b)
-
-        @frozen_params
-        class Reordered(FrozenRecord):
-            """Its constructor takes its fields in another order."""
-
-            a: float
-            b: bool
-
-            def __init__(self, b: bool = False, a: float = 1.0):
-                self.__dict__.update(a=a, b=b)
-
-        for cls in (Undefaulted, Reordered):
-            with pytest.raises(TypeError, match=f"^{cls.__name__}.__init__ must take each field in order"):
-                config._keys(cls)
-
     def test_malformed_gain_fixed_names_key(self):
         with pytest.raises(ConfigError, match="components.gain_fixed"):
             parse_config("[components]\ngain_fixed = fast\n")
@@ -466,6 +439,14 @@ class TestConfig:
         blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         assert len(blocks) == 1
         parse_config(blocks[0])
+
+    def test_readme_library_example_runs(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        package_root = pathlib.Path(config.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        result = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_round_trip_zero_isolation(self):
         config = parse_config("[components]\nxi1_db = -inf\nxi2_db = -inf\n")

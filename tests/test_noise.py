@@ -15,6 +15,7 @@ import dwdm_qkd
 from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
+    FrozenRecord,
     LinkParams,
     NoiseBudget,
     NoiseModel,
@@ -22,6 +23,7 @@ from dwdm_qkd.noise import (
     channel_transmittance,
     compute_noise_budget,
     fit_raman_coefficient,
+    frozen_params,
 )
 from dwdm_qkd.bb84 import Bb84Params, Bb84Point
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint
@@ -674,8 +676,6 @@ def test_parameter_class_contract(cls, names, defaults, values, pinned_repr):
     assert by_position == by_keyword
     assert hash(by_position) == hash(by_keyword) == hash(values)
     assert by_position.__eq__(values) is NotImplemented
-    with pytest.raises(TypeError):
-        cls(*values, 0.0)
 
     default = cls()
     assert tuple(getattr(default, n) for n in names) == defaults
@@ -691,8 +691,17 @@ def test_parameter_class_contract(cls, names, defaults, values, pinned_repr):
         delattr(by_position, names[0])
     assert tuple(getattr(by_position, n) for n in names) == values
 
+    name = cls.__name__
+    with pytest.raises(TypeError, match=f"^{name}\\(\\) got multiple values for argument '{names[0]}'$"):
+        cls(values[0], **{names[0]: values[0]})
+    with pytest.raises(TypeError, match=f"^{name}\\(\\) got an unexpected keyword argument 'not_a_field'$"):
+        cls(not_a_field=1.0)
+    with pytest.raises(TypeError, match=f"^{name}\\(\\) takes at most {len(names)} positional arguments \\({len(names) + 1} given\\)$"):
+        cls(*values, values[0])
+
     assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(default)
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert tuple(f.default for f in dataclasses.fields(cls)) == defaults
     assert cls.__match_args__ == cls._fields == names
     # replace builds through the constructor, so it validates again
     assert dataclasses.replace(default, **dict(zip(names, values))) == by_position
@@ -702,6 +711,37 @@ def test_parameter_class_contract(cls, names, defaults, values, pinned_repr):
     for copied in (pickle.loads(pickle.dumps(by_position)), copy.deepcopy(by_position)):
         assert copied == by_position
         assert copied is not by_position
+
+
+# each bool and int parameter field, with values of other types that it refuses
+TYPED_FIELDS = [
+    (LinkParams, "classical_channel_count", "int", (2.5, 2.0, True, "2", None)),
+    (ComponentParams, "nsp_exact", "bool", ("no", 0, 1, 1.0, None)),
+    (GmcsParams, "conservative", "bool", ("false", 0, 1, 1.0, None)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, kind, wrong", TYPED_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _, _ in TYPED_FIELDS]
+)
+def test_bool_and_int_fields_refuse_other_types(cls, name, kind, wrong):
+    for value in wrong:
+        with pytest.raises(DomainError, match=f"^{name} must be of type {kind}, got {value!r}$"):
+            cls(**{name: value})
+    # every bool and int field is listed here
+    typed = [n for n, d in cls._defaults.items() if isinstance(d, int)]
+    assert typed == [name]
+
+
+def test_frozen_params_rejects_a_field_without_a_default():
+    with pytest.raises(TypeError, match="^Undefaulted.b has no default$"):
+
+        @frozen_params
+        class Undefaulted(FrozenRecord):
+            """One field without a default."""
+
+            a: float = 1.0
+            b: bool
 
 
 @pytest.mark.parametrize("cls", [c[0] for c in PARAMETER_CLASSES], ids=[c[0].__name__ for c in PARAMETER_CLASSES])

@@ -76,6 +76,25 @@ class TestBuiltins:
         with pytest.raises(DomainError, match="unknown protocol 'CV'"):
             base.replace(protocol="CV")
 
+    @pytest.mark.parametrize(
+        "protocol, other, detector_class, wrong_class",
+        [("BB84", "gmcs-none", "Bb84Params", "GmcsParams"), ("GMCS", "bb84-0dBm", "GmcsParams", "Bb84Params")],
+    )
+    def test_detector_of_the_other_protocol_rejected(self, protocol, other, detector_class, wrong_class):
+        base = scenario_by_name(other)
+        message = f"^a {protocol} scenario needs a {detector_class} detector, got {wrong_class}$"
+        with pytest.raises(DomainError, match=message):
+            Scenario("z", protocol, base.link, base.comp, base.detector)
+        with pytest.raises(DomainError, match=message):
+            base.replace(protocol=protocol)
+
+    def test_builtins_are_built_once_and_listed_anew(self):
+        first, second = builtin_scenarios(), builtin_scenarios()
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert [s.name for s in builtin_scenarios()] == NAMES
+
 
 class TestRunSweep:
     def test_fig3_dominance_pattern(self):
