@@ -126,7 +126,7 @@ def cmd_bb84(args, config: Config) -> int:
     if args.mu is not None:
         mu, point = args.mu, bb84_point(config.link, config.comp, config.bb84, args.z, mu=args.mu)
     else:
-        scenario = Scenario("bb84", "BB84", config.link, config.comp, config.bb84)
+        scenario = Scenario("bb84", config.link, config.comp, config.bb84)
         evaluation = evaluate(scenario, args.z)
         mu, point = evaluation.mu, evaluation.point
     doc = {"protocol": "BB84", "mu": mu, "z_km": args.z, **point.as_dict()}
@@ -138,7 +138,7 @@ def cmd_gmcs(args, config: Config) -> int:
     det = config.gmcs
     if args.conservative:
         det = det.replace(conservative=True)
-    scenario = Scenario("gmcs", "GMCS", config.link, config.comp, det)
+    scenario = Scenario("gmcs", config.link, config.comp, det)
     evaluation = evaluate(scenario, args.z, args.strict_eps_out)
     point, budget = evaluation.point, evaluation.budget
     _print_json(

@@ -6,7 +6,9 @@ field's name and a missing key takes the field's default. The four keys in
 _CONVERTED differ from their field in name or unit and are converted to
 linear SI values exactly once, at parse time. [link] fiber_length_km is
 Config.z_km, the distance of the point commands when --z is not given.
-[scenario] sets the sweep grid.
+[scenario] z_min_km, z_max_km and z_step_km describe a distance grid. They
+are checked and kept in Config as given, and no grid is built from them: no
+command reads them, and each sweep runs on its built-in scenario's grid.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
 from .noise import ComponentParams, DomainError, FrozenRecord, LinkParams, channel_transmittance, db_field_to_linear
+from .scenarios import DEFAULT_Z_GRID
 
-# the [scenario] grid is checked against this before it is built
+# the most points a [scenario] grid may describe
 MAX_GRID_POINTS = 100_000
 # the distance of the point commands when neither --z nor fiber_length_km is given
 DEFAULT_Z_KM = 20.0
@@ -30,7 +33,7 @@ class ConfigError(ValueError):
 
 
 class Config(FrozenRecord):
-    _fields = ("link", "comp", "bb84", "gmcs", "z_grid", "z_km")
+    _fields = ("link", "comp", "bb84", "gmcs", "z_min_km", "z_max_km", "z_step_km", "z_km")
 
     def __init__(
         self,
@@ -38,7 +41,9 @@ class Config(FrozenRecord):
         comp: ComponentParams,
         bb84: Bb84Params,
         gmcs: GmcsParams,
-        z_grid: Tuple[float, ...],
+        z_min_km: float,
+        z_max_km: float,
+        z_step_km: float,
         z_km: float = DEFAULT_Z_KM,
     ):
         d = self.__dict__
@@ -46,7 +51,9 @@ class Config(FrozenRecord):
         d["comp"] = comp
         d["bb84"] = bb84
         d["gmcs"] = gmcs
-        d["z_grid"] = z_grid
+        d["z_min_km"] = z_min_km
+        d["z_max_km"] = z_max_km
+        d["z_step_km"] = z_step_km
         d["z_km"] = z_km
 
 
@@ -57,7 +64,12 @@ _SECTIONS = {
     "bb84": ("bb84", Bb84Params),
     "gmcs": ("gmcs", GmcsParams),
 }
-_SCENARIO_DEFAULTS = {"z_min_km": 0.0, "z_max_km": 80.0, "z_step_km": 0.5}
+# the [scenario] defaults describe the built-in scenarios' grid
+_SCENARIO_DEFAULTS = {
+    "z_min_km": DEFAULT_Z_GRID[0],
+    "z_max_km": DEFAULT_Z_GRID[-1],
+    "z_step_km": DEFAULT_Z_GRID[1] - DEFAULT_Z_GRID[0],
+}
 
 
 def _bool(raw: str) -> bool:
@@ -82,7 +94,7 @@ def _nsp_exact(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _exact_repr(build: Callable[[float], object], target, guess: float) -> str:
+def _exact_repr(build: Callable[[float], float], target: float, guess: float) -> str:
     """The repr of a float x with build(x) == target, for a build that does
     not decrease with x: guess when it does, else the first hit of a
     bisection within abs(guess) of guess (guess when there is none)."""
@@ -202,7 +214,10 @@ def _read_ini(text: str) -> List[Tuple[str, str, str]]:
     return options
 
 
-def _z_grid(z_min: float, z_max: float, z_step: float) -> Tuple[float, ...]:
+def _check_grid(z_min: float, z_max: float, z_step: float) -> None:
+    """Reject a [scenario] grid that is not finite, has no positive step,
+    starts below 0 or ends before it starts, or has more than
+    MAX_GRID_POINTS points."""
     for key, value in (("z_min_km", z_min), ("z_max_km", z_max), ("z_step_km", z_step)):
         if not math.isfinite(value):
             raise ConfigError(f"scenario.{key}: must be finite, got {value}")
@@ -212,14 +227,11 @@ def _z_grid(z_min: float, z_max: float, z_step: float) -> Tuple[float, ...]:
         raise ConfigError(f"scenario.z_min_km: must be >= 0, got {z_min}")
     if z_max < z_min:
         raise ConfigError(f"scenario.z_max_km: must be >= z_min_km ({z_min}), got {z_max}")
-    steps = (z_max - z_min) / z_step
-    if not steps <= MAX_GRID_POINTS - 1:
+    if not (z_max - z_min) / z_step <= MAX_GRID_POINTS - 1:
         raise ConfigError(
             f"scenario.z_step_km: a {z_step} km step from {z_min} to {z_max} km "
             f"gives more than {MAX_GRID_POINTS} grid points"
         )
-    n = int(round(steps))
-    return tuple([z_min + i * z_step for i in range(n + 1)])
 
 
 def parse_config(text: str) -> Config:
@@ -253,23 +265,8 @@ def parse_config(text: str) -> Config:
     except DomainError as exc:
         raise ConfigError(f"link.fiber_length_km: {exc}") from exc
     grid = {**_SCENARIO_DEFAULTS, **values["scenario"]}
-    z_grid = _z_grid(grid["z_min_km"], grid["z_max_km"], grid["z_step_km"])
-    return Config(**params, z_grid=z_grid, z_km=z_km)
-
-
-def _z_step_text(z_grid: Tuple[float, ...]) -> str:
-    # a step that rebuilds z_grid from its ends; the rebuilt grid rises
-    # with the step, and a step too small for the grid cap rebuilds as ()
-    if len(z_grid) == 1:
-        return repr(_SCENARIO_DEFAULTS["z_step_km"])
-
-    def rebuild(step: float) -> Tuple[float, ...]:
-        try:
-            return _z_grid(z_grid[0], z_grid[-1], step)
-        except ConfigError:
-            return ()
-
-    return _exact_repr(rebuild, z_grid, (z_grid[-1] - z_grid[0]) / (len(z_grid) - 1))
+    _check_grid(grid["z_min_km"], grid["z_max_km"], grid["z_step_km"])
+    return Config(**params, **grid, z_km=z_km)
 
 
 def serialize_config(config: Config) -> str:
@@ -284,14 +281,9 @@ def serialize_config(config: Config) -> str:
             if value is not None:
                 lines.append(f"{key} = {text(value)}")
         lines.append("")
-    grid = config.z_grid
-    lines += [
-        "[scenario]",
-        f"z_min_km = {grid[0]!r}",
-        f"z_max_km = {grid[-1]!r}",
-        f"z_step_km = {_z_step_text(grid)}",
-        "",
-    ]
+    lines.append("[scenario]")
+    lines += [f"{key} = {getattr(config, key)!r}" for key in _SCENARIO_DEFAULTS]
+    lines.append("")
     return "\n".join(lines)
 
 

@@ -124,13 +124,9 @@ def _out_of_range(eta_ch: float, eps: float) -> DomainError:
     )
 
 
-def gmcs_point(
-    eta_ch: float,
-    params: GmcsParams,
-    eps: float,
-    eta_dmu: float = 0.71,
-) -> GmcsPoint:
-    """Secure key rate per signal at one channel transmittance."""
+def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) -> GmcsPoint:
+    """Secure key rate per signal at one channel transmittance, behind a
+    DEMUX of transmittance eta_dmu (ComponentParams.eta_dmu)."""
     if not 0 < eta_ch <= 1:
         raise DomainError("eta_ch must be in (0, 1]")
     if eps < 0:

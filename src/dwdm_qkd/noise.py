@@ -88,9 +88,10 @@ def _params_init(self, *args, **kwargs):
     """The constructor of a parameter class (see frozen_params). Each field
     is taken from the positional arguments in field order, then from the
     keywords, then from its default. A field whose default is a bool or an
-    int must be of that very type, and a float field must be finite. Each
-    field is stored by object.__setattr__ (see FrozenRecord), and then the
-    class's __post_init__ checks their ranges."""
+    int must be of that very type. A float field, and gain_fixed whose
+    default is None, takes an int or a float but not a bool, and a float
+    must be finite. Each field is stored by object.__setattr__ (see
+    FrozenRecord), and then the class's __post_init__ checks their ranges."""
     cls = type(self)
     fields, defaults = cls._fields, cls._defaults
     if args:
@@ -106,8 +107,11 @@ def _params_init(self, *args, **kwargs):
     store = object.__setattr__
     for name, default in defaults.items():
         value = kwargs.get(name, default)
-        if type(value) is not type(default) and isinstance(default, int):
-            raise DomainError(f"{name} must be of type {type(default).__name__}, got {value!r}")
+        if type(value) is not type(default) and (
+            isinstance(default, int) or isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            expected = "float" if default is None else type(default).__name__
+            raise DomainError(f"{name} must be of type {expected}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
         store(self, name, value)

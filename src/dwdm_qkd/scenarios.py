@@ -8,7 +8,7 @@ detector with the conservative excess-noise estimate).
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
 from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
@@ -34,33 +34,34 @@ _check_z_grid(DEFAULT_Z_GRID)
 
 
 class Scenario(FrozenRecord):
-    _fields = ("name", "protocol", "link", "comp", "detector", "z_grid")
+    """A named sweep: a link, its components and a detector on a distance
+    grid. The detector's class names the protocol."""
+
+    _fields = ("name", "link", "comp", "detector", "z_grid")
 
     def __init__(
         self,
         name: str,
-        protocol: str,  # "BB84" | "GMCS"
         link: LinkParams,
         comp: ComponentParams,
         detector: Union[Bb84Params, GmcsParams],
         z_grid: Tuple[float, ...] = DEFAULT_Z_GRID,
     ):
-        if protocol not in ("BB84", "GMCS"):
-            raise DomainError(f"unknown protocol {protocol!r}")
-        detector_class = Bb84Params if protocol == "BB84" else GmcsParams
-        if not isinstance(detector, detector_class):
-            raise DomainError(
-                f"a {protocol} scenario needs a {detector_class.__name__} detector, got {type(detector).__name__}"
-            )
+        if not isinstance(detector, (Bb84Params, GmcsParams)):
+            raise DomainError(f"a scenario needs a Bb84Params or GmcsParams detector, got {type(detector).__name__}")
         if z_grid is not DEFAULT_Z_GRID:
             _check_z_grid(z_grid)
         d = self.__dict__
         d["name"] = name
-        d["protocol"] = protocol
         d["link"] = link
         d["comp"] = comp
         d["detector"] = detector
         d["z_grid"] = z_grid
+
+    @property
+    def protocol(self) -> str:
+        """"BB84" for a Bb84Params detector, "GMCS" for a GmcsParams one."""
+        return "BB84" if isinstance(self.detector, Bb84Params) else "GMCS"
 
 
 class Evaluation(FrozenRecord):
@@ -113,15 +114,26 @@ def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> E
     its noise against HOMODYNE_REFERENCE_WINDOW_S and adds the unmatched-mode
     excess noise eps_out to eps_in only when strict_eps_out is set.
     """
-    return _evaluate(scenario, _noise_model(scenario), z_km, strict_eps_out)
+    return _model_and_row(scenario, strict_eps_out)[1](z_km)
 
 
-def _noise_model(scenario: Scenario) -> NoiseModel:
-    """The noise model that evaluate budgets a scenario's rows with."""
+def _model_and_row(scenario: Scenario, strict_eps_out: bool) -> Tuple[NoiseModel, Callable[[float], Evaluation]]:
+    """The noise model that budgets a scenario's rows, and the function that
+    evaluates its row at one distance. The protocol is decided here, once,
+    and not on each row."""
     link, comp, det = scenario.link, scenario.comp, scenario.detector
     if scenario.protocol == "BB84":
-        return NoiseModel(link, comp, det.delta_t_s)
-    return NoiseModel(
+        model = NoiseModel(link, comp, det.delta_t_s)
+        at = model.at
+
+        def bb84_row(z_km: float) -> Evaluation:
+            eta_ch, budget = at(z_km)
+            mu, point = _optimize_mu_with_budget(eta_ch, comp, det, budget)
+            return Evaluation(z_km, budget, eta_ch, point, mu)
+
+        return model, bb84_row
+
+    model = NoiseModel(
         link,
         comp,
         HOMODYNE_REFERENCE_WINDOW_S,
@@ -129,34 +141,23 @@ def _noise_model(scenario: Scenario) -> NoiseModel:
         detector_bandwidth_hz=det.detector_bandwidth_hz,
         n_lo=det.n_lo,
     )
+    at, eta_dmu = model.at, comp.eta_dmu
 
+    def gmcs_row(z_km: float) -> Evaluation:
+        eta_ch, budget = at(z_km)
+        eps_in = (budget.eps_in + budget.eps_out) if strict_eps_out else budget.eps_in
+        eps = total_excess_noise(
+            det.eps0, eps_in, eta_ch, eta_dmu, det.eta_bob, sigma_meas=det.sigma_meas, conservative=det.conservative
+        )
+        return Evaluation(z_km, budget, eta_ch, gmcs_point(eta_ch, det, eps, eta_dmu))
 
-def _evaluate(scenario: Scenario, model: NoiseModel, z_km: float, strict_eps_out: bool) -> Evaluation:
-    """evaluate, given the scenario's noise model."""
-    comp, det = scenario.comp, scenario.detector
-    eta_ch, budget = model.at(z_km)
-    if scenario.protocol == "BB84":
-        mu, point = _optimize_mu_with_budget(eta_ch, comp, det, budget)
-        return Evaluation(z_km, budget, eta_ch, point, mu)
-
-    eps_in = budget.eps_in + (budget.eps_out if strict_eps_out else 0.0)
-    eps = total_excess_noise(
-        det.eps0,
-        eps_in,
-        eta_ch,
-        comp.eta_dmu,
-        det.eta_bob,
-        sigma_meas=det.sigma_meas,
-        conservative=det.conservative,
-    )
-    point = gmcs_point(eta_ch, det, eps, eta_dmu=comp.eta_dmu)
-    return Evaluation(z_km, budget, eta_ch, point)
+    return model, gmcs_row
 
 
 def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
     """Evaluate noise budget and key rate at every grid distance."""
-    model = _noise_model(scenario)
-    rows = tuple([_evaluate(scenario, model, z, strict_eps_out) for z in scenario.z_grid])
+    model, row_at = _model_and_row(scenario, strict_eps_out)
+    rows = tuple([row_at(z) for z in scenario.z_grid])
 
     # secure_distance's 1 km scan and bisection revisit distances the sweep
     # has evaluated; evaluate is deterministic, so reuse those rates
@@ -164,7 +165,7 @@ def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
 
     def rate_fn(z: float) -> float:
         rate = rate_by_z.get(z)
-        return _evaluate(scenario, model, z, strict_eps_out).rate if rate is None else rate
+        return row_at(z).rate if rate is None else rate
 
     dist = secure_distance(rate_fn, scenario.z_grid[-1])
     return SweepResult(
@@ -182,7 +183,7 @@ def noise_crossover_km(scenario: Scenario) -> Optional[float]:
     crossover follows from the terms at any reference distance. None when
     either term vanishes identically.
     """
-    return _crossover_km(_noise_model(scenario))
+    return _crossover_km(_model_and_row(scenario, False)[0])
 
 
 def _crossover_km(model: NoiseModel) -> Optional[float]:
@@ -211,13 +212,13 @@ def _builtin_scenarios() -> Tuple[Scenario, ...]:
     gmcs_100mhz = gmcs.replace(v_el=0.1, detector_bandwidth_hz=100e6, conservative=True)
 
     return (
-        Scenario("fig3-noise", "BB84", one_ch, table2, bb84),
-        Scenario("bb84-0dBm", "BB84", one_ch, table2, bb84),
-        Scenario("gmcs-none", "GMCS", no_ch, table2, gmcs),
-        Scenario("gmcs-1ch-nonadj", "GMCS", one_ch, table2, gmcs),
-        Scenario("gmcs-1ch-adj", "GMCS", one_ch, table2_adj, gmcs),
-        Scenario("gmcs-38ch", "GMCS", many_ch, table2, gmcs),
-        Scenario("gmcs-1ch-100MHz-detector", "GMCS", one_ch, table2, gmcs_100mhz),
+        Scenario("fig3-noise", one_ch, table2, bb84),
+        Scenario("bb84-0dBm", one_ch, table2, bb84),
+        Scenario("gmcs-none", no_ch, table2, gmcs),
+        Scenario("gmcs-1ch-nonadj", one_ch, table2, gmcs),
+        Scenario("gmcs-1ch-adj", one_ch, table2_adj, gmcs),
+        Scenario("gmcs-38ch", many_ch, table2, gmcs),
+        Scenario("gmcs-1ch-100MHz-detector", one_ch, table2, gmcs_100mhz),
     )
 
 

@@ -1,0 +1,30 @@
+"""The traced benchmark run wraps the functions that bench/spans.py names.
+It skips a name that no longer resolves and drops that name's metrics
+without an error, so each name is checked here instead."""
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+SPANS_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
+TARGETS = [(module, name) for module, names in SPANS.TARGETS.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", TARGETS, ids=[f"{m}.{n}" for m, n in TARGETS])
+def test_traced_target_is_a_function_of_the_package(module, name):
+    assert callable(getattr(importlib.import_module(f"dwdm_qkd.{module}"), name, None))
+
+
+def test_rate_spans_are_traced_targets():
+    assert SPANS.RATE_SPANS <= {f"{module}.{name}" for module, name in TARGETS}

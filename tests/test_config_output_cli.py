@@ -514,10 +514,10 @@ class TestConfig:
 
     def test_grid_size_cap_checked_before_the_grid_is_built(self):
         # 0.5 km steps: (MAX_GRID_POINTS - 1) of them give exactly the cap,
-        # one more step is over it; both are small enough to build anyway
+        # one more step is over it; the grid is kept as its three values
         at_cap = (MAX_GRID_POINTS - 1) * 0.5
         config = parse_config(f"[scenario]\nz_max_km = {at_cap}\n")
-        assert len(config.z_grid) == MAX_GRID_POINTS
+        assert (config.z_min_km, config.z_max_km, config.z_step_km) == (0.0, at_cap, 0.5)
         with pytest.raises(ConfigError, match="z_step_km"):
             parse_config(f"[scenario]\nz_max_km = {at_cap + 0.5}\n")
 

@@ -194,9 +194,9 @@ class TestGmcsPoint:
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
-            gmcs_point(0.0, PARAMS, 0.01)
+            gmcs_point(0.0, PARAMS, 0.01, eta_dmu=COMP.eta_dmu)
         with pytest.raises(DomainError):
-            gmcs_point(0.5, PARAMS, -0.01)
+            gmcs_point(0.5, PARAMS, -0.01, eta_dmu=COMP.eta_dmu)
 
     @pytest.mark.parametrize(
         "eta_ch, eps",
@@ -206,13 +206,13 @@ class TestGmcsPoint:
         # a subnormal eta_ch or a huge eps turns the spectrum into inf/NaN
         # without raising
         with pytest.raises(DomainError, match="eta_ch"):
-            gmcs_point(eta_ch, PARAMS, eps)
+            gmcs_point(eta_ch, PARAMS, eps, eta_dmu=COMP.eta_dmu)
 
     @pytest.mark.parametrize("eta_ch", [1e-160, 1e-210, 1e-300])
     def test_long_link_is_a_finite_zero_rate(self, eta_ch):
         # (V chi_line + 1)^2 overflows from eta_ch ~ 1e-154, but sqrt(b) =
         # eta_ch (V chi_line + 1) stays near V until 1 / eta_ch leaves the range
-        point = gmcs_point(eta_ch, PARAMS, 0.01)
+        point = gmcs_point(eta_ch, PARAMS, 0.01, eta_dmu=COMP.eta_dmu)
         assert point.rate == 0.0
         assert all(math.isfinite(x) for x in (point.i_ab, point.chi_be, *point.sigma))
         assert point.sigma[0] == pytest.approx(PARAMS.v_a + 1.0)
@@ -221,12 +221,12 @@ class TestGmcsPoint:
         # a tuple built from a generator is resized, and CPython keeps each
         # freed one on the free list of its new size, up to 2,000 a size; a
         # full collection empties the lists, so none may run here
-        gmcs_point(0.5, PARAMS, 0.01)
+        gmcs_point(0.5, PARAMS, 0.01, eta_dmu=COMP.eta_dmu)
         gc.disable()
         try:
             before = sys.getallocatedblocks()
             for _ in range(3000):
-                gmcs_point(0.5, GmcsParams(eps0=0.02), 0.01)
+                gmcs_point(0.5, GmcsParams(eps0=0.02), 0.01, eta_dmu=COMP.eta_dmu)
             grown = sys.getallocatedblocks() - before
         finally:
             gc.enable()

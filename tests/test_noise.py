@@ -561,10 +561,10 @@ RECORDS = [
     ),
     (
         Scenario,
-        ("name", "protocol", "link", "comp", "detector", "z_grid"),
-        ("two-points", "GMCS", LinkParams(), ComponentParams(), GmcsParams(), (0.0, 10.0)),
+        ("name", "link", "comp", "detector", "z_grid"),
+        ("two-points", LinkParams(), ComponentParams(), GmcsParams(), (0.0, 10.0)),
         {"z_grid": DEFAULT_Z_GRID},
-        f"Scenario(name='two-points', protocol='GMCS', link={_LINK_REPR}, comp={_COMP_REPR}, "
+        f"Scenario(name='two-points', link={_LINK_REPR}, comp={_COMP_REPR}, "
         f"detector={_GMCS_REPR}, z_grid=(0.0, 10.0))",
     ),
     (
@@ -577,11 +577,11 @@ RECORDS = [
     ),
     (
         Config,
-        ("link", "comp", "bb84", "gmcs", "z_grid", "z_km"),
-        (LinkParams(), ComponentParams(), Bb84Params(), GmcsParams(), (0.0, 10.0), 35.0),
+        ("link", "comp", "bb84", "gmcs", "z_min_km", "z_max_km", "z_step_km", "z_km"),
+        (LinkParams(), ComponentParams(), Bb84Params(), GmcsParams(), 0.0, 10.0, 2.5, 35.0),
         {"z_km": DEFAULT_Z_KM},
         f"Config(link={_LINK_REPR}, comp={_COMP_REPR}, bb84={_BB84_REPR}, gmcs={_GMCS_REPR}, "
-        "z_grid=(0.0, 10.0), z_km=35.0)",
+        "z_min_km=0.0, z_max_km=10.0, z_step_km=2.5, z_km=35.0)",
     ),
 ]
 
@@ -731,6 +731,32 @@ def test_bool_and_int_fields_refuse_other_types(cls, name, kind, wrong):
     # every bool and int field is listed here
     typed = [n for n, d in cls._defaults.items() if isinstance(d, int)]
     assert typed == [name]
+
+
+# values of other types given to float fields, gain_fixed's included
+FLOAT_FIELD_MISTYPES = [
+    (LinkParams, "alpha_db_per_km", "0.2"),
+    (GmcsParams, "v_a", "10"),
+    (ComponentParams, "gain_fixed", "5"),
+    (Bb84Params, "mu", [1]),
+    (LinkParams, "alpha_db_per_km", True),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", FLOAT_FIELD_MISTYPES, ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in FLOAT_FIELD_MISTYPES]
+)
+def test_float_fields_refuse_other_types(cls, name, value):
+    with pytest.raises(DomainError) as caught:
+        cls(**{name: value})
+    assert str(caught.value) == f"{name} must be of type float, got {value!r}"
+
+
+def test_float_fields_take_ints():
+    assert GmcsParams(v_a=10).v_a == 10
+    assert ComponentParams(gain_fixed=5).gain_fixed == 5
+    assert ComponentParams(gain_fixed=None).gain_fixed is None
+    assert LinkParams(alpha_db_per_km=0).alpha_db_per_km == 0
 
 
 def test_frozen_params_rejects_a_field_without_a_default():

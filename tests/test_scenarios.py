@@ -73,19 +73,18 @@ class TestBuiltins:
             base.replace(z_grid=(0.0, 2.0, 1.0))
         with pytest.raises(DomainError):
             base.replace(z_grid=())
-        with pytest.raises(DomainError, match="unknown protocol 'CV'"):
-            base.replace(protocol="CV")
+        message = "^a scenario needs a Bb84Params or GmcsParams detector, got ComponentParams$"
+        with pytest.raises(DomainError, match=message):
+            base.replace(detector=base.comp)
 
-    @pytest.mark.parametrize(
-        "protocol, other, detector_class, wrong_class",
-        [("BB84", "gmcs-none", "Bb84Params", "GmcsParams"), ("GMCS", "bb84-0dBm", "GmcsParams", "Bb84Params")],
-    )
-    def test_detector_of_the_other_protocol_rejected(self, protocol, other, detector_class, wrong_class):
-        base = scenario_by_name(other)
-        message = f"^a {protocol} scenario needs a {detector_class} detector, got {wrong_class}$"
-        with pytest.raises(DomainError, match=message):
-            Scenario("z", protocol, base.link, base.comp, base.detector)
-        with pytest.raises(DomainError, match=message):
+    @pytest.mark.parametrize("name, protocol", [("bb84-0dBm", "BB84"), ("gmcs-none", "GMCS")])
+    def test_protocol_is_named_by_the_detector(self, name, protocol):
+        base = scenario_by_name(name)
+        assert base.protocol == protocol
+        assert Scenario("z", base.link, base.comp, base.detector).protocol == protocol
+        other = scenario_by_name("gmcs-none" if protocol == "BB84" else "bb84-0dBm")
+        assert base.replace(detector=other.detector).protocol == other.protocol != protocol
+        with pytest.raises(TypeError):
             base.replace(protocol=protocol)
 
     def test_builtins_are_built_once_and_listed_anew(self):
