@@ -7,7 +7,7 @@ rate R = 1/2 [Q1 - f Qmu H2(Emu) - Q1 H2(e1)], clamped at zero.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .noise import (
     ComponentParams,
@@ -101,7 +101,7 @@ def bb84_point_from_rates(eta: float, y0: float, params: Bb84Params, mu: float) 
 MU_BLOCK = 12
 
 
-def _extremes(mus: Sequence[float]) -> Tuple[float, float, float, float]:
+def _extremes(mus: Sequence[float]) -> tuple[float, float, float, float]:
     """(a, b, m, exp(-m)) of a run of finite mus: its least and largest mu,
     and m = clamp(1, a, b), where mu*exp(-mu) peaks over [a, b]."""
     a, b = min(mus), max(mus)
@@ -133,7 +133,7 @@ class _MuGrid:
 
 def _bound_over(
     eta: float, y0: float, params: Bb84Params, a: float, b: float, m: float, exp_m: float
-) -> Tuple[float, float, float]:
+) -> tuple[float, float, float]:
     """(bound, q_a, e_a): an upper bound on the unclamped rate
     0.5*(q1 - f_ec*q_mu*h(min(E_mu, 1/2)) - q1*h(min(e1, 1/2))) over every mu
     of a set of grid points with least a and largest b, padded for rounding,
@@ -183,31 +183,18 @@ def _bound_over(
 _DEFAULT_GRID = _MuGrid(DEFAULT_MU_GRID)
 
 
-def _eta_and_y0(
-    eta_ch: float, comp: ComponentParams, params: Bb84Params, budget: NoiseBudget
-) -> Tuple[float, float]:
-    """Overall efficiency and background rate per gate, given the channel
-    transmittance and the noise budget."""
-    eta = eta_ch * comp.eta_dmu * params.eta_bob
-    y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
-    return eta, y0
-
-
 def bb84_point(
     link: LinkParams,
     comp: ComponentParams,
     params: Bb84Params,
     z_km: float,
-    mu: Optional[float] = None,
+    mu: float | None = None,
 ) -> Bb84Point:
-    """Evaluate gains, QBERs and secure key rate at z_km of fiber."""
-    if mu is None:
-        mu = params.mu
-    elif not (math.isfinite(mu) and mu > 0):
+    """Evaluate gains, QBERs and secure key rate at z_km of fiber, at mu
+    (params.mu when it is None): optimize_mu over the one-point grid (mu,)."""
+    if mu is not None and not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and > 0, got {mu}")
-    eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z_km)
-    eta, y0 = _eta_and_y0(eta_ch, comp, params, budget)
-    return bb84_point_from_rates(eta, y0, params, mu)
+    return optimize_mu(link, comp, params, z_km, (params.mu if mu is None else mu,))[1]
 
 
 def optimize_mu(
@@ -216,7 +203,7 @@ def optimize_mu(
     params: Bb84Params,
     z_km: float,
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
-) -> Tuple[float, Bb84Point]:
+) -> tuple[float, Bb84Point]:
     """Grid argmax of the key rate over mu at z_km; ties go to the smaller mu.
     Each mu of mu_grid must be finite and > 0."""
     eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z_km)
@@ -228,8 +215,8 @@ def _optimize_mu_with_budget(
     comp: ComponentParams,
     params: Bb84Params,
     budget: NoiseBudget,
-    mu_grid: Sequence[float] = DEFAULT_MU_GRID,
-) -> Tuple[float, Bb84Point]:
+    mu_grid: Sequence[float],
+) -> tuple[float, Bb84Point]:
     """optimize_mu given the channel transmittance and the noise budget at
     one distance, which the caller has already.
 
@@ -263,7 +250,8 @@ def _optimize_mu_with_budget(
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
     grid = _DEFAULT_GRID if mu_grid is DEFAULT_MU_GRID else _MuGrid(mu_grid)
-    eta, y0 = _eta_and_y0(eta_ch, comp, params, budget)
+    eta = eta_ch * comp.eta_dmu * params.eta_bob
+    y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
     bound, q_a, e_a = _bound_over(eta, y0, params, *grid.whole)
     if bound <= 0.0 or all(_bound_over(eta, y0, params, *block)[0] <= 0.0 for block in grid.blocks):
         mu = mu_grid[0]

@@ -6,9 +6,7 @@ import functools
 import json
 import math
 import sys
-from typing import List, Optional
 
-from .bb84 import bb84_point
 from .config import Config, ConfigError, default_config, parse_config
 from .gmcs import PhysicalityError
 from .noise import (
@@ -19,11 +17,11 @@ from .noise import (
     fit_raman_coefficient,
 )
 from .output import emit, round9
-from .scenarios import Scenario, builtin_scenarios, evaluate, run_sweep, scenario_by_name
+from .scenarios import DEFAULT_MU_GRID, Evaluation, Scenario, builtin_scenarios, evaluate, run_sweep, scenario_by_name
 from .units import dbm_to_watts
 
 
-def _load_config(path: Optional[str]) -> Config:
+def _load_config(path: str | None) -> Config:
     if path is None:
         return default_config()
     with open(path, encoding="utf-8") as handle:
@@ -37,7 +35,7 @@ def _load_config(path: Optional[str]) -> Config:
     return parse_config(text)
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -45,7 +43,7 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _print_json(doc, out: Optional[str]) -> None:
+def _print_json(doc, out: str | None) -> None:
     _write(json.dumps(doc, indent=2) + "\n", out)
 
 
@@ -122,24 +120,30 @@ def cmd_noise(args, config: Config) -> int:
     return 0
 
 
+def _with_conservative(scenario: Scenario, args) -> Scenario:
+    """The scenario, with the sigma_meas pad on when --conservative is given."""
+    if args.conservative:
+        return scenario.replace(detector=scenario.detector.replace(conservative=True))
+    return scenario
+
+
+def _evaluate_point(args, config: Config, detector, mu_grid=DEFAULT_MU_GRID) -> Evaluation:
+    """The bb84 or gmcs point at --z: the config's link and components with the detector."""
+    scenario = _with_conservative(Scenario(args.command, config.link, config.comp, detector), args)
+    return evaluate(scenario, args.z, args.strict_eps_out, mu_grid)
+
+
 def cmd_bb84(args, config: Config) -> int:
-    if args.mu is not None:
-        mu, point = args.mu, bb84_point(config.link, config.comp, config.bb84, args.z, mu=args.mu)
-    else:
-        scenario = Scenario("bb84", config.link, config.comp, config.bb84)
-        evaluation = evaluate(scenario, args.z)
-        mu, point = evaluation.mu, evaluation.point
-    doc = {"protocol": "BB84", "mu": mu, "z_km": args.z, **point.as_dict()}
+    if args.mu is not None and not (math.isfinite(args.mu) and args.mu > 0):
+        raise DomainError(f"--mu must be finite and > 0, got {args.mu}")
+    evaluation = _evaluate_point(args, config, config.bb84, DEFAULT_MU_GRID if args.mu is None else (args.mu,))
+    doc = {"protocol": "BB84", "mu": evaluation.mu, "z_km": args.z, **evaluation.point.as_dict()}
     _print_json({k: (round9(v) if isinstance(v, float) else v) for k, v in doc.items()}, args.out)
     return 0
 
 
 def cmd_gmcs(args, config: Config) -> int:
-    det = config.gmcs
-    if args.conservative:
-        det = det.replace(conservative=True)
-    scenario = Scenario("gmcs", config.link, config.comp, det)
-    evaluation = evaluate(scenario, args.z, args.strict_eps_out)
+    evaluation = _evaluate_point(args, config, config.gmcs)
     point, budget = evaluation.point, evaluation.budget
     _print_json(
         {
@@ -158,13 +162,10 @@ def cmd_gmcs(args, config: Config) -> int:
     return 0
 
 
-def cmd_sweep(args, scenario: Optional[Scenario]) -> int:
+def cmd_sweep(args, scenario: Scenario | None) -> int:
     if args.config is not None:
         raise ConfigError("sweep runs a built-in scenario as defined and does not read --config")
-    if args.conservative:
-        det = scenario.detector.replace(conservative=True)
-        scenario = scenario.replace(detector=det)
-    result = run_sweep(scenario, strict_eps_out=args.strict_eps_out)
+    result = run_sweep(_with_conservative(scenario, args), strict_eps_out=args.strict_eps_out)
     emit(result, args.format, args.out or sys.stdout)
     return 0
 
@@ -193,7 +194,7 @@ def cmd_fit_beta(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         gmcs_flags = args.conservative or args.strict_eps_out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from collections.abc import Callable
 
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
@@ -81,7 +81,7 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _optional_float(raw: str) -> Optional[float]:
+def _optional_float(raw: str) -> float | None:
     return float(raw) if raw.strip() else None
 
 
@@ -149,7 +149,7 @@ def _parser_of(default) -> Callable[[str], object]:
     return int if isinstance(default, int) else float
 
 
-def _keys(cls) -> Dict[str, tuple]:
+def _keys(cls) -> dict[str, tuple]:
     converted = {entry[0]: (key, entry) for key, entry in _CONVERTED.items()}
     keys = {}
     for name, default in cls._defaults.items():
@@ -167,7 +167,7 @@ _KEYS["scenario"] = {key: (key, float, _plain_text) for key in _SCENARIO_DEFAULT
 _DELIMITER = re.compile("[=:]")
 
 
-def _read_ini(text: str) -> List[Tuple[str, str, str]]:
+def _read_ini(text: str) -> list[tuple[str, str, str]]:
     """The (section, key, raw value) of each option line, in document order.
 
     Lines split at "\\n" only and are stripped; blank lines and lines that

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Optional, Tuple
+from collections.abc import Callable
 
 from .noise import DomainError, FrozenRecord, frozen_params
 
@@ -63,7 +63,7 @@ class GmcsPoint(FrozenRecord):
         i_ab: float,
         chi_be: float,
         rate: float,
-        sigma: Tuple[float, float, float, float],
+        sigma: tuple[float, float, float, float],
     ):
         d = self.__dict__
         d["eps"] = eps
@@ -102,7 +102,7 @@ def total_excess_noise(
     return eps
 
 
-def _split_roots(total: float, product: float, gap_sq: float) -> Tuple[float, float]:
+def _split_roots(total: float, product: float, gap_sq: float) -> tuple[float, float]:
     """The squared symplectic eigenvalues of one pair, the roots of
     x^2 - total*x + product^2, given gap_sq = total - 2*product, the square
     of the eigenvalues' difference.
@@ -131,6 +131,8 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
         raise DomainError("eta_ch must be in (0, 1]")
     if eps < 0:
         raise DomainError("excess noise must be >= 0")
+    if not 0 < eta_dmu <= 1:
+        raise DomainError(f"eta_dmu must be in (0, 1], got {eta_dmu}")
 
     v = params.v_a + 1.0
     eta_prime = eta_dmu * params.eta_bob

@@ -13,8 +13,8 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass
-from typing import Optional, Sequence, Tuple
 
 from .units import PLANCK_H, SPEED_OF_LIGHT, db_to_linear, dbm_to_watts, photon_energy
 
@@ -50,7 +50,7 @@ class FrozenRecord:
     it the fast path.
     """
 
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -205,7 +205,7 @@ class ComponentParams(FrozenRecord):
 
     nf_db: float = 6.0206  # linear NF = 4
     gain_g0: float = 100.0
-    gain_fixed: Optional[float] = None
+    gain_fixed: float | None = None
     xi1: float = 1e-8  # MUX cross-channel isolation, linear
     xi2: float = 1e-8  # DEMUX cross-channel isolation, linear
     eta_mux: float = 0.71
@@ -290,7 +290,7 @@ def channel_transmittance(z_km: float, alpha_db_per_km: float) -> float:
 
 
 def fit_raman_coefficient(
-    measurements: Sequence[Tuple[float, float]],
+    measurements: Sequence[tuple[float, float]],
     p_out_w: float,
     delta_lambda_nm: float,
     insertion_loss_db: float = 0.0,
@@ -375,8 +375,8 @@ class NoiseModel:
         comp: ComponentParams,
         delta_t_s: float,
         eta_bob: float = 0.0,
-        detector_bandwidth_hz: Optional[float] = None,
-        n_lo: Optional[float] = None,
+        detector_bandwidth_hz: float | None = None,
+        n_lo: float | None = None,
     ):
         # each comparison is False for a NaN
         if not 0 < delta_t_s < math.inf:
@@ -415,7 +415,7 @@ class NoiseModel:
     __setattr__ = FrozenRecord.__setattr__
     __delattr__ = FrozenRecord.__delattr__
 
-    def at(self, z_km: float) -> Tuple[float, NoiseBudget]:
+    def at(self, z_km: float) -> tuple[float, NoiseBudget]:
         """(eta_ch, budget) at z_km of fiber: the channel transmittance and
         every noise quantity, from the formulas in the class docstring. An
         n_sp below 1, the spontaneous-emission limit, is rejected wherever
@@ -489,8 +489,8 @@ def compute_noise_budget(
     z_km: float,
     delta_t_s: float,
     eta_bob: float = 0.0,
-    detector_bandwidth_hz: Optional[float] = None,
-    n_lo: Optional[float] = None,
+    detector_bandwidth_hz: float | None = None,
+    n_lo: float | None = None,
 ) -> NoiseBudget:
     """Evaluate every noise quantity for one link at z_km of fiber: the
     budget of NoiseModel(link, comp, delta_t_s, ...).at(z_km)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, List, Union
+from io import TextIOBase
 
 from .noise import DomainError
 from .scenarios import SweepResult
@@ -60,7 +60,7 @@ def _rounded_text(result: SweepResult) -> str:
     template of n rows of %.9g slots: the CSV writer takes the text as it
     is, and the JSON writer splits it into its cells.
     """
-    values: List[float] = []
+    values: list[float] = []
     for row in result.rows:
         b = row.budget
         values += (
@@ -110,7 +110,7 @@ def sweep_to_json(result: SweepResult) -> str:
     )
 
 
-def emit(result: SweepResult, fmt: str, destination: Union[str, IO[str]]) -> None:
+def emit(result: SweepResult, fmt: str, destination: str | TextIOBase) -> None:
     """Write a sweep in the requested format to a path or open text stream."""
     if fmt == "csv":
         text = sweep_to_csv(result)

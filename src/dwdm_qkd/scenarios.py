@@ -8,9 +8,10 @@ detector with the conservative excess-noise estimate).
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Tuple, Union
+import math
+from collections.abc import Callable, Sequence
 
-from .bb84 import Bb84Params, Bb84Point, _optimize_mu_with_budget
+from .bb84 import DEFAULT_MU_GRID, Bb84Params, Bb84Point, _optimize_mu_with_budget
 from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
 from .noise import ComponentParams, DomainError, FrozenRecord, LinkParams, NoiseBudget, NoiseModel
 
@@ -23,13 +24,13 @@ HOMODYNE_REFERENCE_WINDOW_S = 1e-9
 
 def _check_z_grid(z_grid) -> None:
     zs = list(z_grid)
-    if not zs or any(z < 0 for z in zs) or any(b <= a for a, b in zip(zs, zs[1:])):
-        raise DomainError("z_grid must be nonempty, nonnegative, strictly increasing")
+    if not zs or not all(math.isfinite(z) and z >= 0 for z in zs) or any(b <= a for a, b in zip(zs, zs[1:])):
+        raise DomainError("z_grid must be nonempty, finite, nonnegative and strictly increasing")
 
 
 # 0..80 km step 0.5, built and checked once and shared by every Scenario
 # that keeps the default
-DEFAULT_Z_GRID: Tuple[float, ...] = tuple(0.5 * i for i in range(161))
+DEFAULT_Z_GRID: tuple[float, ...] = tuple(0.5 * i for i in range(161))
 _check_z_grid(DEFAULT_Z_GRID)
 
 
@@ -44,8 +45,8 @@ class Scenario(FrozenRecord):
         name: str,
         link: LinkParams,
         comp: ComponentParams,
-        detector: Union[Bb84Params, GmcsParams],
-        z_grid: Tuple[float, ...] = DEFAULT_Z_GRID,
+        detector: Bb84Params | GmcsParams,
+        z_grid: tuple[float, ...] = DEFAULT_Z_GRID,
     ):
         if not isinstance(detector, (Bb84Params, GmcsParams)):
             raise DomainError(f"a scenario needs a Bb84Params or GmcsParams detector, got {type(detector).__name__}")
@@ -75,8 +76,8 @@ class Evaluation(FrozenRecord):
         z_km: float,
         budget: NoiseBudget,
         eta_ch: float,
-        point: Union[Bb84Point, GmcsPoint],
-        mu: Optional[float] = None,
+        point: Bb84Point | GmcsPoint,
+        mu: float | None = None,
     ):
         d = self.__dict__
         d["z_km"] = z_km
@@ -96,9 +97,9 @@ class SweepResult(FrozenRecord):
     def __init__(
         self,
         scenario: str,
-        rows: Tuple[Evaluation, ...],
+        rows: tuple[Evaluation, ...],
         secure_distance_km: float,
-        noise_crossover_km: Optional[float],
+        noise_crossover_km: float | None,
     ):
         d = self.__dict__
         d["scenario"] = scenario
@@ -107,17 +108,22 @@ class SweepResult(FrozenRecord):
         d["noise_crossover_km"] = noise_crossover_km
 
 
-def evaluate(scenario: Scenario, z_km: float, strict_eps_out: bool = False) -> Evaluation:
+def evaluate(
+    scenario: Scenario, z_km: float, strict_eps_out: bool = False, mu_grid: Sequence[float] = DEFAULT_MU_GRID
+) -> Evaluation:
     """Noise budget and key rate of a scenario at one distance.
 
-    BB84 takes the rate at the optimal mu of the default grid. GMCS budgets
-    its noise against HOMODYNE_REFERENCE_WINDOW_S and adds the unmatched-mode
-    excess noise eps_out to eps_in only when strict_eps_out is set.
+    BB84 takes the rate at the optimal mu of mu_grid, and the grid (mu,)
+    gives the rate at mu. GMCS ignores mu_grid, budgets its noise against
+    HOMODYNE_REFERENCE_WINDOW_S and adds the unmatched-mode excess noise
+    eps_out to eps_in only when strict_eps_out is set.
     """
-    return _model_and_row(scenario, strict_eps_out)[1](z_km)
+    return _model_and_row(scenario, strict_eps_out, mu_grid)[1](z_km)
 
 
-def _model_and_row(scenario: Scenario, strict_eps_out: bool) -> Tuple[NoiseModel, Callable[[float], Evaluation]]:
+def _model_and_row(
+    scenario: Scenario, strict_eps_out: bool, mu_grid: Sequence[float] = DEFAULT_MU_GRID
+) -> tuple[NoiseModel, Callable[[float], Evaluation]]:
     """The noise model that budgets a scenario's rows, and the function that
     evaluates its row at one distance. The protocol is decided here, once,
     and not on each row."""
@@ -128,7 +134,7 @@ def _model_and_row(scenario: Scenario, strict_eps_out: bool) -> Tuple[NoiseModel
 
         def bb84_row(z_km: float) -> Evaluation:
             eta_ch, budget = at(z_km)
-            mu, point = _optimize_mu_with_budget(eta_ch, comp, det, budget)
+            mu, point = _optimize_mu_with_budget(eta_ch, comp, det, budget, mu_grid)
             return Evaluation(z_km, budget, eta_ch, point, mu)
 
         return model, bb84_row
@@ -176,7 +182,7 @@ def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
     )
 
 
-def noise_crossover_km(scenario: Scenario) -> Optional[float]:
+def noise_crossover_km(scenario: Scenario) -> float | None:
     """Distance where the leakage and SASRS window terms are equal.
 
     The leakage term is constant in z while SASRS grows linearly, so the
@@ -186,21 +192,21 @@ def noise_crossover_km(scenario: Scenario) -> Optional[float]:
     return _crossover_km(_model_and_row(scenario, False)[0])
 
 
-def _crossover_km(model: NoiseModel) -> Optional[float]:
+def _crossover_km(model: NoiseModel) -> float | None:
     budget = model.at(1.0)[1]
     if budget.leak_window <= 0 or budget.sasrs_window <= 0:
         return None
     return budget.leak_window / budget.sasrs_window  # slope is per km at z=1
 
 
-def builtin_scenarios() -> List[Scenario]:
+def builtin_scenarios() -> list[Scenario]:
     """The seven canonical scenarios used throughout the documentation, in
     a new list on each call."""
     return list(_builtin_scenarios())
 
 
 @functools.cache
-def _builtin_scenarios() -> Tuple[Scenario, ...]:
+def _builtin_scenarios() -> tuple[Scenario, ...]:
     # built once per process; every Scenario and its parameters are frozen
     table2 = ComponentParams()
     table2_adj = table2.replace(xi1=ADJACENT_ISOLATION, xi2=ADJACENT_ISOLATION)

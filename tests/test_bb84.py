@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from dwdm_qkd.noise import (
     channel_transmittance,
     compute_noise_budget,
 )
-from dwdm_qkd.scenarios import evaluate, run_sweep, scenario_by_name
+from dwdm_qkd.scenarios import Scenario, evaluate, run_sweep, scenario_by_name
 
 PARAMS = Bb84Params()  # e_det=0.003, Y0^0=5e-6, eta_bob=0.038, f=1.22
 COMP = ComponentParams()
@@ -44,8 +45,11 @@ def first_max_over_point_builder(link, z, params, mu_grid):
 
 
 def efficiency_and_background(link, z, params):
+    """(eta, y0): the overall efficiency and background rate per gate, as
+    the scan forms them from NoiseModel.at."""
     eta_ch, budget = NoiseModel(link, COMP, params.delta_t_s).at(z)
-    return bb84._eta_and_y0(eta_ch, COMP, params, budget)
+    eta = eta_ch * COMP.eta_dmu * params.eta_bob
+    return eta, background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
 
 
 def whole_bound(eta, y0, params, mu_grid):
@@ -201,6 +205,33 @@ class TestBb84Point:
         noisy = bb84_point(faint, quiet, PARAMS, 10, mu=0.5).rate
         clean = bb84_point(UNMULTIPLEXED, COMP, PARAMS, 10, mu=0.5).rate
         assert noisy == pytest.approx(clean, rel=1e-6)
+
+
+    @pytest.mark.parametrize("channels", [0, 1, 38])
+    def test_one_mu_is_the_scan_over_its_one_point_grid(self, channels):
+        # bb84_point and evaluate at a fixed mu both reach the mu scan, over
+        # the grid (mu,). bb84_point_from_rates on NoiseModel.at's budget is
+        # the oracle, and both points must equal it exactly, on rows the
+        # grid bound settles and on rows the scan computes
+        rng = random.Random(2300 + channels)
+        rates = []
+        for _ in range(300):
+            link = LinkParams(classical_channel_count=channels, p_out_dbm=rng.uniform(-90.0, 0.0))
+            params = PARAMS.replace(y0_base=rng.choice((0.0, 1e-7, 5e-6, 1e-4)), e_det=rng.uniform(0.0, 0.05))
+            z = rng.choice((0.0, rng.uniform(0.0, 150.0)))
+            mu = math.exp(rng.uniform(math.log(1e-3), math.log(5.0)))
+            eta, y0 = efficiency_and_background(link, z, params)
+            expected = bb84_point_from_rates(eta, y0, params, mu)
+            evaluation = evaluate(Scenario("one-mu", link, COMP, params), z, mu_grid=(mu,))
+            assert (evaluation.mu, evaluation.point) == (mu, expected)
+            assert bb84_point(link, COMP, params, z, mu=mu) == expected
+            rates.append(expected.rate)
+        assert 0.0 in rates and max(rates) > 0.0
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_mu_is_rejected_by_name(self, mu):
+        with pytest.raises(DomainError, match=rf"^mu must be finite and > 0, got {mu}$"):
+            bb84_point(UNMULTIPLEXED, COMP, PARAMS, 20, mu=mu)
 
 
 class TestOptimizeMu:

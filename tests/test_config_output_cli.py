@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dwdm_qkd import cli, config, scenarios
-from dwdm_qkd.bb84 import Bb84Params
+from dwdm_qkd.bb84 import DEFAULT_MU_GRID, Bb84Params
 from dwdm_qkd.cli import main
 from dwdm_qkd.config import (
     MAX_GRID_POINTS,
@@ -596,6 +596,19 @@ class TestConfigGrammar:
         assert result.stdout == "False\n"
 
 
+    def test_cli_import_leaves_out_typing(self):
+        # every annotation is a string, written with built-in generics and
+        # X | None, so no module of the package imports typing; -S keeps out
+        # site, which imports typing on some installs
+        package_root = pathlib.Path(config.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        probe = "import sys, dwdm_qkd.cli; print('typing' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "False\n"
+
+
 class TestOutput:
     def test_csv_shape(self):
         result = small_sweep()
@@ -710,6 +723,22 @@ class TestCli:
         assert main(["bb84", "--z", "20"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["rate"] == 0.0
+
+    @pytest.mark.parametrize("mu_args, mu_grid", [(["--mu", "0.3"], (0.3,)), ([], DEFAULT_MU_GRID)])
+    def test_bb84_point_runs_the_mu_scan(self, mu_args, mu_grid, monkeypatch, capsys):
+        # with or without --mu, the point comes from evaluate's mu scan, and
+        # --mu fixes the scan's grid to (mu,)
+        grids = []
+        scan = scenarios._optimize_mu_with_budget
+
+        def recorder(eta_ch, comp, params, budget, mu_grid=DEFAULT_MU_GRID):
+            grids.append(mu_grid)
+            return scan(eta_ch, comp, params, budget, mu_grid)
+
+        monkeypatch.setattr(scenarios, "_optimize_mu_with_budget", recorder)
+        assert main(["bb84", "--z", "20", *mu_args]) == 0
+        assert grids == [mu_grid]
+        assert json.loads(capsys.readouterr().out)["mu"] == mu_grid[0]
 
     def test_gmcs_positive_at_zero_distance(self, capsys):
         assert main(["gmcs", "--z", "0"]) == 0
@@ -864,6 +893,8 @@ class TestCli:
             FIT + ["--p-out-dbm", "0", "--point", "20:nan"],
             ["bb84", "--z", "20", "--mu", "-1"],
             ["bb84", "--z", "20", "--mu", "nan"],
+            ["bb84", "--z", "20", "--mu", "inf"],
+            ["bb84", "--z", "20", "--mu", "0"],
             # the GMCS-only flags outside gmcs and a GMCS sweep
             ["--conservative", "bb84"],
             ["--strict-eps-out", "noise"],
@@ -929,8 +960,11 @@ class TestCli:
             (FIT + ["--p-out-dbm", "inf", "--point", "20:1e-10"], "--p-out-dbm must be finite"),
             (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "-4000", "--point", "20:1e-10"], "insertion_loss_db"),
             (FIT + ["--p-out-dbm", "0", "--point", "20:nan"], "measurement point"),
-            (["bb84", "--z", "20", "--mu", "-1"], "mu"),
-            (["bb84", "--z", "20", "--mu", "nan"], "mu"),
+            # the error line names the flag that was typed
+            (["bb84", "--z", "20", "--mu", "-1"], "error: --mu must be finite and > 0, got -1.0\n"),
+            (["bb84", "--z", "20", "--mu", "nan"], "error: --mu must be finite and > 0, got nan\n"),
+            (["bb84", "--z", "20", "--mu", "inf"], "error: --mu must be finite and > 0, got inf\n"),
+            (["bb84", "--z", "20", "--mu", "0"], "error: --mu must be finite and > 0, got 0.0\n"),
             # 10 ** (-400) underflows the insertion-loss factor to 0
             (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "4000", "--point", "20:1e-10"], "insertion_loss_db"),
             (["fit-beta", "--p-out-dbm", "0", "--delta-lambda-nm", "0", "--point", "20:1e-10"], "delta_lambda_nm"),

@@ -198,6 +198,13 @@ class TestGmcsPoint:
         with pytest.raises(DomainError):
             gmcs_point(0.5, PARAMS, -0.01, eta_dmu=COMP.eta_dmu)
 
+    @pytest.mark.parametrize("eta_dmu", [0.0, -1.0, 2.0, math.nan])
+    def test_eta_dmu_outside_unit_interval_rejected_by_name(self, eta_dmu):
+        # these failed as a ZeroDivisionError, a math domain error, a theta
+        # DomainError and a float-range DomainError, none naming eta_dmu
+        with pytest.raises(DomainError, match=rf"^eta_dmu must be in \(0, 1\], got {eta_dmu}$"):
+            gmcs_point(0.5, PARAMS, 0.01, eta_dmu=eta_dmu)
+
     @pytest.mark.parametrize(
         "eta_ch, eps",
         [(5e-324, 0.01), (0.5, math.inf), (0.5, 1e300)],

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -73,6 +74,11 @@ class TestBuiltins:
             base.replace(z_grid=(0.0, 2.0, 1.0))
         with pytest.raises(DomainError):
             base.replace(z_grid=())
+        # a NaN or an infinite distance is rejected when the scenario is
+        # built, by the grid's name, not when a sweep reaches it
+        for z_grid in ((0.0, math.nan), (0.0, math.inf), (math.nan,)):
+            with pytest.raises(DomainError, match="^z_grid "):
+                base.replace(z_grid=z_grid)
         message = "^a scenario needs a Bb84Params or GmcsParams detector, got ComponentParams$"
         with pytest.raises(DomainError, match=message):
             base.replace(detector=base.comp)
