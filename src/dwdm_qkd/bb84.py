@@ -16,6 +16,7 @@ from .noise import (
     LinkParams,
     NoiseBudget,
     NoiseModel,
+    Record,
     frozen_params,
 )
 
@@ -51,17 +52,12 @@ class Bb84Params(FrozenRecord):
             raise DomainError(f"delta_t_s must be positive, got {self.delta_t_s}")
 
 
-class Bb84Point(FrozenRecord):
+class Bb84Point(Record):
+    __slots__ = ()
     _fields = ("y0", "q_mu", "e_mu", "q1", "e1", "rate")
 
-    def __init__(self, y0: float, q_mu: float, e_mu: float, q1: float, e1: float, rate: float):
-        d = self.__dict__
-        d["y0"] = y0
-        d["q_mu"] = q_mu
-        d["e_mu"] = e_mu
-        d["q1"] = q1
-        d["e1"] = e1
-        d["rate"] = rate
+    def __new__(cls, y0: float, q_mu: float, e_mu: float, q1: float, e1: float, rate: float):
+        return tuple.__new__(cls, (y0, q_mu, e_mu, q1, e1, rate))
 
 
 def background_rate(y0_base: float, eta_bob: float, n_spd_window: float) -> float:

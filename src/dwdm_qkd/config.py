@@ -19,7 +19,7 @@ from collections.abc import Callable
 
 from .bb84 import Bb84Params
 from .gmcs import GmcsParams
-from .noise import ComponentParams, DomainError, FrozenRecord, LinkParams, channel_transmittance, db_field_to_linear
+from .noise import ComponentParams, DomainError, LinkParams, Record, channel_transmittance, db_field_to_linear
 from .scenarios import DEFAULT_Z_GRID
 
 # the most points a [scenario] grid may describe
@@ -32,11 +32,12 @@ class ConfigError(ValueError):
     """A configuration document failed validation; the message names the key."""
 
 
-class Config(FrozenRecord):
+class Config(Record):
+    __slots__ = ()
     _fields = ("link", "comp", "bb84", "gmcs", "z_min_km", "z_max_km", "z_step_km", "z_km")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         link: LinkParams,
         comp: ComponentParams,
         bb84: Bb84Params,
@@ -46,15 +47,7 @@ class Config(FrozenRecord):
         z_step_km: float,
         z_km: float = DEFAULT_Z_KM,
     ):
-        d = self.__dict__
-        d["link"] = link
-        d["comp"] = comp
-        d["bb84"] = bb84
-        d["gmcs"] = gmcs
-        d["z_min_km"] = z_min_km
-        d["z_max_km"] = z_max_km
-        d["z_step_km"] = z_step_km
-        d["z_km"] = z_km
+        return tuple.__new__(cls, (link, comp, bb84, gmcs, z_min_km, z_max_km, z_step_km, z_km))
 
 
 # section -> (Config attribute, parameter dataclass)

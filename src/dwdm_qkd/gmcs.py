@@ -12,7 +12,7 @@ import math
 import warnings
 from collections.abc import Callable
 
-from .noise import DomainError, FrozenRecord, frozen_params
+from .noise import DomainError, FrozenRecord, Record, frozen_params
 
 DISCRIMINANT_RTOL = 1e-9
 # gmcs_point extracts the symplectic eigenvalues without cancellation, so
@@ -54,23 +54,19 @@ class GmcsParams(FrozenRecord):
                 raise DomainError(f"{name} must be positive, got {value}")
 
 
-class GmcsPoint(FrozenRecord):
+class GmcsPoint(Record):
+    __slots__ = ()
     _fields = ("eps", "i_ab", "chi_be", "rate", "sigma")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         eps: float,  # total input-referred excess noise
         i_ab: float,
         chi_be: float,
         rate: float,
         sigma: tuple[float, float, float, float],
     ):
-        d = self.__dict__
-        d["eps"] = eps
-        d["i_ab"] = i_ab
-        d["chi_be"] = chi_be
-        d["rate"] = rate
-        d["sigma"] = sigma
+        return tuple.__new__(cls, (eps, i_ab, chi_be, rate, sigma))
 
 
 def theta(x: float) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass
+from operator import itemgetter
 
 from .units import PLANCK_H, SPEED_OF_LIGHT, db_to_linear, dbm_to_watts, photon_energy
 
@@ -32,24 +33,16 @@ class FrozenRecord:
     written here: the dataclass decorator generates them when the module is
     imported, about a millisecond per class.
 
-    A subclass names its fields in order in _fields, and its __init__
-    stores each one; assignment and deletion raise FrozenInstanceError.
-    Equality, hashing and the repr read the fields in that order, as a
-    frozen dataclass's do.
-
-    The records a sweep builds per row store straight into the instance
-    __dict__, for speed: object.__setattr__ once per field, as a frozen
-    dataclass's __init__ does, cost a sweep row about 5 us over its three
-    records. On CPython 3.11 and 3.12 a field read from such an instance
-    misses one attribute-read fast path, which a sweep more than recovers.
-    Replacing __dict__ with a dict built whole kept that path but held
-    0.4 MiB more over the GMCS sweeps. The parameter classes (see
-    frozen_params) are built once and read on every row, so they store by
-    object.__setattr__ and keep the fast path. The methods here read fields
-    by getattr: on 3.11 and 3.12, reading an instance's __dict__ also costs
-    it the fast path.
+    A subclass names its fields in order in _fields; assignment and
+    deletion raise FrozenInstanceError. Equality, hashing and the repr read
+    the fields in that order, as a frozen dataclass's do. The records a
+    sweep builds are Records, which hold their fields in a tuple. The
+    parameter classes (see frozen_params) store theirs in the instance
+    __dict__ by object.__setattr__: they are built once and read on every
+    row, and a read from such an instance is cheaper than a Record's.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
@@ -75,13 +68,47 @@ class FrozenRecord:
 
     def replace(self, **changes):
         """A new record with the named fields changed, built and checked by
-        __init__ as any other."""
+        its constructor as any other."""
         return type(self)(**{**self.as_dict(), **changes})
 
     def as_dict(self) -> dict:
         """Each field's name and value, in field order; a record held in a
         field stays a record."""
         return {name: getattr(self, name) for name in self._fields}
+
+
+class Record(FrozenRecord, tuple):
+    """A FrozenRecord whose fields are the items of a tuple, one per name in
+    _fields, each read by a property. A record is one allocation with no
+    __dict__, where an instance with a __dict__ is two, so the rows of a
+    sweep set off fewer garbage collections. Each subclass declares
+    __slots__ = (), or its instances gain a __dict__, and a __new__ that
+    passes its fields, in order, to tuple.__new__.
+
+    A record supports len, indexing, unpacking and ordering as a tuple
+    does, but it equals only a record of its own class with equal items;
+    its hash is that of the tuple of its items.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index)))
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild a record through __new__ with its fields
+        return tuple(self)
+
+    def __eq__(self, other):
+        # tuple.__eq__ would also find a plain tuple of the same items equal
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        # else tuple.__ne__, ahead of object.__ne__ in the MRO, would answer
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
 
 def _params_init(self, *args, **kwargs):
@@ -234,7 +261,7 @@ class ComponentParams(FrozenRecord):
         return self.gain_g0 / eta_ch
 
 
-class NoiseBudget(FrozenRecord):
+class NoiseBudget(Record):
     """Per-source noise tallies at one distance.
 
     Mode/rate quantities are aggregated over all classical channels.
@@ -242,14 +269,15 @@ class NoiseBudget(FrozenRecord):
     n_spd_window == ase_window + leak_window + sasrs_window exactly.
     """
 
+    __slots__ = ()
     _fields = (
         "n_ase_per_mode_at_a", "n_leak_per_s_at_c", "n_sasrs_per_mode_at_c",
         "ase_window", "leak_window", "sasrs_window", "n_spd_window",
         "n_gmcs_matched", "n_gmcs_unmatched", "eps_in", "eps_out",
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         n_ase_per_mode_at_a: float,
         n_leak_per_s_at_c: float,
         n_sasrs_per_mode_at_c: float,
@@ -262,18 +290,10 @@ class NoiseBudget(FrozenRecord):
         eps_in: float,
         eps_out: float,
     ):
-        d = self.__dict__
-        d["n_ase_per_mode_at_a"] = n_ase_per_mode_at_a
-        d["n_leak_per_s_at_c"] = n_leak_per_s_at_c
-        d["n_sasrs_per_mode_at_c"] = n_sasrs_per_mode_at_c
-        d["ase_window"] = ase_window
-        d["leak_window"] = leak_window
-        d["sasrs_window"] = sasrs_window
-        d["n_spd_window"] = n_spd_window
-        d["n_gmcs_matched"] = n_gmcs_matched
-        d["n_gmcs_unmatched"] = n_gmcs_unmatched
-        d["eps_in"] = eps_in
-        d["eps_out"] = eps_out
+        return tuple.__new__(cls, (
+            n_ase_per_mode_at_a, n_leak_per_s_at_c, n_sasrs_per_mode_at_c, ase_window, leak_window, sasrs_window,
+            n_spd_window, n_gmcs_matched, n_gmcs_unmatched, eps_in, eps_out,
+        ))
 
 
 def channel_transmittance(z_km: float, alpha_db_per_km: float) -> float:

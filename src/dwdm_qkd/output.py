@@ -10,12 +10,18 @@ from __future__ import annotations
 import json
 import math
 from io import TextIOBase
+from operator import itemgetter
 
-from .noise import DomainError
+from .noise import DomainError, NoiseBudget
 from .scenarios import SweepResult
 
 CSV_HEADER = "z_km,ase_window,leak_window,sasrs_window,total_window,eps_in,eps_out,rate"
 _FIELDS = CSV_HEADER.split(",")
+# the budget's columns of a row, between z_km and rate; total_window is n_spd_window
+_BUDGET_COLUMNS = itemgetter(*[
+    NoiseBudget._fields.index(name)
+    for name in ("ase_window", "leak_window", "sasrs_window", "n_spd_window", "eps_in", "eps_out")
+])
 _DIGITS = "%.9g"
 _CSV_ROW = ",".join([_DIGITS] * len(_FIELDS))
 # one row laid out as json.dumps(doc, indent=2) lays it out, each value the
@@ -61,18 +67,10 @@ def _rounded_text(result: SweepResult) -> str:
     is, and the JSON writer splits it into its cells.
     """
     values: list[float] = []
-    for row in result.rows:
-        b = row.budget
-        values += (
-            row.z_km,
-            b.ase_window,
-            b.leak_window,
-            b.sasrs_window,
-            b.n_spd_window,
-            b.eps_in,
-            b.eps_out,
-            row.point.rate,
-        )
+    for z_km, budget, _, point, _ in result.rows:
+        values.append(z_km)
+        values += _BUDGET_COLUMNS(budget)
+        values.append(point.rate)
     if not all(map(math.isfinite, values)):
         for i, value in enumerate(values):
             row = result.rows[i // len(_FIELDS)]

@@ -13,7 +13,7 @@ from collections.abc import Callable, Sequence
 
 from .bb84 import DEFAULT_MU_GRID, Bb84Params, Bb84Point, _optimize_mu_with_budget
 from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
-from .noise import ComponentParams, DomainError, FrozenRecord, LinkParams, NoiseBudget, NoiseModel
+from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel, Record
 
 ADJACENT_ISOLATION = 1e-4  # -40 dB
 
@@ -22,8 +22,7 @@ ADJACENT_ISOLATION = 1e-4  # -40 dB
 HOMODYNE_REFERENCE_WINDOW_S = 1e-9
 
 
-def _check_z_grid(z_grid) -> None:
-    zs = list(z_grid)
+def _check_z_grid(zs: tuple[float, ...]) -> None:
     if not zs or not all(math.isfinite(z) and z >= 0 for z in zs) or any(b <= a for a, b in zip(zs, zs[1:])):
         raise DomainError("z_grid must be nonempty, finite, nonnegative and strictly increasing")
 
@@ -34,14 +33,15 @@ DEFAULT_Z_GRID: tuple[float, ...] = tuple(0.5 * i for i in range(161))
 _check_z_grid(DEFAULT_Z_GRID)
 
 
-class Scenario(FrozenRecord):
+class Scenario(Record):
     """A named sweep: a link, its components and a detector on a distance
     grid. The detector's class names the protocol."""
 
+    __slots__ = ()
     _fields = ("name", "link", "comp", "detector", "z_grid")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         name: str,
         link: LinkParams,
         comp: ComponentParams,
@@ -51,13 +51,9 @@ class Scenario(FrozenRecord):
         if not isinstance(detector, (Bb84Params, GmcsParams)):
             raise DomainError(f"a scenario needs a Bb84Params or GmcsParams detector, got {type(detector).__name__}")
         if z_grid is not DEFAULT_Z_GRID:
+            z_grid = tuple(z_grid)
             _check_z_grid(z_grid)
-        d = self.__dict__
-        d["name"] = name
-        d["link"] = link
-        d["comp"] = comp
-        d["detector"] = detector
-        d["z_grid"] = z_grid
+        return tuple.__new__(cls, (name, link, comp, detector, z_grid))
 
     @property
     def protocol(self) -> str:
@@ -65,47 +61,40 @@ class Scenario(FrozenRecord):
         return "BB84" if isinstance(self.detector, Bb84Params) else "GMCS"
 
 
-class Evaluation(FrozenRecord):
+class Evaluation(Record):
     """Everything evaluated at one distance: the noise budget, the channel
     transmittance and the key-rate point; mu is the BB84 grid optimum."""
 
+    __slots__ = ()
     _fields = ("z_km", "budget", "eta_ch", "point", "mu")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         z_km: float,
         budget: NoiseBudget,
         eta_ch: float,
         point: Bb84Point | GmcsPoint,
         mu: float | None = None,
     ):
-        d = self.__dict__
-        d["z_km"] = z_km
-        d["budget"] = budget
-        d["eta_ch"] = eta_ch
-        d["point"] = point
-        d["mu"] = mu
+        return tuple.__new__(cls, (z_km, budget, eta_ch, point, mu))
 
     @property
     def rate(self) -> float:
         return self.point.rate
 
 
-class SweepResult(FrozenRecord):
+class SweepResult(Record):
+    __slots__ = ()
     _fields = ("scenario", "rows", "secure_distance_km", "noise_crossover_km")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         scenario: str,
         rows: tuple[Evaluation, ...],
         secure_distance_km: float,
         noise_crossover_km: float | None,
     ):
-        d = self.__dict__
-        d["scenario"] = scenario
-        d["rows"] = rows
-        d["secure_distance_km"] = secure_distance_km
-        d["noise_crossover_km"] = noise_crossover_km
+        return tuple.__new__(cls, (scenario, rows, secure_distance_km, noise_crossover_km))
 
 
 def evaluate(

@@ -28,7 +28,7 @@ from dwdm_qkd.noise import (
 from dwdm_qkd.bb84 import Bb84Params, Bb84Point
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint
 from dwdm_qkd.config import DEFAULT_Z_KM, Config
-from dwdm_qkd.scenarios import DEFAULT_Z_GRID, Evaluation, Scenario, SweepResult
+from dwdm_qkd.scenarios import DEFAULT_Z_GRID, Evaluation, Scenario, SweepResult, run_sweep, scenario_by_name
 from dwdm_qkd.units import PLANCK_H, SPEED_OF_LIGHT, dbm_to_watts, photon_energy
 
 TABLE_LINK = LinkParams()
@@ -589,8 +589,9 @@ RECORDS = [
 @pytest.mark.parametrize("cls, names, values, defaults, pinned_repr", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_row_record_contract(cls, names, values, defaults, pinned_repr):
     """The seven frozen records keep the behaviour of the frozen dataclasses
-    they were: construction, defaults, equality, hashing, repr and
-    immutability, with replace and as_dict as methods."""
+    they were: construction, defaults, equality, hashing, repr, pickling,
+    copying and immutability, with replace and as_dict as methods. A record
+    is a tuple of its fields, yet never equals a plain tuple."""
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
     assert tuple(getattr(by_position, n) for n in names) == values
@@ -599,7 +600,11 @@ def test_row_record_contract(cls, names, values, defaults, pinned_repr):
     assert by_position == by_keyword
     assert hash(by_position) == hash(by_keyword) == hash(values)
     assert repr(by_position) == repr(by_keyword) == pinned_repr
-    assert by_position.__eq__(values) is NotImplemented
+    assert by_position != values and values != by_position
+    assert not (by_position == values or values == by_position)
+    for copied in (pickle.loads(pickle.dumps(by_position)), copy.deepcopy(by_position)):
+        assert copied == by_position
+        assert type(copied) is cls
 
     required = len(names) - len(defaults)
     assert tuple(names[required:]) == tuple(defaults)
@@ -628,6 +633,20 @@ def test_row_record_contract(cls, names, values, defaults, pinned_repr):
     with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{names[0]}'"):
         delattr(by_position, names[0])
     assert tuple(getattr(by_position, n) for n in names) == values
+
+
+def test_records_have_no_instance_dict():
+    """A record subclass that leaves out __slots__ = () gains a __dict__ on
+    every instance, which the records a sweep builds per row must not have."""
+    records = [cls(*values) for cls, _, values, _, _ in RECORDS]
+    for name in ("bb84-0dBm", "gmcs-none"):
+        result = run_sweep(scenario_by_name(name))
+        records.append(result)
+        for row in result.rows:
+            records += (row, row.budget, row.point)
+    assert {type(r) for r in records} == {r[0] for r in RECORDS}
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 # each parameter class: its field names in order, its defaults, other valid

@@ -83,6 +83,19 @@ class TestBuiltins:
         with pytest.raises(DomainError, match=message):
             base.replace(detector=base.comp)
 
+    def test_grid_is_kept_as_a_tuple(self):
+        base = scenario_by_name("gmcs-none")
+        assert base.z_grid is scenarios.DEFAULT_Z_GRID
+        assert Scenario("z", base.link, base.comp, base.detector).z_grid is scenarios.DEFAULT_Z_GRID
+        # a list grid is copied into a tuple: the scenario hashes, and a later
+        # change to the list reaches neither its grid nor its check
+        z_grid = [0.0, 1.0]
+        listed = base.replace(z_grid=z_grid)
+        assert listed.z_grid == (0.0, 1.0) and type(listed.z_grid) is tuple
+        assert hash(listed) == hash(base.replace(z_grid=(0.0, 1.0)))
+        z_grid.append(math.nan)
+        assert listed.z_grid == (0.0, 1.0)
+
     @pytest.mark.parametrize("name, protocol", [("bb84-0dBm", "BB84"), ("gmcs-none", "GMCS")])
     def test_protocol_is_named_by_the_detector(self, name, protocol):
         base = scenario_by_name(name)
