@@ -7,6 +7,7 @@ rate R = 1/2 [Q1 - f Qmu H2(Emu) - Q1 H2(e1)], clamped at zero.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 
 from .noise import (
@@ -52,12 +53,8 @@ class Bb84Params(FrozenRecord):
             raise DomainError(f"delta_t_s must be positive, got {self.delta_t_s}")
 
 
-class Bb84Point(Record):
+class Bb84Point(Record, namedtuple("Bb84Point", "y0 q_mu e_mu q1 e1 rate")):
     __slots__ = ()
-    _fields = ("y0", "q_mu", "e_mu", "q1", "e1", "rate")
-
-    def __new__(cls, y0: float, q_mu: float, e_mu: float, q1: float, e1: float, rate: float):
-        return tuple.__new__(cls, (y0, q_mu, e_mu, q1, e1, rate))
 
 
 def background_rate(y0_base: float, eta_bob: float, n_spd_window: float) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import namedtuple
 from collections.abc import Callable
 
 from .bb84 import Bb84Params
@@ -32,22 +33,11 @@ class ConfigError(ValueError):
     """A configuration document failed validation; the message names the key."""
 
 
-class Config(Record):
+class Config(
+    Record,
+    namedtuple("Config", "link comp bb84 gmcs z_min_km z_max_km z_step_km z_km", defaults=(DEFAULT_Z_KM,)),
+):
     __slots__ = ()
-    _fields = ("link", "comp", "bb84", "gmcs", "z_min_km", "z_max_km", "z_step_km", "z_km")
-
-    def __new__(
-        cls,
-        link: LinkParams,
-        comp: ComponentParams,
-        bb84: Bb84Params,
-        gmcs: GmcsParams,
-        z_min_km: float,
-        z_max_km: float,
-        z_step_km: float,
-        z_km: float = DEFAULT_Z_KM,
-    ):
-        return tuple.__new__(cls, (link, comp, bb84, gmcs, z_min_km, z_max_km, z_step_km, z_km))
 
 
 # section -> (Config attribute, parameter dataclass)

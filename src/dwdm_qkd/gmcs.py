@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from collections.abc import Callable
 
 from .noise import DomainError, FrozenRecord, Record, frozen_params
@@ -54,19 +55,11 @@ class GmcsParams(FrozenRecord):
                 raise DomainError(f"{name} must be positive, got {value}")
 
 
-class GmcsPoint(Record):
-    __slots__ = ()
-    _fields = ("eps", "i_ab", "chi_be", "rate", "sigma")
+class GmcsPoint(Record, namedtuple("GmcsPoint", "eps i_ab chi_be rate sigma")):
+    """eps is the total input-referred excess noise and sigma the four
+    symplectic eigenvalues."""
 
-    def __new__(
-        cls,
-        eps: float,  # total input-referred excess noise
-        i_ab: float,
-        chi_be: float,
-        rate: float,
-        sigma: tuple[float, float, float, float],
-    ):
-        return tuple.__new__(cls, (eps, i_ab, chi_be, rate, sigma))
+    __slots__ = ()
 
 
 def theta(x: float) -> float:

@@ -13,9 +13,9 @@ The budget is expressed per spatiotemporal mode, per detector gating window
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass
-from operator import itemgetter
 
 from .units import PLANCK_H, SPEED_OF_LIGHT, db_to_linear, dbm_to_watts, photon_energy
 
@@ -36,14 +36,13 @@ class FrozenRecord:
     A subclass names its fields in order in _fields; assignment and
     deletion raise FrozenInstanceError. Equality, hashing and the repr read
     the fields in that order, as a frozen dataclass's do. The records a
-    sweep builds are Records, which hold their fields in a tuple. The
+    sweep builds are Records, which hold their fields in a namedtuple. The
     parameter classes (see frozen_params) store theirs in the instance
     __dict__ by object.__setattr__: they are built once and read on every
-    row, and a read from such an instance is cheaper than a Record's.
+    row.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -78,27 +77,30 @@ class FrozenRecord:
 
 
 class Record(FrozenRecord, tuple):
-    """A FrozenRecord whose fields are the items of a tuple, one per name in
-    _fields, each read by a property. A record is one allocation with no
-    __dict__, where an instance with a __dict__ is two, so the rows of a
-    sweep set off fewer garbage collections. Each subclass declares
-    __slots__ = (), or its instances gain a __dict__, and a __new__ that
-    passes its fields, in order, to tuple.__new__.
+    """A FrozenRecord whose fields are the items of a namedtuple. A subclass
+    is declared as
+
+        class Point(Record, namedtuple("Point", "x y", defaults=(0.0,))):
+            __slots__ = ()
+
+    and the namedtuple gives its _fields, its constructor and a fast read
+    of each field by name. Without __slots__ = () its instances gain a
+    __dict__. A record is one allocation with no __dict__, so the rows of a
+    sweep set off fewer garbage collections.
 
     A record supports len, indexing, unpacking and ordering as a tuple
     does, but it equals only a record of its own class with equal items;
-    its hash is that of the tuple of its items.
+    its hash is that of the tuple of its items. The namedtuple's _make, and
+    with it _replace, build through the class's own constructor, so a
+    subclass's checks in __new__ hold for them too.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
-        for index, name in enumerate(cls._fields):
-            setattr(cls, name, property(itemgetter(index)))
-
-    def __getnewargs__(self) -> tuple:
-        # pickle and copy rebuild a record through __new__ with its fields
-        return tuple(self)
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make calls tuple.__new__ and would skip a __new__'s checks
+        return cls(*iterable)
 
     def __eq__(self, other):
         # tuple.__eq__ would also find a plain tuple of the same items equal
@@ -261,7 +263,14 @@ class ComponentParams(FrozenRecord):
         return self.gain_g0 / eta_ch
 
 
-class NoiseBudget(Record):
+class NoiseBudget(
+    Record,
+    namedtuple(
+        "NoiseBudget",
+        "n_ase_per_mode_at_a n_leak_per_s_at_c n_sasrs_per_mode_at_c ase_window leak_window sasrs_window "
+        "n_spd_window n_gmcs_matched n_gmcs_unmatched eps_in eps_out",
+    ),
+):
     """Per-source noise tallies at one distance.
 
     Mode/rate quantities are aggregated over all classical channels.
@@ -270,30 +279,6 @@ class NoiseBudget(Record):
     """
 
     __slots__ = ()
-    _fields = (
-        "n_ase_per_mode_at_a", "n_leak_per_s_at_c", "n_sasrs_per_mode_at_c",
-        "ase_window", "leak_window", "sasrs_window", "n_spd_window",
-        "n_gmcs_matched", "n_gmcs_unmatched", "eps_in", "eps_out",
-    )
-
-    def __new__(
-        cls,
-        n_ase_per_mode_at_a: float,
-        n_leak_per_s_at_c: float,
-        n_sasrs_per_mode_at_c: float,
-        ase_window: float,
-        leak_window: float,
-        sasrs_window: float,
-        n_spd_window: float,
-        n_gmcs_matched: float,
-        n_gmcs_unmatched: float,
-        eps_in: float,
-        eps_out: float,
-    ):
-        return tuple.__new__(cls, (
-            n_ase_per_mode_at_a, n_leak_per_s_at_c, n_sasrs_per_mode_at_c, ase_window, leak_window, sasrs_window,
-            n_spd_window, n_gmcs_matched, n_gmcs_unmatched, eps_in, eps_out,
-        ))
 
 
 def channel_transmittance(z_km: float, alpha_db_per_km: float) -> float:
@@ -320,6 +305,8 @@ def fit_raman_coefficient(
     Measurements are taken after a component with the given insertion loss;
     the model is P = P_out * beta * z * delta_lambda * 10^(-IL/10).
     Least-squares through the origin; a single point is exact inversion.
+    Each distance and power must be finite and >= 0; a point at z = 0
+    carries no weight.
     """
     for name, value in (
         ("p_out_w", p_out_w),
@@ -329,8 +316,9 @@ def fit_raman_coefficient(
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
     for z, p in measurements:
-        if not (math.isfinite(z) and math.isfinite(p)):
-            raise DomainError(f"measurement point {z} km: {p} W must be finite")
+        # each comparison is False for a NaN
+        if not (0 <= z < math.inf and 0 <= p < math.inf):
+            raise DomainError(f"measurement point {z} km: {p} W must be finite and >= 0")
     points = [(z, p) for z, p in measurements if z > 0]
     if not points:
         raise UnfittableError("need at least one measurement with z > 0")

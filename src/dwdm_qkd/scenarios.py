@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .bb84 import DEFAULT_MU_GRID, Bb84Params, Bb84Point, _optimize_mu_with_budget
-from .gmcs import GmcsParams, GmcsPoint, gmcs_point, secure_distance, total_excess_noise
-from .noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel, Record
+from .bb84 import DEFAULT_MU_GRID, Bb84Params, _optimize_mu_with_budget
+from .gmcs import GmcsParams, gmcs_point, secure_distance, total_excess_noise
+from .noise import ComponentParams, DomainError, LinkParams, NoiseModel, Record
 
 ADJACENT_ISOLATION = 1e-4  # -40 dB
 
@@ -33,12 +34,11 @@ DEFAULT_Z_GRID: tuple[float, ...] = tuple(0.5 * i for i in range(161))
 _check_z_grid(DEFAULT_Z_GRID)
 
 
-class Scenario(Record):
+class Scenario(Record, namedtuple("Scenario", "name link comp detector z_grid", defaults=(DEFAULT_Z_GRID,))):
     """A named sweep: a link, its components and a detector on a distance
     grid. The detector's class names the protocol."""
 
     __slots__ = ()
-    _fields = ("name", "link", "comp", "detector", "z_grid")
 
     def __new__(
         cls,
@@ -53,7 +53,7 @@ class Scenario(Record):
         if z_grid is not DEFAULT_Z_GRID:
             z_grid = tuple(z_grid)
             _check_z_grid(z_grid)
-        return tuple.__new__(cls, (name, link, comp, detector, z_grid))
+        return super().__new__(cls, name, link, comp, detector, z_grid)
 
     @property
     def protocol(self) -> str:
@@ -61,40 +61,23 @@ class Scenario(Record):
         return "BB84" if isinstance(self.detector, Bb84Params) else "GMCS"
 
 
-class Evaluation(Record):
+class Evaluation(Record, namedtuple("Evaluation", "z_km budget eta_ch point mu", defaults=(None,))):
     """Everything evaluated at one distance: the noise budget, the channel
-    transmittance and the key-rate point; mu is the BB84 grid optimum."""
+    transmittance and the key-rate point (a Bb84Point or a GmcsPoint); mu
+    is the BB84 grid optimum, None for GMCS."""
 
     __slots__ = ()
-    _fields = ("z_km", "budget", "eta_ch", "point", "mu")
-
-    def __new__(
-        cls,
-        z_km: float,
-        budget: NoiseBudget,
-        eta_ch: float,
-        point: Bb84Point | GmcsPoint,
-        mu: float | None = None,
-    ):
-        return tuple.__new__(cls, (z_km, budget, eta_ch, point, mu))
 
     @property
     def rate(self) -> float:
         return self.point.rate
 
 
-class SweepResult(Record):
-    __slots__ = ()
-    _fields = ("scenario", "rows", "secure_distance_km", "noise_crossover_km")
+class SweepResult(Record, namedtuple("SweepResult", "scenario rows secure_distance_km noise_crossover_km")):
+    """A sweep's rows (Evaluations) under the scenario's name, with its
+    secure distance and noise_crossover_km (None where there is none)."""
 
-    def __new__(
-        cls,
-        scenario: str,
-        rows: tuple[Evaluation, ...],
-        secure_distance_km: float,
-        noise_crossover_km: float | None,
-    ):
-        return tuple.__new__(cls, (scenario, rows, secure_distance_km, noise_crossover_km))
+    __slots__ = ()
 
 
 def evaluate(

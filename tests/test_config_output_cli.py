@@ -960,6 +960,10 @@ class TestCli:
             (FIT + ["--p-out-dbm", "inf", "--point", "20:1e-10"], "--p-out-dbm must be finite"),
             (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "-4000", "--point", "20:1e-10"], "insertion_loss_db"),
             (FIT + ["--p-out-dbm", "0", "--point", "20:nan"], "measurement point"),
+            # a negative power would fit a negative beta, and a negative
+            # distance would be dropped while still counted in "points"
+            (FIT + ["--p-out-dbm", "0", "--point", "10:-1e-9"], "error: measurement point 10.0 km: -1e-09 W "),
+            (FIT + ["--p-out-dbm", "0", "--point=-10:1e-9", "--point", "10:1e-12"], "error: measurement point -10.0 km: "),
             # the error line names the flag that was typed
             (["bb84", "--z", "20", "--mu", "-1"], "error: --mu must be finite and > 0, got -1.0\n"),
             (["bb84", "--z", "20", "--mu", "nan"], "error: --mu must be finite and > 0, got nan\n"),

@@ -649,6 +649,25 @@ def test_records_have_no_instance_dict():
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 
+def test_namedtuple_methods_build_through_the_constructor():
+    """_make and _replace, which namedtuple builds with tuple.__new__, go
+    through the record's own constructor, so no Scenario skips its checks."""
+    values = tuple(float(i) for i in range(11))
+    made = NoiseBudget._make(values)
+    assert type(made) is NoiseBudget
+    assert made == NoiseBudget(*values)
+    base = scenario_by_name("gmcs-none")
+    assert base._replace(z_grid=(0.0, 1.0)) == base.replace(z_grid=(0.0, 1.0))
+    for changes, message in (
+        ({"z_grid": (math.nan,)}, "^z_grid "),
+        ({"detector": base.comp}, "^a scenario needs a Bb84Params or GmcsParams detector, got ComponentParams$"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            Scenario._make({**base.as_dict(), **changes}.values())
+        with pytest.raises(DomainError, match=message):
+            base._replace(**changes)
+
+
 # each parameter class: its field names in order, its defaults, other valid
 # values for every field, and the repr of its default instance
 PARAMETER_CLASSES = [
@@ -802,7 +821,7 @@ def test_parameter_class_methods_are_written_in_the_source(cls):
 def test_cli_import_generates_only_the_parameter_dataclasses():
     """Importing the CLI runs the dataclass decorator for the four parameter
     classes alone, and below Python 3.13 the decorator compiles no code for
-    them; the seven records are written out in the source."""
+    them; the seven records are namedtuples, not dataclasses."""
     probe = """
 import dataclasses, json
 generated = []
