@@ -184,34 +184,25 @@ def bb84_point(
     mu: float | None = None,
 ) -> Bb84Point:
     """Evaluate gains, QBERs and secure key rate at z_km of fiber, at mu
-    (params.mu when it is None): optimize_mu over the one-point grid (mu,)."""
+    (params.mu when it is None): optimize_mu over the one-point grid (mu,)
+    with the budget of NoiseModel(link, comp, params.delta_t_s) at z_km."""
     if mu is not None and not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and > 0, got {mu}")
-    return optimize_mu(link, comp, params, z_km, (params.mu if mu is None else mu,))[1]
+    eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z_km)
+    return optimize_mu(eta_ch, comp, params, budget, (params.mu if mu is None else mu,))[1]
 
 
 def optimize_mu(
-    link: LinkParams,
-    comp: ComponentParams,
-    params: Bb84Params,
-    z_km: float,
-    mu_grid: Sequence[float] = DEFAULT_MU_GRID,
-) -> tuple[float, Bb84Point]:
-    """Grid argmax of the key rate over mu at z_km; ties go to the smaller mu.
-    Each mu of mu_grid must be finite and > 0."""
-    eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z_km)
-    return _optimize_mu_with_budget(eta_ch, comp, params, budget, mu_grid)
-
-
-def _optimize_mu_with_budget(
     eta_ch: float,
     comp: ComponentParams,
     params: Bb84Params,
     budget: NoiseBudget,
-    mu_grid: Sequence[float],
+    mu_grid: Sequence[float] = DEFAULT_MU_GRID,
 ) -> tuple[float, Bb84Point]:
-    """optimize_mu given the channel transmittance and the noise budget at
-    one distance, which the caller has already.
+    """Grid argmax (mu, point) of the key rate over mu at one distance,
+    given its channel transmittance eta_ch and noise budget, as
+    NoiseModel.at returns them; ties go to the smaller mu. Each mu of
+    mu_grid must be finite and > 0.
 
     The scan computes only the rate at each mu and builds the Bb84Point for
     the winner. Its expressions are those of bb84_point_from_rates with the

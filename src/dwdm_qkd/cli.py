@@ -5,14 +5,15 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from .config import Config, ConfigError, default_config, parse_config
 from .gmcs import PhysicalityError
 from .noise import (
     DomainError,
-    NoiseModel,
     UnfittableError,
+    compute_noise_budget,
     db_field_to_linear,
     fit_raman_coefficient,
 )
@@ -100,19 +101,23 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="Z_KM:POWER_W",
         help="measurement point, repeatable",
     )
+    # argparse's negative-number pattern has no exponent, inf or nan, so it
+    # reads "--z -1e-3" as a flag without its value; take these as values
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
 def cmd_noise(args, config: Config) -> int:
-    model = NoiseModel(
+    budget = compute_noise_budget(
         config.link,
         config.comp,
+        args.z,
         config.bb84.delta_t_s,
         eta_bob=config.gmcs.eta_bob,
         detector_bandwidth_hz=config.gmcs.detector_bandwidth_hz,
         n_lo=config.gmcs.n_lo,
     )
-    budget = model.at(args.z)[1]
     _print_json(
         {"z_km": args.z, **{k: round9(v) for k, v in budget.as_dict().items()}},
         args.out,

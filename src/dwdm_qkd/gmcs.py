@@ -20,6 +20,8 @@ DISCRIMINANT_RTOL = 1e-9
 # rounding leaves one that should be 1 only a few ulp below it; the clamp
 # stays at the scale of DISCRIMINANT_RTOL
 THETA_TOL = 1e-9
+SCAN_STEP_KM = 1.0  # secure_distance's scan grid step
+TOLERANCE_KM = 0.05  # and the width at which its bisection stops
 
 
 class PhysicalityError(ValueError):
@@ -187,23 +189,18 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
     return GmcsPoint(eps, i_ab, max(0.0, chi_be), rate, sigma)
 
 
-def secure_distance(
-    rate_fn: Callable[[float], float],
-    z_max_km: float,
-    tolerance_km: float = 0.05,
-    scan_step_km: float = 1.0,
-) -> float:
+def secure_distance(rate_fn: Callable[[float], float], z_max_km: float) -> float:
     """Largest distance with strictly positive rate, by scan then bisection.
 
-    rate_fn is called once at each point of a scan_step_km grid from 0 to
+    rate_fn is called once at each point of a SCAN_STEP_KM grid from 0 to
     z_max_km, then once per bisection step between the last positive grid
-    point and the next one, until the bracket is at most tolerance_km wide.
+    point and the next one, until the bracket is at most TOLERANCE_KM wide.
     Returns 0 when the rate is never positive on the grid; returns z_max_km
     (with a warning) when it is still positive at z_max_km. When the rate
     crosses zero more than once on the grid it warns and keeps the largest
     root.
     """
-    grid = [i * scan_step_km for i in range(int(z_max_km / scan_step_km) + 1)]
+    grid = [i * SCAN_STEP_KM for i in range(int(z_max_km / SCAN_STEP_KM) + 1)]
     if grid[-1] < z_max_km:
         grid.append(z_max_km)
     signs = [rate_fn(z) > 0 for z in grid]
@@ -219,7 +216,7 @@ def secure_distance(
 
     last = max(i for i, positive in enumerate(signs) if positive)
     lo, hi = grid[last], grid[last + 1]
-    while hi - lo > tolerance_km:
+    while hi - lo > TOLERANCE_KM:
         mid = 0.5 * (lo + hi)
         if rate_fn(mid) > 0:
             lo = mid

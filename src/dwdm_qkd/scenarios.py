@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .bb84 import DEFAULT_MU_GRID, Bb84Params, _optimize_mu_with_budget
+from .bb84 import DEFAULT_MU_GRID, Bb84Params, optimize_mu
 from .gmcs import GmcsParams, gmcs_point, secure_distance, total_excess_noise
 from .noise import ComponentParams, DomainError, LinkParams, NoiseModel, Record
 
@@ -106,7 +106,7 @@ def _model_and_row(
 
         def bb84_row(z_km: float) -> Evaluation:
             eta_ch, budget = at(z_km)
-            mu, point = _optimize_mu_with_budget(eta_ch, comp, det, budget, mu_grid)
+            mu, point = optimize_mu(eta_ch, comp, det, budget, mu_grid)
             return Evaluation(z_km, budget, eta_ch, point, mu)
 
         return model, bb84_row

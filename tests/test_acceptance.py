@@ -131,8 +131,10 @@ def test_criterion_4_bb84_no_key_at_any_distance():
     params = Bb84Params()
     start = time.perf_counter()
     worst = 0.0
+    model = NoiseModel(link, comp, params.delta_t_s)
     for z in [0.5 * i for i in range(161)]:
-        _, point = optimize_mu(link, comp, params, z)
+        eta_ch, budget = model.at(z)
+        _, point = optimize_mu(eta_ch, comp, params, budget)
         worst = max(worst, point.rate)
     elapsed = time.perf_counter() - start
     ok = worst == 0.0 and elapsed < 1.0

@@ -44,6 +44,13 @@ def first_max_over_point_builder(link, z, params, mu_grid):
     return best_mu, best
 
 
+def optimize_at(link, z, params, mu_grid=DEFAULT_MU_GRID):
+    """optimize_mu at z km of link, given NoiseModel.at's transmittance and
+    budget there."""
+    eta_ch, budget = NoiseModel(link, COMP, params.delta_t_s).at(z)
+    return optimize_mu(eta_ch, COMP, params, budget, mu_grid)
+
+
 def efficiency_and_background(link, z, params):
     """(eta, y0): the overall efficiency and background rate per gate, as
     the scan forms them from NoiseModel.at."""
@@ -159,12 +166,12 @@ class TestBb84Point:
                 assert point.rate == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_unmultiplexed_rate_positive_at_short_distance(self):
-        mu, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)
+        mu, point = optimize_at(UNMULTIPLEXED, 20, PARAMS)
         assert point.rate > 0
 
     def test_multiplexed_no_key_at_any_distance(self):
         for z in (0.0, 5.0, 20.0, 50.0, 80.0):
-            _, point = optimize_mu(MULTIPLEXED, COMP, PARAMS, z)
+            _, point = optimize_at(MULTIPLEXED, z, PARAMS)
             assert point.rate == 0.0
 
     def test_noiseless_limit_positive(self):
@@ -237,17 +244,17 @@ class TestBb84Point:
 class TestOptimizeMu:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20, mu_grid=[])
+            optimize_at(UNMULTIPLEXED, 20, PARAMS, mu_grid=[])
 
     def test_grid_argmax_against_brute_force(self):
         grid = [0.05 + 0.01 * i for i in range(96)]
-        mu_star, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 25, mu_grid=grid)
+        mu_star, point = optimize_at(UNMULTIPLEXED, 25, PARAMS, mu_grid=grid)
         rates = [bb84_point(UNMULTIPLEXED, COMP, PARAMS, 25, mu=m).rate for m in grid]
         assert point.rate == max(rates)
         assert mu_star == grid[rates.index(max(rates))]
 
     def test_all_zero_reports_zero(self):
-        _, point = optimize_mu(MULTIPLEXED, COMP, PARAMS, 40)
+        _, point = optimize_at(MULTIPLEXED, 40, PARAMS)
         assert point.rate == 0.0
 
     @pytest.mark.parametrize("channels", [0, 1])
@@ -264,7 +271,7 @@ class TestOptimizeMu:
             point = bb84_point_from_rates(eta, y0, PARAMS, mu)
             if best is None or point.rate > best.rate:
                 best_mu, best = mu, point
-        assert optimize_mu(link, COMP, PARAMS, z) == (best_mu, best)
+        assert optimize_at(link, z, PARAMS) == (best_mu, best)
         if channels:
             assert best.rate == 0.0 and best_mu == DEFAULT_MU_GRID[0] == 0.05
         elif z <= 60.0:
@@ -282,10 +289,10 @@ class TestOptimizeMu:
         with pytest.raises(DomainError):
             whole_bound(eta, y0, forced, DEFAULT_MU_GRID)
         with pytest.raises(DomainError):
-            optimize_mu(MULTIPLEXED, COMP, forced, 20)
+            optimize_at(MULTIPLEXED, 20, forced)
         monkeypatch.setattr(bb84, "_bound_over", lambda *args: (math.inf, 0.0, 0.0))
         with pytest.raises(DomainError):
-            optimize_mu(MULTIPLEXED, COMP, forced, 20)
+            optimize_at(MULTIPLEXED, 20, forced)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -299,7 +306,7 @@ class TestOptimizeMu:
         # one point): the scan's skipped mus must never change the argmax
         link = LinkParams(classical_channel_count=channels)
         expected = first_max_over_point_builder(link, z, params, mu_grid)
-        assert optimize_mu(link, COMP, params, z, mu_grid) == expected
+        assert optimize_at(link, z, params, mu_grid) == expected
 
 
 class TestGridBound:
@@ -402,7 +409,7 @@ class TestGridBound:
         run_sweep(scenario)
         assert counter.scans == 0
         # the table still counts the scan of a row that has key
-        assert optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)[1].rate > 0.0
+        assert optimize_at(UNMULTIPLEXED, 20, PARAMS)[1].rate > 0.0
         assert counter.scans == 1
 
     @pytest.mark.parametrize(
@@ -427,7 +434,7 @@ class TestGridBound:
         assert whole_bound(eta, y0, PARAMS, mu_grid) <= 0.0 or all(
             bb84._bound_over(eta, y0, PARAMS, *block)[0] <= 0.0 for block in grid.blocks
         )
-        mu, point = optimize_mu(MULTIPLEXED, COMP, PARAMS, z, mu_grid)
+        mu, point = optimize_at(MULTIPLEXED, z, PARAMS, mu_grid)
         expected = bb84_point_from_rates(eta, y0, PARAMS, mu_grid[0])
         assert mu == mu_grid[0]
         assert point == expected
@@ -464,13 +471,13 @@ class TestGridBound:
         with pytest.raises(DomainError, match=rf"^mu_grid: mu must be finite and > 0, got {bad}$"):
             bb84._MuGrid(mu_grid)
         with pytest.raises(DomainError, match=rf"^mu_grid: .* got {bad}$"):
-            optimize_mu(MULTIPLEXED, COMP, PARAMS, 40, mu_grid)
+            optimize_at(MULTIPLEXED, 40, PARAMS, mu_grid)
 
     def test_positive_rate_scans(self):
         # no classical channel at 20 km: some mu has key, so the bound stays
         # positive and the scan finds the first-max argmax
         eta, y0 = efficiency_and_background(UNMULTIPLEXED, 20, PARAMS)
         assert whole_bound(eta, y0, PARAMS, DEFAULT_MU_GRID) > 0.0
-        mu, point = optimize_mu(UNMULTIPLEXED, COMP, PARAMS, 20)
+        mu, point = optimize_at(UNMULTIPLEXED, 20, PARAMS)
         assert (mu, point) == first_max_over_point_builder(UNMULTIPLEXED, 20, PARAMS, DEFAULT_MU_GRID)
         assert point.rate > 0.0

@@ -28,3 +28,22 @@ def test_traced_target_is_a_function_of_the_package(module, name):
 
 def test_rate_spans_are_traced_targets():
     assert SPANS.RATE_SPANS <= {f"{module}.{name}" for module, name in TARGETS}
+
+
+def test_tracer_counts_every_live_layer():
+    # a renamed or bypassed function reads 0 calls in the traced run, so
+    # each layer that the bench reports is reached here through its span
+    from dwdm_qkd import cli
+    from dwdm_qkd.scenarios import run_sweep, scenario_by_name
+
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        run_sweep(scenario_by_name("bb84-0dBm"))
+        assert tracer.calls["bb84.optimize_mu"] == 161
+        assert cli.main(["noise", "--z", "10"]) == 0
+        assert tracer.calls["noise.compute_noise_budget"] == 1
+        run_sweep(scenario_by_name("gmcs-38ch"))
+        assert tracer.calls["gmcs.gmcs_point"] > 0
+    finally:
+        tracer.remove()

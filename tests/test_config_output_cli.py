@@ -336,6 +336,7 @@ class TestConfig:
             ("link", "p_out_dbm", "4000", "p_out_dbm"),
             ("link", "lambda_quantum_nm", "0", "lambda_quantum_nm"),
             ("link", "lambda_classical_nm", "1000", "lambda_classical_nm"),
+            ("link", "lambda_classical_nm", "1550", "lambda_classical_nm"),
             ("components", "nf_db", "-1", "nf_db"),
             ("components", "gain_g0", "0.5", "gain_g0"),
             ("components", "gain_fixed", "0.5", "gain_fixed"),
@@ -349,10 +350,12 @@ class TestConfig:
             ("bb84", "e_det", "0.6", "e_det"),
             ("bb84", "e0", "1.5", "e0"),
             ("bb84", "eta_bob", "1.5", "eta_bob"),
+            ("bb84", "eta_bob", "0", "eta_bob"),
             ("bb84", "f_ec", "0.5", "f_ec"),
             ("bb84", "delta_t_ns", "0", "delta_t_s"),
             ("gmcs", "v_a", "0", "v_a"),
             ("gmcs", "eta_bob", "1.5", "eta_bob"),
+            ("gmcs", "eta_bob", "0", "eta_bob"),
             ("gmcs", "eps0", "-0.1", "eps0"),
             ("gmcs", "v_el", "-0.1", "v_el"),
             ("gmcs", "gamma", "0", "gamma"),
@@ -729,13 +732,13 @@ class TestCli:
         # with or without --mu, the point comes from evaluate's mu scan, and
         # --mu fixes the scan's grid to (mu,)
         grids = []
-        scan = scenarios._optimize_mu_with_budget
+        scan = scenarios.optimize_mu
 
         def recorder(eta_ch, comp, params, budget, mu_grid=DEFAULT_MU_GRID):
             grids.append(mu_grid)
             return scan(eta_ch, comp, params, budget, mu_grid)
 
-        monkeypatch.setattr(scenarios, "_optimize_mu_with_budget", recorder)
+        monkeypatch.setattr(scenarios, "optimize_mu", recorder)
         assert main(["bb84", "--z", "20", *mu_args]) == 0
         assert grids == [mu_grid]
         assert json.loads(capsys.readouterr().out)["mu"] == mu_grid[0]
@@ -877,6 +880,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["beta_raman"] == pytest.approx(2.85e-9, rel=1e-6)
 
+    def test_negative_exponent_is_a_flag_value(self, capsys):
+        # "--p-out-dbm -1e-1" reads as "--p-out-dbm=-1e-1" and as "-0.1"
+        args = FIT + ["--point", "20:1e-10"]
+        flags = (["--p-out-dbm", "-1e-1"], ["--p-out-dbm=-1e-1"], ["--p-out-dbm", "-0.1"])
+        outs = [run_main(args + flag, capsys) for flag in flags]
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0] == 0 and json.loads(outs[0][1])["beta_raman"] == 8.5274416e-09
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -895,6 +906,10 @@ class TestCli:
             ["bb84", "--z", "20", "--mu", "nan"],
             ["bb84", "--z", "20", "--mu", "inf"],
             ["bb84", "--z", "20", "--mu", "0"],
+            # a negative number in exponent form, or -inf, is a flag's value
+            ["noise", "--z", "-1e-3"],
+            ["gmcs", "--z", "-inf"],
+            ["bb84", "--z", "20", "--mu", "-1e-1"],
             # the GMCS-only flags outside gmcs and a GMCS sweep
             ["--conservative", "bb84"],
             ["--strict-eps-out", "noise"],
@@ -969,6 +984,11 @@ class TestCli:
             (["bb84", "--z", "20", "--mu", "nan"], "error: --mu must be finite and > 0, got nan\n"),
             (["bb84", "--z", "20", "--mu", "inf"], "error: --mu must be finite and > 0, got inf\n"),
             (["bb84", "--z", "20", "--mu", "0"], "error: --mu must be finite and > 0, got 0.0\n"),
+            # argparse's own negative-number pattern reads these as a missing value
+            (["bb84", "--z", "20", "--mu", "-1e-1"], "error: --mu must be finite and > 0, got -0.1\n"),
+            (["noise", "--z", "-1e-3"], "error: z_km must be finite and >= 0, got -0.001\n"),
+            (["gmcs", "--z", "-inf"], "error: z_km must be finite and >= 0, got -inf\n"),
+            (FIT + ["--p-out-dbm", "-inf", "--point", "20:1e-10"], "--p-out-dbm must be finite"),
             # 10 ** (-400) underflows the insertion-loss factor to 0
             (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "4000", "--point", "20:1e-10"], "insertion_loss_db"),
             (["fit-beta", "--p-out-dbm", "0", "--delta-lambda-nm", "0", "--point", "20:1e-10"], "delta_lambda_nm"),

@@ -408,7 +408,7 @@ BUDGET_ERRORS = [
 
 
 class TestNoiseModel:
-    @pytest.mark.parametrize("homodyne", [{}, HOMODYNE])
+    @pytest.mark.parametrize("homodyne", [{}, HOMODYNE, {**HOMODYNE, "eta_bob": 1.0}])
     @pytest.mark.parametrize("gain_fixed", [None, 1.0, 50.0])
     @pytest.mark.parametrize("nsp_exact", [False, True])
     @pytest.mark.parametrize("channels", [0, 1, 38])
@@ -490,6 +490,18 @@ class TestRamanFit:
         ]
         fitted = fit_raman_coefficient(points, p_out, 0.6)
         assert fitted == pytest.approx(beta, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "points, beta",
+        [
+            ([(0.0, 1e-10), (20.0, 1e-10)], 8.333333333333334e-09),
+            ([(0.0, 0.0), (20.0, 1e-10)], 8.333333333333334e-09),
+            ([(20.0, 0.0)], 0.0),
+        ],
+    )
+    def test_zero_distance_and_zero_power_are_valid_points(self, points, beta):
+        # a point at z = 0 is accepted and carries no weight; a power of 0 is a measurement
+        assert fit_raman_coefficient(points, 1e-3, 0.6) == beta
 
     def test_unfittable(self):
         with pytest.raises(UnfittableError):

@@ -74,6 +74,8 @@ class TestBuiltins:
             base.replace(z_grid=(0.0, 2.0, 1.0))
         with pytest.raises(DomainError):
             base.replace(z_grid=())
+        with pytest.raises(DomainError):
+            base.replace(z_grid=(0.0, 1.0, 1.0))
         # a NaN or an infinite distance is rejected when the scenario is
         # built, by the grid's name, not when a sweep reaches it
         for z_grid in ((0.0, math.nan), (0.0, math.inf), (math.nan,)):
@@ -147,6 +149,13 @@ class TestRunSweep:
             assert row.budget.eps_in == 0.0
         assert result.noise_crossover_km is None
 
+    @pytest.mark.parametrize("name", ["bb84-0dBm", "gmcs-38ch"])
+    def test_no_crossover_without_leakage_or_sasrs(self, name):
+        # xi2 = 0 leaks nothing into the window, and beta_raman = 0 scatters nothing
+        scenario = scenario_by_name(name)
+        assert noise_crossover_km(scenario.replace(comp=scenario.comp.replace(xi2=0.0))) is None
+        assert noise_crossover_km(scenario.replace(link=scenario.link.replace(beta_raman=0.0))) is None
+
     def test_determinism_bit_identical(self):
         scenario = small_grid(scenario_by_name("gmcs-38ch"), step=2.0, z_max=20.0)
         first = run_sweep(scenario)
@@ -198,11 +207,11 @@ class TestRunSweep:
             pytest.fail("the crossover computed a key rate")
 
         monkeypatch.setattr(scenarios, "gmcs_point", rate)
-        monkeypatch.setattr(scenarios, "_optimize_mu_with_budget", rate)
+        monkeypatch.setattr(scenarios, "optimize_mu", rate)
         noise_crossover_km(scenario_by_name(name))
 
     @pytest.mark.parametrize(
-        "name, rate_step", [("bb84-0dBm", "_optimize_mu_with_budget"), ("gmcs-38ch", "gmcs_point")]
+        "name, rate_step", [("bb84-0dBm", "optimize_mu"), ("gmcs-38ch", "gmcs_point")]
     )
     def test_sweep_computes_rates_only_for_rows_and_the_distance_search(self, name, rate_step, monkeypatch):
         # every rate belongs to a grid row or to a distance secure_distance
