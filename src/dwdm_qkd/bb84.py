@@ -104,15 +104,15 @@ def _extremes(mus: Sequence[float]) -> tuple[float, float, float, float]:
 
 class _MuGrid:
     """The distance-independent terms of a mu grid, formed once per grid:
-    exp(-mu) of each mu, and the extremes (see _extremes) of the whole grid
-    and of each block of MU_BLOCK consecutive mus. Every mu must be finite
-    and > 0.
+    exp(-mu) of each mu, and the sets that _row_bound bounds over: the
+    extremes (see _extremes) of the whole grid, then of each block of
+    MU_BLOCK consecutive mus, in grid order. Every mu must be finite and > 0.
 
     A plain slotted class: the dataclass decorator generates its methods when
     the module is imported, which costs import time.
     """
 
-    __slots__ = ("exp_neg", "whole", "blocks")
+    __slots__ = ("exp_neg", "sets")
 
     def __init__(self, mu_grid: Sequence[float]):
         mus = tuple(mu_grid)
@@ -120,18 +120,26 @@ class _MuGrid:
             if not (math.isfinite(mu) and mu > 0):
                 raise DomainError(f"mu_grid: mu must be finite and > 0, got {mu}")
         self.exp_neg = tuple([math.exp(-mu) for mu in mus])
-        self.whole = _extremes(mus)
-        self.blocks = tuple(_extremes(mus[i : i + MU_BLOCK]) for i in range(0, len(mus), MU_BLOCK))
+        self.sets = (_extremes(mus), *(_extremes(mus[i : i + MU_BLOCK]) for i in range(0, len(mus), MU_BLOCK)))
 
 
-def _bound_over(
-    eta: float, y0: float, params: Bb84Params, a: float, b: float, m: float, exp_m: float
+def _row_bound(
+    eta: float, y0: float, params: Bb84Params, sets: Sequence[tuple[float, float, float, float]]
 ) -> tuple[float, float, float]:
-    """(bound, q_a, e_a): an upper bound on the unclamped rate
+    """(bound, q_a, e_a) of one row over a sequence of mu sets, each given by
+    its extremes (a, b, m, exp(-m)) as _extremes forms them: the whole grid
+    first, then its blocks in grid order. bound is <= 0 exactly when the sets
+    prove that no mu of the grid has a positive rate: it is the first set's
+    bound when that is <= 0, else the first later set's bound that is not
+    <= 0, else the last set's. q_a and e_a are q_mu and E_mu at the first
+    set's least mu, as bb84_point_from_rates computes them (e_a is 0.0 when
+    q_a is not > 0). One call forms the mu-independent terms of the row once
+    and bounds the sets in one loop, stopping where bound is decided.
+
+    A set's bound is an upper bound on the unclamped rate
     0.5*(q1 - f_ec*q_mu*h(min(E_mu, 1/2)) - q1*h(min(e1, 1/2))) over every mu
     of a set of grid points with least a and largest b, padded for rounding,
-    or inf when it cannot be formed; and q_mu and E_mu at a, as
-    bb84_point_from_rates computes them. m = clamp(1, a, b), exp_m = exp(-m).
+    or inf when it cannot be formed. m = clamp(1, a, b), exp_m = exp(-m).
 
     In exact arithmetic, with x = 1 - exp(-eta*mu): q1 = (y0 + eta)*mu*exp(-mu)
     is at most its value at m, where mu*exp(-mu) peaks; q_mu = y0 + x grows
@@ -145,32 +153,68 @@ def _bound_over(
     for the whole grid and for any block of it.
 
     In floats, a and b are grid points whose q, E and h use the scan's own
-    expressions, so they are its values bit for bit. With w = exp(-eta*mu)
-    monotone in mu, q_mu = fl(fl(y0 + 1) - w) >= q_a exactly, and E_mu is a
-    fixed monotone function of w times (1 + a few ulps). The scan's e1 is
-    e_bar times (1 + a few ulps), and p*log2((1 - p)/p) < 1 on (0, 1/2), so
-    its h(min(e1, 1/2)) is within a few ulps of 1 of h_bar. The pad covers
-    the rest: 1e-9*(q1_max + f_ec*q_a*h_min) for the few-ulp errors of q1, E
-    and the products, and for h_1's (q1 <= q1_max), and 2**-40*f_ec*q_b for
-    the entropy formula's absolute error of a few ulps of 1 in h_mu
+    expressions, so they are its values bit for bit; h(min(p, 1/2)) is
+    written out as the scan writes it. With w = exp(-eta*mu) monotone in mu,
+    q_mu = fl(fl(y0 + 1) - w) >= q_a exactly, and E_mu is a fixed monotone
+    function of w times (1 + a few ulps). The scan's e1 is e_bar times
+    (1 + a few ulps), and p*log2((1 - p)/p) < 1 on (0, 1/2), so its
+    h(min(e1, 1/2)) is within a few ulps of 1 of h_bar. The pad covers the
+    rest: 1e-9*(q1_max + f_ec*q_a*h_min) for the few-ulp errors of q1, E and
+    the products, and for h_1's (q1 <= q1_max), and 2**-40*f_ec*q_b for the
+    entropy formula's absolute error of a few ulps of 1 in h_mu
     (q_mu <= q_b). q_a <= 0 or a NaN gives inf or NaN, so the scan runs; a
     negative E or e_bar raises DomainError through binary_entropy, as in the
-    scan.
+    scan. h_bar is formed at the first set whose q_a is > 0, after its h_a
+    and h_b, so the first such set raises as a lone set would.
     """
-    exp_a, exp_b = math.exp(-eta * a), math.exp(-eta * b)
-    q_a, q_b = y0 + 1.0 - exp_a, y0 + 1.0 - exp_b
-    if not q_a > 0:
-        return math.inf, q_a, 0.0
+    exp, log2 = math.exp, math.log2
+    neg_eta = -eta
+    y0_plus_1 = y0 + 1.0
     y0_plus_eta = y0 + eta
-    q1_max = y0_plus_eta * m * exp_m
-    e0_y0, e_det = params.e0 * y0, params.e_det
-    e_a = (e0_y0 + e_det * (1.0 - exp_a)) / q_a
-    e_b = (e0_y0 + e_det * (1.0 - exp_b)) / q_b
-    h_min = min(binary_entropy(min(e_a, 0.5)), binary_entropy(min(e_b, 0.5)))
-    h_bar = binary_entropy(min((e0_y0 + e_det * eta) / y0_plus_eta, 0.5))
-    neg = params.f_ec * q_a * h_min
-    bound = 0.5 * (q1_max * (1.0 - h_bar) - neg) + 1e-9 * (q1_max + neg) + 2**-40 * params.f_ec * q_b
-    return bound, q_a, e_a
+    e0_y0, e_det, f_ec = params.e0 * y0, params.e_det, params.f_ec
+    pad_b = 2**-40 * f_ec
+    one_minus_h_bar = q_whole = e_whole = None
+    for a, b, m, exp_m in sets:
+        exp_a = exp(neg_eta * a)
+        q_a = y0_plus_1 - exp_a
+        if not q_a > 0:
+            bound, e_a = math.inf, 0.0
+        else:
+            exp_b = exp(neg_eta * b)
+            q_b = y0_plus_1 - exp_b
+            e_a = (e0_y0 + e_det * (1.0 - exp_a)) / q_a
+            e_b = (e0_y0 + e_det * (1.0 - exp_b)) / q_b
+            if e_a >= 0.5:
+                h_a = 1.0
+            elif e_a > 0:
+                h_a = -e_a * log2(e_a) - (1 - e_a) * log2(1 - e_a)
+            else:
+                h_a = binary_entropy(e_a)
+            if e_b >= 0.5:
+                h_b = 1.0
+            elif e_b > 0:
+                h_b = -e_b * log2(e_b) - (1 - e_b) * log2(1 - e_b)
+            else:
+                h_b = binary_entropy(e_b)
+            if one_minus_h_bar is None:
+                e_bar = (e0_y0 + e_det * eta) / y0_plus_eta
+                if e_bar >= 0.5:
+                    h_bar = 1.0
+                elif e_bar > 0:
+                    h_bar = -e_bar * log2(e_bar) - (1 - e_bar) * log2(1 - e_bar)
+                else:
+                    h_bar = binary_entropy(e_bar)
+                one_minus_h_bar = 1.0 - h_bar
+            q1_max = y0_plus_eta * m * exp_m
+            neg = f_ec * q_a * (h_a if h_a < h_b else h_b)
+            bound = 0.5 * (q1_max * one_minus_h_bar - neg) + 1e-9 * (q1_max + neg) + pad_b * q_b
+        if q_whole is None:
+            q_whole, e_whole = q_a, e_a
+            if bound <= 0.0:
+                break
+        elif not bound <= 0.0:
+            break
+    return bound, q_whole, e_whole
 
 
 _DEFAULT_GRID = _MuGrid(DEFAULT_MU_GRID)
@@ -220,26 +264,27 @@ def optimize_mu(
     fl(head - q1*h(e1)) <= head, and the mu's rate is at most
     max(0, 0.5*head) <= best_rate, which cannot win.
 
-    A grid whose _bound_over is <= 0 has no mu of positive rate, and returns
-    without a scan what the scan returns when every rate is 0. So does one
-    whose block bounds are all <= 0, checked in grid order; the first block
-    whose bound is > 0 ends the checks, and the whole grid is scanned. When
-    mu_grid[0] is the grid's least mu, as on the default grid, that settled
-    record takes q_mu and E_mu from the whole-grid bound, which computes them
-    at that mu with bb84_point_from_rates' expressions, and exp(-mu) from the
-    grid's table; any other grid calls bb84_point_from_rates. The default
-    grid's terms are formed once, when the module is imported, and any other
-    grid forms its own on each call.
+    One _row_bound pass bounds the row over the whole grid, then over each
+    block. A grid whose whole-grid bound is <= 0 has no mu of positive rate,
+    and returns without a scan what the scan returns when every rate is 0.
+    So does one whose block bounds are all <= 0, checked in grid order; the
+    first block whose bound is not <= 0 ends the checks, and the whole grid
+    is scanned. When mu_grid[0] is the grid's least mu, as on the default
+    grid, that settled record takes q_mu and E_mu from the whole-grid bound,
+    which computes them at that mu with bb84_point_from_rates' expressions,
+    and exp(-mu) from the grid's table; any other grid calls
+    bb84_point_from_rates. The default grid's terms are formed once, when
+    the module is imported, and any other grid forms its own on each call.
     """
     if not mu_grid:
         raise ValueError("mu grid must be nonempty")
     grid = _DEFAULT_GRID if mu_grid is DEFAULT_MU_GRID else _MuGrid(mu_grid)
     eta = eta_ch * comp.eta_dmu * params.eta_bob
     y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
-    bound, q_a, e_a = _bound_over(eta, y0, params, *grid.whole)
-    if bound <= 0.0 or all(_bound_over(eta, y0, params, *block)[0] <= 0.0 for block in grid.blocks):
+    bound, q_a, e_a = _row_bound(eta, y0, params, grid.sets)
+    if bound <= 0.0:
         mu = mu_grid[0]
-        if mu != grid.whole[0]:
+        if mu != grid.sets[0][0]:
             return mu, bb84_point_from_rates(eta, y0, params, mu)
         # bb84_point_from_rates at mu, whose q_mu = q_a > 0 and rate is 0
         exp_mu = grid.exp_neg[0]

@@ -9,6 +9,7 @@ from dwdm_qkd import bb84
 from dwdm_qkd.bb84 import (
     DEFAULT_MU_GRID,
     Bb84Params,
+    Bb84Point,
     background_rate,
     bb84_point,
     bb84_point_from_rates,
@@ -19,6 +20,7 @@ from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
     LinkParams,
+    NoiseBudget,
     NoiseModel,
     channel_transmittance,
     compute_noise_budget,
@@ -61,7 +63,7 @@ def efficiency_and_background(link, z, params):
 
 def whole_bound(eta, y0, params, mu_grid):
     """The grid bound over the whole of mu_grid."""
-    return bb84._bound_over(eta, y0, params, *bb84._MuGrid(mu_grid).whole)[0]
+    return bb84._row_bound(eta, y0, params, bb84._MuGrid(mu_grid).sets[:1])[0]
 
 
 def assert_bound_dominates(bound, eta, y0, params, mu):
@@ -257,6 +259,27 @@ class TestOptimizeMu:
         _, point = optimize_at(MULTIPLEXED, 40, PARAMS)
         assert point.rate == 0.0
 
+    def test_zero_gain_gives_the_zero_record(self):
+        # Q_mu = 0 must return the zero record, not divide by it: with no
+        # efficiency and no background both gains are 0, and with eta*mu
+        # below half an ulp of 1, exp(-eta*mu) rounds to 1.0, so Q_mu is 0
+        # while Q_1 > 0
+        assert bb84_point_from_rates(0.0, 0.0, Bb84Params(), 0.5) == Bb84Point(*(0.0,) * 6)
+        point = bb84_point_from_rates(1e-18, 0.0, Bb84Params(), 0.5)
+        assert point.q_mu == 0.0 and point.q1 > 0.0
+        assert point == Bb84Point(0.0, 0.0, 0.0, point.q1, 0.0, 0.0)
+
+    def test_zero_gain_row_scans_to_the_point_builder(self):
+        # q_a = 0 at every set sends the row to the scan, which skips every
+        # mu as Q_mu = 0 and returns the first mu's record
+        params = Bb84Params(y0_base=0.0)
+        budget = NoiseBudget(*(0.0,) * 11)
+        mu, point = optimize_mu(1e-16, COMP, params, budget)
+        eta = 1e-16 * COMP.eta_dmu * params.eta_bob
+        assert mu == DEFAULT_MU_GRID[0]
+        assert point == bb84_point_from_rates(eta, 0.0, params, mu)
+        assert point.q_mu == 0.0 and point.q1 > 0.0 and point.rate == 0.0
+
     @pytest.mark.parametrize("channels", [0, 1])
     @pytest.mark.parametrize("z", [0.0, 7.5, 25.0, 60.0, 80.0])
     def test_equals_brute_force_over_point_builder(self, z, channels):
@@ -290,7 +313,7 @@ class TestOptimizeMu:
             whole_bound(eta, y0, forced, DEFAULT_MU_GRID)
         with pytest.raises(DomainError):
             optimize_at(MULTIPLEXED, 20, forced)
-        monkeypatch.setattr(bb84, "_bound_over", lambda *args: (math.inf, 0.0, 0.0))
+        monkeypatch.setattr(bb84, "_row_bound", lambda *args: (math.inf, 0.0, 0.0))
         with pytest.raises(DomainError):
             optimize_at(MULTIPLEXED, 20, forced)
 
@@ -330,16 +353,15 @@ class TestGridBound:
         # bb84-0dBm has no key at any distance: the whole-grid bound proves it
         # for the 148 rows past 6 km, and the 13 rows up to 6 km fall back to
         # the block bounds
-        bound_of, whole = bb84._bound_over, bb84._DEFAULT_GRID.whole
+        bound_of, whole = bb84._row_bound, bb84._DEFAULT_GRID.sets[0]
         bounds = []
 
-        def counted(eta, y0, params, *extremes):
-            result = bound_of(eta, y0, params, *extremes)
-            if extremes == whole:
-                bounds.append(result[0])
-            return result
+        def counted(eta, y0, params, sets):
+            if sets[0] == whole:
+                bounds.append(bound_of(eta, y0, params, sets[:1])[0])
+            return bound_of(eta, y0, params, sets)
 
-        monkeypatch.setattr(bb84, "_bound_over", counted)
+        monkeypatch.setattr(bb84, "_row_bound", counted)
         result = run_sweep(scenario_by_name("bb84-0dBm"))
         assert len(bounds) == 161
         assert sum(bound <= 0.0 for bound in bounds) == 148
@@ -374,9 +396,9 @@ class TestGridBound:
         eta, y0 = efficiency_and_background(link, z, params)
         grid = bb84._MuGrid(mu_grid)
         starts = range(0, len(mu_grid), bb84.MU_BLOCK)
-        assert len(grid.blocks) == len(starts)
-        for start, block in zip(starts, grid.blocks):
-            bound = bb84._bound_over(eta, y0, params, *block)[0]
+        assert len(grid.sets[1:]) == len(starts)
+        for start, block in zip(starts, grid.sets[1:]):
+            bound = bb84._row_bound(eta, y0, params, (block,))[0]
             for mu in mu_grid[start : start + bb84.MU_BLOCK]:
                 assert_bound_dominates(bound, eta, y0, params, mu)
 
@@ -393,7 +415,7 @@ class TestGridBound:
                         counter.scans += 1
                         return super().__iter__()
 
-                self.whole, self.blocks = grid.whole, grid.blocks
+                self.sets = grid.sets
                 self.exp_neg, self.scans = Table(grid.exp_neg), 0
 
         counter = ScanCounter(bb84._DEFAULT_GRID)
@@ -432,7 +454,7 @@ class TestGridBound:
         eta, y0 = efficiency_and_background(MULTIPLEXED, z, PARAMS)
         grid = bb84._MuGrid(mu_grid)
         assert whole_bound(eta, y0, PARAMS, mu_grid) <= 0.0 or all(
-            bb84._bound_over(eta, y0, PARAMS, *block)[0] <= 0.0 for block in grid.blocks
+            bb84._row_bound(eta, y0, PARAMS, (block,))[0] <= 0.0 for block in grid.sets[1:]
         )
         mu, point = optimize_at(MULTIPLEXED, z, PARAMS, mu_grid)
         expected = bb84_point_from_rates(eta, y0, PARAMS, mu_grid[0])
@@ -443,7 +465,7 @@ class TestGridBound:
     def test_default_table_equals_terms_recomputed_from_the_grid(self):
         grid = bb84._DEFAULT_GRID
         assert grid.exp_neg == tuple(math.exp(-mu) for mu in DEFAULT_MU_GRID)
-        assert grid.whole == (0.05, 1.0, 1.0, math.exp(-1.0))
+        assert grid.sets[0] == (0.05, 1.0, 1.0, math.exp(-1.0))
         # the default grid is sorted, so each block's least and largest mu
         # are its ends
         blocks = []
@@ -451,8 +473,8 @@ class TestGridBound:
             a, b = DEFAULT_MU_GRID[start], DEFAULT_MU_GRID[start + 11]
             m = min(max(1.0, a), b)
             blocks.append((a, b, m, math.exp(-m)))
-        assert grid.blocks == tuple(blocks)
-        assert len(grid.blocks) == 8 and grid.blocks[0][:2] == (0.05, 0.16)
+        assert grid.sets[1:] == tuple(blocks)
+        assert len(grid.sets[1:]) == 8 and grid.sets[1][:2] == (0.05, 0.16)
 
     @pytest.mark.parametrize(
         "mu_grid, bad",

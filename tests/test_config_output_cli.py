@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dwdm_qkd import cli, config, scenarios
-from dwdm_qkd.bb84 import DEFAULT_MU_GRID, Bb84Params
+from dwdm_qkd.bb84 import DEFAULT_MU_GRID, Bb84Params, background_rate, bb84_point_from_rates
 from dwdm_qkd.cli import main
 from dwdm_qkd.config import (
     MAX_GRID_POINTS,
@@ -25,8 +25,8 @@ from dwdm_qkd.config import (
     serialize_config,
 )
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint, PhysicalityError
-from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, NoiseBudget
-from dwdm_qkd.output import CSV_HEADER, emit, sweep_to_csv, sweep_to_json
+from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel
+from dwdm_qkd.output import CSV_HEADER, emit, round9, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import Evaluation, SweepResult, builtin_scenarios, run_sweep, scenario_by_name
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -852,6 +852,29 @@ class TestCli:
         assert main(["--config", str(cfg), "noise", "--z", "20"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_spd_window"] == 0.0
+
+    def test_zero_gain_bb84_point_is_the_point_builders(self, tmp_path, capsys):
+        # no classical channel and no intrinsic background: at 800 km
+        # exp(-eta*mu) rounds to 1.0, so Q_mu is 0 at every mu, no bound
+        # set can be formed and the row scans; the point printed is
+        # bb84_point_from_rates' at the reported mu
+        cfg = tmp_path / "quiet.cfg"
+        cfg.write_text("[link]\nclassical_channel_count = 0\n[bb84]\ny0_base = 0\n")
+        assert main(["--config", str(cfg), "bb84", "--z", "800"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        link, comp, params = LinkParams(classical_channel_count=0), ComponentParams(), Bb84Params(y0_base=0.0)
+        eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(800.0)
+        eta = eta_ch * comp.eta_dmu * params.eta_bob
+        y0 = background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
+        point = bb84_point_from_rates(eta, y0, params, doc["mu"])
+        assert doc == {
+            "protocol": "BB84",
+            "mu": doc["mu"],
+            "z_km": 800.0,
+            **{k: round9(v) for k, v in point.as_dict().items()},
+        }
 
     def test_bad_config_errors(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

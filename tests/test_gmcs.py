@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,12 @@ class TestSecureDistance:
     def test_linear_rate_root(self):
         dist = secure_distance(lambda z: max(0.0, 25.0 - z), 80)
         assert dist == pytest.approx(25.0, abs=0.05)
+
+    def test_single_crossing_does_not_warn(self):
+        # one sign change on the grid is the ordinary case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert secure_distance(lambda z: max(0.0, 25.0 - z), 80) == pytest.approx(25.0, abs=0.05)
 
     def test_warns_when_positive_at_zmax(self):
         with pytest.warns(UserWarning):

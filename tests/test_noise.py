@@ -507,6 +507,12 @@ class TestRamanFit:
         with pytest.raises(UnfittableError):
             fit_raman_coefficient([(0.0, 1e-11)], 1e-3, 0.6)
 
+    @pytest.mark.parametrize("p_out_w, delta_lambda_nm, name", [(0.0, 0.6, "p_out_w"), (1e-3, 0.0, "delta_lambda_nm")])
+    def test_zero_power_or_band_is_named(self, p_out_w, delta_lambda_nm, name):
+        # each has its own message, not the product's "underflows to 0"
+        with pytest.raises(DomainError, match=rf"^{name} must be positive, got 0\.0$"):
+            fit_raman_coefficient([(20.0, 1e-10)], p_out_w, delta_lambda_nm)
+
 
 _BUDGET = NoiseBudget(1e-3, 2.5e4, 3e-4, 1e-5, 2e-5, 3e-5, 6e-5, 4e-4, 5e-4, 8e-4, 9e-7)
 _GMCS_POINT = GmcsPoint(0.05, 1.2, 0.9, 0.18, (11.0, 0.5, 1.0, 2.0))
