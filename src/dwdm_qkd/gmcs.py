@@ -8,10 +8,10 @@ reported and only added to epsilon in strict mode.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from collections import namedtuple
 from collections.abc import Callable
+from math import isfinite, log2, sqrt
 
 from .noise import DomainError, FrozenRecord, Record, frozen_params
 
@@ -65,12 +65,13 @@ class GmcsPoint(Record, namedtuple("GmcsPoint", "eps i_ab chi_be rate sigma")):
 
 
 def theta(x: float) -> float:
-    """Bosonic entropy function (x+1)log2(x+1) - x log2 x, Theta(0) = 0."""
+    """Bosonic entropy function (x+1)log2(x+1) - x log2 x, Theta(0) = 0.
+    gmcs_point writes this function out for each of its four arguments."""
     if x < -THETA_TOL:
         raise DomainError(f"theta argument {x} must be >= 0")
     if x <= 0:
         return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    return (x + 1.0) * log2(x + 1.0) - x * log2(x)
 
 
 def total_excess_noise(
@@ -93,21 +94,6 @@ def total_excess_noise(
     return eps
 
 
-def _split_roots(total: float, product: float, gap_sq: float) -> tuple[float, float]:
-    """The squared symplectic eigenvalues of one pair, the roots of
-    x^2 - total*x + product^2, given gap_sq = total - 2*product, the square
-    of the eigenvalues' difference.
-
-    The discriminant is gap_sq * (total + 2*product). Formed as
-    total^2 - 4*product^2 it cancels to rounding near a degenerate pair, and
-    its square root turns that rounding into an error of about sqrt(ulp),
-    1e-8, in the eigenvalues. The smaller root is product^2 over the larger,
-    since total minus the root cancels when the pair is far apart.
-    """
-    high = 0.5 * (total + math.sqrt(gap_sq * (total + 2.0 * product)))
-    return high, product / high * product
-
-
 def _out_of_range(eta_ch: float, eps: float) -> DomainError:
     return DomainError(
         f"eta_ch = {eta_ch} with excess noise {eps} takes the covariance "
@@ -125,41 +111,42 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
     if not 0 < eta_dmu <= 1:
         raise DomainError(f"eta_dmu must be in (0, 1], got {eta_dmu}")
 
-    v = params.v_a + 1.0
+    v_a = params.v_a
+    v = v_a + 1.0
     eta_prime = eta_dmu * params.eta_bob
     chi_line = 1.0 / eta_ch - 1.0 + eps
     chi_hom = (1.0 + params.v_el) / eta_prime - 1.0
     chi_tot = chi_line + chi_hom / eta_ch
 
-    i_ab = 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
+    i_ab = 0.5 * log2((v + chi_tot) / (1.0 + chi_tot))
 
     # sqrt(b) for b = T^2 (V chi_line + 1)^2, formed without squaring: the
     # square of V chi_line + 1 overflows past ~7,300 km while sqrt(b) ~ V
     sqrt_b = eta_ch * (v * chi_line + 1.0)
     denom = eta_ch * (v + chi_tot)
-    if not math.isfinite(denom):
+    if not isfinite(denom):
         raise _out_of_range(eta_ch, eps)
     # Closed forms in 1 - T and T*eps, from T*chi_line = 1 - T + T*eps. Near a
     # pure state (T -> 1, eps -> 0) both eigenvalue pairs tend to (1, 1), and
     # the textbook forms of a and of the gaps cancel to rounding there.
     one_minus_t = 1.0 - eta_ch
     t_eps = eta_ch * eps
-    channel_gap = params.v_a * one_minus_t - t_eps  # +-(sigma_1 - sigma_2)
+    channel_gap = v_a * one_minus_t - t_eps  # +-(sigma_1 - sigma_2)
     a = channel_gap * channel_gap + 2.0 * sqrt_b
     c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / denom
     d = sqrt_b * (v + sqrt_b * chi_hom) / denom
-    if not math.isfinite(a + c + d):
+    if not isfinite(a + c + d):
         raise _out_of_range(eta_ch, eps)
 
     # c - 2*sqrt(d) = (sqrt(d) - 1)^2 - chi_hom * impurity / denom, where
     # impurity = (sigma_1^2 - 1) * (sigma_2^2 - 1) = b + 1 - a
     v_sq_minus_1 = v * v - 1.0
     impurity = v_sq_minus_1 * t_eps * (2.0 * one_minus_t + t_eps)
-    sqrt_b_minus_1 = params.v_a * one_minus_t + v * t_eps
+    sqrt_b_minus_1 = v_a * one_minus_t + v * t_eps
     d_minus_1 = (
         v_sq_minus_1 * (one_minus_t + t_eps) + chi_hom * sqrt_b_minus_1 * (sqrt_b + 1.0)
     ) / denom
-    sqrt_d = math.sqrt(d)
+    sqrt_d = sqrt(d)
     sqrt_d_minus_1 = d_minus_1 / (sqrt_d + 1.0)
     pure_part = sqrt_d_minus_1 * sqrt_d_minus_1
     conditional_gap_sq = pure_part - chi_hom * impurity / denom
@@ -171,22 +158,50 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
             )
         conditional_gap_sq = 0.0
 
-    s1sq, s2sq = _split_roots(a, sqrt_b, channel_gap * channel_gap)
-    s3sq, s4sq = _split_roots(c, sqrt_d, conditional_gap_sq)
-    # a tuple display, sized once: a generator's tuple is resized, and one a
-    # call filled CPython's free list of that size, about 1 MB over many CLI calls
-    sigma = (math.sqrt(s1sq), math.sqrt(s2sq), math.sqrt(s3sq), math.sqrt(s4sq))
+    # Each pair of squared symplectic eigenvalues is the roots of
+    # x^2 - total*x + product^2: (a, sqrt_b) for the channel pair and
+    # (c, sqrt_d) for the conditional one. The discriminant is
+    # gap_sq * (total + 2*product), with gap_sq = total - 2*product the square
+    # of the eigenvalues' difference. Formed as total^2 - 4*product^2 it
+    # cancels to rounding near a degenerate pair, and its square root turns
+    # that rounding into an error of about sqrt(ulp), 1e-8, in the
+    # eigenvalues. The smaller root is product^2 over the larger, since total
+    # minus the root cancels when the pair is far apart.
+    s1sq = 0.5 * (a + sqrt(channel_gap * channel_gap * (a + 2.0 * sqrt_b)))
+    s2sq = sqrt_b / s1sq * sqrt_b
+    s3sq = 0.5 * (c + sqrt(conditional_gap_sq * (c + 2.0 * sqrt_d)))
+    s4sq = sqrt_d / s3sq * sqrt_d
+    sigma_1 = sqrt(s1sq)
+    sigma_2 = sqrt(s2sq)
+    sigma_3 = sqrt(s3sq)
+    sigma_4 = sqrt(s4sq)
 
+    # chi_BE = theta(x1) + theta(x2) - theta(x3) - theta(x4) at
+    # x_i = (sigma_i - 1) / 2, each theta written out; an argument in
+    # [-THETA_TOL, 0], an eigenvalue that rounded to or below 1, gives 0
+    x1 = (sigma_1 - 1.0) / 2.0
+    x2 = (sigma_2 - 1.0) / 2.0
+    x3 = (sigma_3 - 1.0) / 2.0
+    x4 = (sigma_4 - 1.0) / 2.0
+    if x1 < -THETA_TOL or x2 < -THETA_TOL or x3 < -THETA_TOL or x4 < -THETA_TOL:
+        bad = next(x for x in (x1, x2, x3, x4) if x < -THETA_TOL)
+        raise DomainError(f"theta argument {bad} must be >= 0")
     chi_be = (
-        theta((sigma[0] - 1.0) / 2.0)
-        + theta((sigma[1] - 1.0) / 2.0)
-        - theta((sigma[2] - 1.0) / 2.0)
-        - theta((sigma[3] - 1.0) / 2.0)
+        (0.0 if x1 <= 0 else (x1 + 1.0) * log2(x1 + 1.0) - x1 * log2(x1))
+        + (0.0 if x2 <= 0 else (x2 + 1.0) * log2(x2 + 1.0) - x2 * log2(x2))
+        - (0.0 if x3 <= 0 else (x3 + 1.0) * log2(x3 + 1.0) - x3 * log2(x3))
+        - (0.0 if x4 <= 0 else (x4 + 1.0) * log2(x4 + 1.0) - x4 * log2(x4))
     )
-    if not math.isfinite(i_ab + chi_be):
+    if not isfinite(i_ab + chi_be):
         raise _out_of_range(eta_ch, eps)
-    rate = max(0.0, params.gamma * i_ab - chi_be)
-    return GmcsPoint(eps, i_ab, max(0.0, chi_be), rate, sigma)
+    rate = params.gamma * i_ab - chi_be
+    # max(0.0, v) written as v if v > 0.0 else 0.0, which agrees with it on
+    # every finite v; tuple.__new__ builds the record that the namedtuple's
+    # Python __new__ would
+    return tuple.__new__(
+        GmcsPoint,
+        (eps, i_ab, chi_be if chi_be > 0.0 else 0.0, rate if rate > 0.0 else 0.0, (sigma_1, sigma_2, sigma_3, sigma_4)),
+    )
 
 
 def secure_distance(rate_fn: Callable[[float], float], z_max_km: float) -> float:

@@ -257,11 +257,6 @@ class ComponentParams(FrozenRecord):
         if self.delta_nu_hz <= 0:
             raise DomainError(f"delta_nu_hz must be positive, got {self.delta_nu_hz}")
 
-    def gain_at(self, eta_ch: float) -> float:
-        if self.gain_fixed is not None:
-            return self.gain_fixed
-        return self.gain_g0 / eta_ch
-
 
 class NoiseBudget(
     Record,
@@ -412,12 +407,16 @@ class NoiseModel:
         init = object.__setattr__
         init(self, "link", link)
         init(self, "comp", comp)
-        # the distance-independent terms, in one tuple that at() unpacks:
-        # one attribute to set here and one to read per distance
+        # the link and component fields that at() reads, then the
+        # distance-independent terms, in one tuple that it unpacks: one
+        # attribute to set here and one to read per distance
         init(
             self,
             "_terms",
-            (n_mod, n_leak, n_leak * delta_t_s, db_to_linear(comp.nf_db), sasrs_k, eta_bob, window_ratio, n_lo),
+            (
+                m, link.alpha_db_per_km, comp.eta_dmu, comp.xi1, comp.gain_fixed, comp.gain_g0, comp.nsp_exact,
+                n_mod, n_leak, n_leak * delta_t_s, db_to_linear(comp.nf_db), sasrs_k, eta_bob, window_ratio, n_lo,
+            ),
         )
 
     __setattr__ = FrozenRecord.__setattr__
@@ -428,32 +427,31 @@ class NoiseModel:
         every noise quantity, from the formulas in the class docstring. An
         n_sp below 1, the spontaneous-emission limit, is rejected wherever
         the gain exceeds 1."""
-        link, comp = self.link, self.comp
-        n_mod, n_leak, leak_window, nf, sasrs_k, eta_bob, window_ratio, n_lo = self._terms
-        m = link.classical_channel_count
-        eta_ch = channel_transmittance(z_km, link.alpha_db_per_km)
-        eta_dmu = comp.eta_dmu
+        (m, alpha_db_per_km, eta_dmu, xi1, gain_fixed, gain_g0, nsp_exact,
+         n_mod, n_leak, leak_window, nf, sasrs_k, eta_bob, window_ratio, n_lo) = self._terms
+        eta_ch = channel_transmittance(z_km, alpha_db_per_km)
 
         if m > 0:
-            gain = comp.gain_at(eta_ch)
+            # the gain schedule: pinned to gain_fixed, else gain_g0 / eta_ch
+            gain = gain_g0 / eta_ch if gain_fixed is None else gain_fixed
             if gain > 1:
-                if comp.nsp_exact:
+                if nsp_exact:
                     n_sp = (nf * gain - 1.0) / (2.0 * (gain - 1.0))
                 else:
                     n_sp = nf / 2.0
                 if n_sp < 1:
-                    if comp.nsp_exact:
+                    if nsp_exact:
                         convention = f"(NF*G - 1)/(2*(G - 1)) at G = {gain:.6g}, nsp_convention = exact"
                     else:
                         convention = "NF/2, nsp_convention = highgain"
                     raise DomainError(
-                        f"nf_db = {comp.nf_db} gives n_sp = {n_sp:.6g} < 1 ({convention}); "
+                        f"nf_db = {self.comp.nf_db} gives n_sp = {n_sp:.6g} < 1 ({convention}); "
                         "n_sp must be >= 1, the spontaneous-emission limit"
                     )
                 n_ase = 2.0 * n_sp * (gain - 1.0)
             else:
                 n_ase = 0.0
-            n_ase_a = m * (comp.xi1 * n_ase)
+            n_ase_a = m * (xi1 * n_ase)
             n_sasrs = m * (sasrs_k * z_km * eta_dmu)
         else:
             n_ase_a = n_sasrs = 0.0
@@ -476,18 +474,11 @@ class NoiseModel:
         if not math.isfinite(n_spd + n_matched + n_unmatched + eps_in + eps_out):
             raise DomainError(f"the noise budget at z_km = {z_km} overflows a float")
 
-        return eta_ch, NoiseBudget(
-            n_ase_a,
-            n_leak,
-            n_sasrs,
-            ase_window,
-            leak_window,
-            sasrs_window,
-            n_spd,
-            n_matched,
-            n_unmatched,
-            eps_in,
-            eps_out,
+        # tuple.__new__ builds the record that the namedtuple's Python __new__ would
+        return eta_ch, tuple.__new__(
+            NoiseBudget,
+            (n_ase_a, n_leak, n_sasrs, ase_window, leak_window, sasrs_window,
+             n_spd, n_matched, n_unmatched, eps_in, eps_out),
         )
 
 

@@ -120,14 +120,16 @@ def _model_and_row(
         n_lo=det.n_lo,
     )
     at, eta_dmu = model.at, comp.eta_dmu
+    eps0, eta_bob, sigma_meas, conservative = det.eps0, det.eta_bob, det.sigma_meas, det.conservative
 
     def gmcs_row(z_km: float) -> Evaluation:
         eta_ch, budget = at(z_km)
         eps_in = (budget.eps_in + budget.eps_out) if strict_eps_out else budget.eps_in
-        eps = total_excess_noise(
-            det.eps0, eps_in, eta_ch, eta_dmu, det.eta_bob, sigma_meas=det.sigma_meas, conservative=det.conservative
-        )
-        return Evaluation(z_km, budget, eta_ch, gmcs_point(eta_ch, det, eps, eta_dmu))
+        # total_excess_noise and gmcs_point are looked up in this module on
+        # each row, so that a wrapper set here sees every call
+        eps = total_excess_noise(eps0, eps_in, eta_ch, eta_dmu, eta_bob, sigma_meas, conservative)
+        # tuple.__new__ builds the record that the namedtuple's Python __new__ would
+        return tuple.__new__(Evaluation, (z_km, budget, eta_ch, gmcs_point(eta_ch, det, eps, eta_dmu), None))
 
     return model, gmcs_row
 

@@ -1025,6 +1025,41 @@ class TestCli:
         assert main(argv) == 1
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config_text, argv, message",
+        [
+            ("[DEFAULT]\nmu = 0.3\n", ["bb84"], "error: unknown section [DEFAULT]\n"),
+            (
+                "[bb84] junk\nmu = 0.3\n",
+                ["bb84"],
+                "error: malformed config: line 1: '[bb84] junk' is not a [section] header\n",
+            ),
+            ("[scenario]\nz_step_km = 0\n", ["noise"], "error: scenario.z_step_km: must be > 0, got 0.0\n"),
+            (
+                None,
+                ["fit-beta", "--p-out-dbm", "nan", "--delta-lambda-nm", "0.6", "--point", "20:1e-10"],
+                "error: --p-out-dbm must be finite, got nan\n",
+            ),
+            (
+                None,
+                ["fit-beta", "--p-out-dbm", "0", "--delta-lambda-nm", "1", "--point", "10:-1e-9"],
+                "error: measurement point 10.0 km: -1e-09 W must be finite and >= 0\n",
+            ),
+        ],
+    )
+    def test_smoke_step_error_lines(self, config_text, argv, message, tmp_path, capsys):
+        # the CI smoke step's exit-1 cases that no other test runs through
+        # main: each exits 1 with one error line, which holds the text the
+        # step greps for
+        if config_text is not None:
+            cfg = tmp_path / "smoke.cfg"
+            cfg.write_text(config_text)
+            argv = ["--config", str(cfg), *argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_near_pure_gmcs_point(self, tmp_path, capsys):
         # no classical channel, eps0 = 1e-8 and a noiseless detector at 0 km:
         # every symplectic eigenvalue lies within 1e-7 of 1

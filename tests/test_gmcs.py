@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import random
 import sys
 import warnings
 
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dwdm_qkd.gmcs import (
+    DISCRIMINANT_RTOL,
     GmcsParams,
+    GmcsPoint,
+    PhysicalityError,
     gmcs_point,
     secure_distance,
     theta,
@@ -40,6 +44,114 @@ def rate_at(z_km, m=1, det=PARAMS, comp=COMP, strict=False):
         sigma_meas=det.sigma_meas, conservative=det.conservative,
     )
     return gmcs_point(eta_ch, det, eps, eta_dmu=comp.eta_dmu)
+
+
+def two_step_gmcs_point(eta_ch, params, eps, eta_dmu):
+    """gmcs_point as it was written before its entropies and roots were
+    inlined: each pair of roots split by one helper and each entropy one
+    theta call. Every operation is done in the same order, so the two must
+    agree bit for bit, errors included."""
+    if not 0 < eta_ch <= 1:
+        raise DomainError("eta_ch must be in (0, 1]")
+    if eps < 0:
+        raise DomainError("excess noise must be >= 0")
+    if not 0 < eta_dmu <= 1:
+        raise DomainError(f"eta_dmu must be in (0, 1], got {eta_dmu}")
+
+    def out_of_range():
+        return DomainError(
+            f"eta_ch = {eta_ch} with excess noise {eps} takes the covariance matrix out of floating-point range"
+        )
+
+    def split_roots(total, product, gap_sq):
+        high = 0.5 * (total + math.sqrt(gap_sq * (total + 2.0 * product)))
+        return high, product / high * product
+
+    v = params.v_a + 1.0
+    eta_prime = eta_dmu * params.eta_bob
+    chi_line = 1.0 / eta_ch - 1.0 + eps
+    chi_hom = (1.0 + params.v_el) / eta_prime - 1.0
+    chi_tot = chi_line + chi_hom / eta_ch
+    i_ab = 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
+    sqrt_b = eta_ch * (v * chi_line + 1.0)
+    denom = eta_ch * (v + chi_tot)
+    if not math.isfinite(denom):
+        raise out_of_range()
+    one_minus_t = 1.0 - eta_ch
+    t_eps = eta_ch * eps
+    channel_gap = params.v_a * one_minus_t - t_eps
+    a = channel_gap * channel_gap + 2.0 * sqrt_b
+    c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / denom
+    d = sqrt_b * (v + sqrt_b * chi_hom) / denom
+    if not math.isfinite(a + c + d):
+        raise out_of_range()
+    v_sq_minus_1 = v * v - 1.0
+    impurity = v_sq_minus_1 * t_eps * (2.0 * one_minus_t + t_eps)
+    sqrt_b_minus_1 = params.v_a * one_minus_t + v * t_eps
+    d_minus_1 = (v_sq_minus_1 * (one_minus_t + t_eps) + chi_hom * sqrt_b_minus_1 * (sqrt_b + 1.0)) / denom
+    sqrt_d = math.sqrt(d)
+    sqrt_d_minus_1 = d_minus_1 / (sqrt_d + 1.0)
+    pure_part = sqrt_d_minus_1 * sqrt_d_minus_1
+    conditional_gap_sq = pure_part - chi_hom * impurity / denom
+    if conditional_gap_sq < 0:
+        if conditional_gap_sq < -DISCRIMINANT_RTOL * pure_part:
+            raise PhysicalityError(f"negative discriminant for conditional spectrum: {conditional_gap_sq}")
+        conditional_gap_sq = 0.0
+    s1sq, s2sq = split_roots(a, sqrt_b, channel_gap * channel_gap)
+    s3sq, s4sq = split_roots(c, sqrt_d, conditional_gap_sq)
+    sigma = (math.sqrt(s1sq), math.sqrt(s2sq), math.sqrt(s3sq), math.sqrt(s4sq))
+    chi_be = (
+        theta((sigma[0] - 1.0) / 2.0)
+        + theta((sigma[1] - 1.0) / 2.0)
+        - theta((sigma[2] - 1.0) / 2.0)
+        - theta((sigma[3] - 1.0) / 2.0)
+    )
+    if not math.isfinite(i_ab + chi_be):
+        raise out_of_range()
+    rate = max(0.0, params.gamma * i_ab - chi_be)
+    return GmcsPoint(eps, i_ab, max(0.0, chi_be), rate, sigma)
+
+
+def log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(lo, hi)
+
+
+def random_gmcs_input(rng):
+    """(params, eta_ch, eps, eta_dmu) over the valid ranges and past them:
+    near-pure states, links out to 1e-300, excess noise from 0 to past the
+    float range, and a few invalid arguments."""
+    params = GmcsParams(
+        v_a=log_uniform(rng, -3, 6),
+        eta_bob=rng.choice([1.0, 0.6, rng.uniform(1e-4, 1.0)]),
+        v_el=rng.choice([0.0, 0.01, log_uniform(rng, -8, 3)]),
+        gamma=rng.choice([1.0, 0.9, rng.uniform(0.01, 1.0)]),
+    )
+    kind = rng.random()
+    if kind < 0.1:
+        eta_ch = 1.0
+    elif kind < 0.3:
+        eta_ch = 1.0 - log_uniform(rng, -16, -1)
+    elif kind < 0.4:
+        eta_ch = log_uniform(rng, -300, -12)
+    else:
+        eta_ch = log_uniform(rng, -12, 0)
+    kind = rng.random()
+    if kind < 0.15:
+        eps = 0.0
+    elif kind < 0.3:
+        eps = log_uniform(rng, -18, -6)
+    elif kind < 0.35:
+        eps = log_uniform(rng, 3, 308)
+    else:
+        eps = log_uniform(rng, -6, 2)
+    eta_dmu = rng.choice([1.0, 0.71, rng.uniform(1e-4, 1.0)])
+    if rng.random() < 0.02:
+        eta_ch = rng.choice([0.0, -0.5, 1.5, math.nan])
+    if rng.random() < 0.02:
+        eps = rng.choice([-1e-3, math.inf])
+    if rng.random() < 0.02:
+        eta_dmu = rng.choice([0.0, 1.5, math.nan])
+    return params, eta_ch, eps, eta_dmu
 
 
 class TestTheta:
@@ -224,6 +336,62 @@ class TestGmcsPoint:
         assert point.rate == 0.0
         assert all(math.isfinite(x) for x in (point.i_ab, point.chi_be, *point.sigma))
         assert point.sigma[0] == pytest.approx(PARAMS.v_a + 1.0)
+
+    def test_equals_the_two_step_formulation_bit_for_bit(self):
+        rng = random.Random(0)
+        points = errors = 0
+        for _ in range(10_000):
+            params, eta_ch, eps, eta_dmu = random_gmcs_input(rng)
+            try:
+                expected = two_step_gmcs_point(eta_ch, params, eps, eta_dmu)
+            except (DomainError, PhysicalityError) as error:
+                with pytest.raises(type(error)) as raised:
+                    gmcs_point(eta_ch, params, eps, eta_dmu)
+                assert str(raised.value) == str(error)
+                errors += 1
+                continue
+            point = gmcs_point(eta_ch, params, eps, eta_dmu)
+            assert type(point) is GmcsPoint and type(point.sigma) is tuple
+            for name in ("eps", "i_ab", "chi_be", "rate"):
+                assert getattr(point, name) == getattr(expected, name), (name, params, eta_ch, eps, eta_dmu)
+            assert len(point.sigma) == 4
+            assert all(s == e for s, e in zip(point.sigma, expected.sigma)), (params, eta_ch, eps, eta_dmu)
+            points += 1
+        # both outcomes are exercised
+        assert points > 8_000 and errors > 200
+
+    def test_conditional_eigenvalue_rounded_below_one_has_zero_entropy(self):
+        # at T = 0.9999 and eps = 0 the smaller conditional eigenvalue is 1 in
+        # exact arithmetic and rounds to 1 - 3 ulp: its theta argument lies in
+        # (-THETA_TOL, 0], so its entropy term is 0 and the point is finite
+        point = gmcs_point(0.9999, PARAMS, 0.0, eta_dmu=COMP.eta_dmu)
+        assert 1.0 - 1e-15 < point.sigma[3] < 1.0
+        assert point.chi_be == (
+            theta((point.sigma[0] - 1.0) / 2.0) + theta((point.sigma[1] - 1.0) / 2.0) - theta((point.sigma[2] - 1.0) / 2.0)
+        )
+        assert point.rate > 0
+
+    def test_rounded_negative_conditional_discriminant_is_clamped(self):
+        # here pure_part is 2.5e19 and the conditional discriminant rounds to
+        # -8192, -3.3e-16 of it: inside DISCRIMINANT_RTOL, so it is clamped to
+        # 0 and no PhysicalityError is raised. The clamped pair still meets
+        # Vieta's formulas: its product to 1e-9, and its sum to the ~sqrt(ulp)
+        # that a gap lost to rounding leaves in the eigenvalues.
+        det = GmcsParams(v_a=1e5, v_el=2e4, eta_bob=1e-3)
+        eta_ch, eps, eta_dmu = 0.5, 1e5, 0.05
+        point = gmcs_point(eta_ch, det, eps, eta_dmu)
+        v = det.v_a + 1
+        chi_line = 1 / eta_ch - 1 + eps
+        chi_hom = (1 + det.v_el) / (eta_dmu * det.eta_bob) - 1
+        chi_tot = chi_line + chi_hom / eta_ch
+        a = v * v * (1 - 2 * eta_ch) + 2 * eta_ch + eta_ch**2 * (v + chi_line) ** 2
+        sqrt_b = eta_ch * (v * chi_line + 1)
+        c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / (eta_ch * (v + chi_tot))
+        d = sqrt_b * (v + sqrt_b * chi_hom) / (eta_ch * (v + chi_tot))
+        s3, s4 = point.sigma[2:]
+        assert s3**2 * s4**2 == pytest.approx(d, rel=1e-9)
+        assert s3**2 + s4**2 == pytest.approx(c, rel=1e-7)
+        assert point.rate == 0.0
 
     def test_points_leave_no_resized_tuples_behind(self):
         # a tuple built from a generator is resized, and CPython keeps each
