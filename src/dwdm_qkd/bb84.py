@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from math import exp, log2
 
 from .noise import (
     ComponentParams,
@@ -167,7 +168,6 @@ def _row_bound(
     scan. h_bar is formed at the first set whose q_a is > 0, after its h_a
     and h_b, so the first such set raises as a lone set would.
     """
-    exp, log2 = math.exp, math.log2
     neg_eta = -eta
     y0_plus_1 = y0 + 1.0
     y0_plus_eta = y0 + eta
@@ -286,15 +286,16 @@ def optimize_mu(
         mu = mu_grid[0]
         if mu != grid.sets[0][0]:
             return mu, bb84_point_from_rates(eta, y0, params, mu)
-        # bb84_point_from_rates at mu, whose q_mu = q_a > 0 and rate is 0
+        # bb84_point_from_rates at mu, whose q_mu = q_a > 0 and rate is 0;
+        # tuple.__new__ builds the record that the namedtuple's Python
+        # __new__ would
         exp_mu = grid.exp_neg[0]
         q1 = (y0 + eta) * mu * exp_mu
         if q1 <= 0:
-            return mu, Bb84Point(y0, q_a, 0.0, q1, 0.0, 0.0)
+            return mu, tuple.__new__(Bb84Point, (y0, q_a, 0.0, q1, 0.0, 0.0))
         e1 = (params.e0 * y0 + params.e_det * eta) * mu * exp_mu / q1
-        return mu, Bb84Point(y0, q_a, e_a, q1, e1, 0.0)
+        return mu, tuple.__new__(Bb84Point, (y0, q_a, e_a, q1, e1, 0.0))
     e_det, f_ec = params.e_det, params.f_ec
-    exp, log2 = math.exp, math.log2
     neg_eta = -eta
     y0_plus_1 = y0 + 1.0
     y0_plus_eta = y0 + eta

@@ -139,8 +139,10 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
         raise _out_of_range(eta_ch, eps)
 
     # c - 2*sqrt(d) = (sqrt(d) - 1)^2 - chi_hom * impurity / denom, where
-    # impurity = (sigma_1^2 - 1) * (sigma_2^2 - 1) = b + 1 - a
-    v_sq_minus_1 = v * v - 1.0
+    # impurity = (sigma_1^2 - 1) * (sigma_2^2 - 1) = b + 1 - a. V^2 - 1 is
+    # formed from v_a: v = v_a + 1 has already dropped the digits of a tiny
+    # v_a, and v*v - 1 would then cancel to rounding
+    v_sq_minus_1 = v_a * (v_a + 2.0)
     impurity = v_sq_minus_1 * t_eps * (2.0 * one_minus_t + t_eps)
     sqrt_b_minus_1 = v_a * one_minus_t + v * t_eps
     d_minus_1 = (

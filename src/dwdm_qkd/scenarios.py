@@ -106,8 +106,11 @@ def _model_and_row(
 
         def bb84_row(z_km: float) -> Evaluation:
             eta_ch, budget = at(z_km)
+            # optimize_mu is looked up in this module on each row, so that a
+            # wrapper set here sees every call; tuple.__new__ builds the
+            # record that the namedtuple's Python __new__ would
             mu, point = optimize_mu(eta_ch, comp, det, budget, mu_grid)
-            return Evaluation(z_km, budget, eta_ch, point, mu)
+            return tuple.__new__(Evaluation, (z_km, budget, eta_ch, point, mu))
 
         return model, bb84_row
 

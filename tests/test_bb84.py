@@ -280,6 +280,44 @@ class TestOptimizeMu:
         assert point == bb84_point_from_rates(eta, 0.0, params, mu)
         assert point.q_mu == 0.0 and point.q1 > 0.0 and point.rate == 0.0
 
+    @pytest.mark.parametrize(
+        "params, z",
+        [(PARAMS, 100.0), (Bb84Params(e_det=0.05), 20.0)],
+        ids=["negative-heads-first", "positive-heads-past-the-peak"],
+    )
+    def test_scan_skips_the_e1_entropy_of_a_mu_that_cannot_win(self, params, z, monkeypatch):
+        # rows with no classical channel that scan, where every mu has
+        # 0 < E_mu, e1 < 1/2. At 100 km the heads of the first mus are
+        # negative; with 5% misalignment at 20 km the heads past the optimum
+        # are positive but at most twice the best rate. Either way those mus'
+        # e1 and h(e1) are not computed. log2 is counted in the scan only,
+        # not in _row_bound
+        counts, in_bound, row_bound = {False: 0, True: 0}, [False], bb84._row_bound
+
+        def counted_log2(x):
+            counts[in_bound[0]] += 1
+            return math.log2(x)
+
+        def bound(*args):
+            in_bound[0] = True
+            try:
+                return row_bound(*args)
+            finally:
+                in_bound[0] = False
+
+        monkeypatch.setattr(bb84, "log2", counted_log2)
+        monkeypatch.setattr(bb84, "_row_bound", bound)
+        mu, point = optimize_at(UNMULTIPLEXED, z, params)
+        monkeypatch.undo()
+        assert (mu, point) == first_max_over_point_builder(UNMULTIPLEXED, z, params, DEFAULT_MU_GRID)
+        assert point.rate > 0.0 and counts[True] > 0
+        eta, y0 = efficiency_and_background(UNMULTIPLEXED, z, params)
+        points = [bb84_point_from_rates(eta, y0, params, m) for m in DEFAULT_MU_GRID]
+        assert all(0 < p.e_mu < 0.5 and 0 < p.e1 < 0.5 for p in points)
+        # two log2 calls per entropy, one E_mu entropy per mu
+        e1_entropies = (counts[False] - 2 * len(DEFAULT_MU_GRID)) / 2
+        assert 0 < e1_entropies < len(DEFAULT_MU_GRID)
+
     @pytest.mark.parametrize("channels", [0, 1])
     @pytest.mark.parametrize("z", [0.0, 7.5, 25.0, 60.0, 80.0])
     def test_equals_brute_force_over_point_builder(self, z, channels):

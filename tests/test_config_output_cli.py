@@ -876,6 +876,23 @@ class TestCli:
             **{k: round9(v) for k, v in point.as_dict().items()},
         }
 
+    def test_tiny_modulation_variance_gmcs_point(self, tmp_path, capsys):
+        # the CI smoke case: V^2 - 1 formed as v*v - 1 with v = v_a + 1
+        # loses a v_a of 1e-16, and the conditional discriminant came out
+        # negative beyond tolerance; the point is valid and nearly pure
+        cfg = tmp_path / "tiny-va.cfg"
+        cfg.write_text(
+            "[link]\nclassical_channel_count = 0\n"
+            "[gmcs]\nv_a = 1.1800387557218664e-16\nv_el = 0\neta_bob = 0.9\neps0 = 1e-27\n"
+        )
+        assert main(["--config", str(cfg), "gmcs", "--z", "3e-11"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert doc["protocol"] == "GMCS"
+        assert doc["sigma"] == [1.0, 1.0, 1.0, 1.0]
+        assert doc["rate"] > 0
+
     def test_bad_config_errors(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[link]\nwarp_factor = 9\n")

@@ -85,7 +85,7 @@ def two_step_gmcs_point(eta_ch, params, eps, eta_dmu):
     d = sqrt_b * (v + sqrt_b * chi_hom) / denom
     if not math.isfinite(a + c + d):
         raise out_of_range()
-    v_sq_minus_1 = v * v - 1.0
+    v_sq_minus_1 = params.v_a * (params.v_a + 2.0)
     impurity = v_sq_minus_1 * t_eps * (2.0 * one_minus_t + t_eps)
     sqrt_b_minus_1 = params.v_a * one_minus_t + v * t_eps
     d_minus_1 = (v_sq_minus_1 * (one_minus_t + t_eps) + chi_hom * sqrt_b_minus_1 * (sqrt_b + 1.0)) / denom
@@ -392,6 +392,26 @@ class TestGmcsPoint:
         assert s3**2 * s4**2 == pytest.approx(d, rel=1e-9)
         assert s3**2 + s4**2 == pytest.approx(c, rel=1e-7)
         assert point.rate == 0.0
+
+    def test_tiny_modulation_variance_is_a_valid_point(self):
+        # v = v_a + 1 drops the digits of a v_a of 1e-16, so V^2 - 1 formed
+        # as v*v - 1 cancels to rounding and the conditional discriminant came
+        # out at -3e-55, beyond tolerance; v_a*(v_a + 2) keeps them
+        det = GmcsParams(v_a=1.1800387557218664e-16, v_el=0.0, eta_bob=0.6615857397910472)
+        point = gmcs_point(0.9999999999972817, det, 1.3891558643929069e-27, 0.8174182464622847)
+        assert point.sigma == (1.0, 1.0, 1.0, 1.0)
+        assert point.chi_be == 0.0 and point.rate > 0
+
+    def test_tiny_modulation_variances_near_a_pure_state_are_points(self):
+        # v_a in [1e-17, 1e-12] on links within 1e-9 of lossless and
+        # excess noise of 1e-30 to 1e-20: v*v - 1 raised PhysicalityError on
+        # about 0.7% of these
+        rng = random.Random(29)
+        for _ in range(2_000):
+            det = GmcsParams(v_a=log_uniform(rng, -17, -12), v_el=0.0, eta_bob=rng.uniform(0.01, 1.0))
+            eta_ch, eps = 1.0 - log_uniform(rng, -16, -9), log_uniform(rng, -30, -20)
+            point = gmcs_point(eta_ch, det, eps, rng.uniform(0.5, 1.0))
+            assert all(abs(s - 1.0) < 1e-8 for s in point.sigma), (det, eta_ch, eps)
 
     def test_points_leave_no_resized_tuples_behind(self):
         # a tuple built from a generator is resized, and CPython keeps each
