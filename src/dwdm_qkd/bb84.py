@@ -59,8 +59,9 @@ class Bb84Point(Record, namedtuple("Bb84Point", "y0 q_mu e_mu q1 e1 rate")):
 
 
 def background_rate(y0_base: float, eta_bob: float, n_spd_window: float) -> float:
-    """Total background rate per gate, capped at 1."""
-    if min(y0_base, eta_bob, n_spd_window) < 0:
+    """Total background rate per gate, capped at 1. Every comparison with a
+    NaN is false, so a NaN input fails the check as a negative one does."""
+    if not (y0_base >= 0 and eta_bob >= 0 and n_spd_window >= 0):
         raise DomainError("background inputs must be >= 0")
     return min(1.0, y0_base + eta_bob * n_spd_window)
 

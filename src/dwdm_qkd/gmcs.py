@@ -120,18 +120,20 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
 
     i_ab = 0.5 * log2((v + chi_tot) / (1.0 + chi_tot))
 
-    # sqrt(b) for b = T^2 (V chi_line + 1)^2, formed without squaring: the
-    # square of V chi_line + 1 overflows past ~7,300 km while sqrt(b) ~ V
-    sqrt_b = eta_ch * (v * chi_line + 1.0)
     denom = eta_ch * (v + chi_tot)
     if not isfinite(denom):
         raise _out_of_range(eta_ch, eps)
     # Closed forms in 1 - T and T*eps, from T*chi_line = 1 - T + T*eps. Near a
     # pure state (T -> 1, eps -> 0) both eigenvalue pairs tend to (1, 1), and
-    # the textbook forms of a and of the gaps cancel to rounding there.
+    # the textbook forms of a, of the gaps and of sqrt(b) cancel to rounding
+    # there: chi_line = 1/T - 1 + eps has already lost the digits of 1 - T.
     one_minus_t = 1.0 - eta_ch
     t_eps = eta_ch * eps
     channel_gap = v_a * one_minus_t - t_eps  # +-(sigma_1 - sigma_2)
+    # sqrt(b) for b = T^2 (V chi_line + 1)^2, formed without squaring: the
+    # square of V chi_line + 1 overflows past ~7,300 km while sqrt(b) ~ V
+    sqrt_b_minus_1 = v_a * one_minus_t + v * t_eps
+    sqrt_b = 1.0 + sqrt_b_minus_1
     a = channel_gap * channel_gap + 2.0 * sqrt_b
     c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / denom
     d = sqrt_b * (v + sqrt_b * chi_hom) / denom
@@ -144,7 +146,6 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
     # v_a, and v*v - 1 would then cancel to rounding
     v_sq_minus_1 = v_a * (v_a + 2.0)
     impurity = v_sq_minus_1 * t_eps * (2.0 * one_minus_t + t_eps)
-    sqrt_b_minus_1 = v_a * one_minus_t + v * t_eps
     d_minus_1 = (
         v_sq_minus_1 * (one_minus_t + t_eps) + chi_hom * sqrt_b_minus_1 * (sqrt_b + 1.0)
     ) / denom

@@ -2,13 +2,14 @@
 
 Numbers are serialized at 9 significant digits in both formats so the two
 emissions of one sweep carry identical values and fixtures stay stable.
-Both writers share one rounding pass, which rejects a NaN or an infinity:
-JSON has no literal for either.
+Both writers take their values from one pass, which rejects a NaN or an
+infinity: JSON has no literal for either.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from io import TextIOBase
 from operator import itemgetter
 
@@ -24,32 +25,17 @@ _BUDGET_COLUMNS = itemgetter(*[
 ])
 _DIGITS = "%.9g"
 _CSV_ROW = ",".join([_DIGITS] * len(_FIELDS))
-# one row laid out as json.dumps(doc, indent=2) lays it out, each value the
-# text of _json_number
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in _FIELDS) + "\n    }"
+# one row laid out as json.dumps(doc, indent=2) lays it out; see sweep_to_json
+_JSON_ROW = "    {{\n" + ",\n".join(f'      "{name}": {{:.9}}' for name in _FIELDS) + "\n    }}"
+# the cells whose {:.9} text is not repr's: a positive exponent, which repr
+# writes out up to 15, and a three-digit negative one, where subnormals live
+_RELAID = re.compile(r"[\d.]+e(?:\+\d+|-3\d\d)")
+_SUBNORMAL_EXPONENT = re.compile(r"e-3\d\d")
 
 
 def round9(x: float) -> float:
     """x at 9 significant digits, the precision of every number the tool writes."""
     return float(_DIGITS % x)
-
-
-def _json_number(cell: str) -> str:
-    """repr(float(cell)), the text json.dumps writes, for a %.9g token.
-
-    A normal double carries more than 15 significant digits, so the token's
-    at most 9 digits are the shortest decimal that reads back as the same
-    double, and float.__repr__ writes those digits; only the layout can
-    differ. repr writes .0 after an integral value and writes exponents 9 to
-    15 positionally, where %.9g writes e+09 to e+15. A two-digit negative
-    exponent is laid out alike by both. A three-digit exponent, where
-    subnormals live (4.94065646e-324 is repr's 5e-324), takes repr itself.
-    """
-    if "e" not in cell:
-        return cell if "." in cell else cell + ".0"
-    if cell[-4:-2] == "e-":
-        return cell
-    return repr(float(cell))
 
 
 def _finite(name: str, value: float) -> float:
@@ -58,14 +44,9 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _rounded_text(result: SweepResult) -> str:
-    """The sweep's rows as CSV lines: each row's fields in CSV_HEADER order
-    at 9 significant digits, rows joined by newlines.
-
-    The whole sweep goes through one finiteness check and one % over a
-    template of n rows of %.9g slots: the CSV writer takes the text as it
-    is, and the JSON writer splits it into its cells.
-    """
+def _row_values(result: SweepResult) -> list[float]:
+    """The sweep's rows as one flat list: each row's fields in CSV_HEADER
+    order, row after row, all checked to be finite."""
     values: list[float] = []
     for z_km, budget, _, point, _ in result.rows:
         values.append(z_km)
@@ -75,11 +56,11 @@ def _rounded_text(result: SweepResult) -> str:
         for i, value in enumerate(values):
             row = result.rows[i // len(_FIELDS)]
             _finite(f"{_FIELDS[i % len(_FIELDS)]} of the row at z_km = {row.z_km}", value)
-    return "\n".join([_CSV_ROW] * len(result.rows)) % tuple(values)
+    return values
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    text = _rounded_text(result)
+    text = "\n".join([_CSV_ROW] * len(result.rows)) % tuple(_row_values(result))
     return f"{CSV_HEADER}\n{text}\n" if text else CSV_HEADER + "\n"
 
 
@@ -87,13 +68,18 @@ def sweep_to_json(result: SweepResult) -> str:
     """The document json.dumps(doc, indent=2) would write, byte for byte.
 
     It is built from text directly: with an indent, json.dumps runs its
-    pure-Python encoder, which took longer than the sweep it wrote.
+    pure-Python encoder, which took longer than the sweep it wrote. The rows
+    are one str.format over a template of {:.9} slots. Like %.9g, .9 keeps 9
+    significant digits, which are already the shortest decimal that reads
+    back as the rounded double, and like repr it writes .0 after an integral
+    value. Its text is repr(float("%.9g" % x)) except where it takes an
+    exponent that repr does not (8 to 15) and where repr writes a subnormal
+    with fewer digits. Two cheap searches, for a + and for a three-digit
+    negative exponent, rule such cells out; otherwise they go through repr.
     """
-    text = _rounded_text(result)
-    cells = text.replace("\n", ",").split(",") if text else []
-    # a cell with a point and no exponent is already the text json.dumps writes
-    numbers = [cell if "." in cell and "e" not in cell else _json_number(cell) for cell in cells]
-    rows = ",\n".join([_JSON_ROW] * len(result.rows)) % tuple(numbers)
+    rows = ",\n".join([_JSON_ROW] * len(result.rows)).format(*_row_values(result))
+    if "+" in rows or _SUBNORMAL_EXPONENT.search(rows):
+        rows = _RELAID.sub(lambda cell: repr(float(cell[0])), rows)
     distance = round9(_finite("secure_distance_km", result.secure_distance_km))
     crossover = result.noise_crossover_km
     if crossover is not None:

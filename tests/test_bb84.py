@@ -125,6 +125,19 @@ class TestBackgroundRate:
     def test_cap_at_one(self):
         assert background_rate(0.5, 1.0, 10.0) == 1.0
 
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_input_rejected(self, position):
+        # min(...) < 0 is false for a NaN, which then came back as the cap 1.0
+        inputs = [5e-6, 0.038, 0.35]
+        inputs[position] = math.nan
+        with pytest.raises(DomainError, match="background inputs"):
+            background_rate(*inputs)
+
+    def test_nan_window_rejected_by_optimize_mu(self):
+        budget = NoiseBudget(*(0.0,) * 6, math.nan, *(0.0,) * 4)
+        with pytest.raises(DomainError, match="background inputs"):
+            optimize_mu(0.5, ComponentParams(), Bb84Params(), budget)
+
 
 class TestBb84Params:
     @pytest.mark.parametrize("e0", [-1.0, -1e-12, 1.0 + 1e-12, 2.0])

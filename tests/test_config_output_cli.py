@@ -307,6 +307,16 @@ AWKWARD_ROWS = [
 ]
 
 
+
+def ordinary_rows(*cells):
+    """Rows whose values are written by {:.9} as repr writes them, with each
+    (row, column, value) of cells put in."""
+    rows = [[float(z), 0.00123456789, 2.5e-5, 3.0, 0.1 + 0.2, 1e-7, 0.0, 42.5 - z] for z in range(4)]
+    for row, column, value in cells:
+        rows[row][column] = value
+    return rows
+
+
 class TestConfig:
     def test_empty_file_gives_table_defaults(self):
         config = parse_config("")
@@ -656,6 +666,11 @@ class TestOutput:
             hand_sweep(AWKWARD_ROWS, 'a "quoted" \\ back\\slash, Zürich λ→∞', -0.0, 1e-05),
             hand_sweep(AWKWARD_ROWS, "tab\tand newline\n", 1e16, 123456789012.0),
             hand_sweep([], "no rows"),
+            # one cell among ordinary ones whose {:.9} text is not repr's:
+            # 1.23456789e+08 is repr's 123456789.0, 4.94065646e-324 its 5e-324
+            hand_sweep(ordinary_rows((1, 3, 123456789.0), (2, 5, 5e-324))),
+            hand_sweep(ordinary_rows((1, 3, -1e15))),
+            hand_sweep(ordinary_rows((2, 5, -2.5e-320))),
         ],
     )
     def test_json_matches_the_indent_encoder_on_hand_built_sweeps(self, result):
@@ -671,6 +686,11 @@ class TestOutput:
     @example(999999999.5)
     @example(1e-5)
     @example(9.9999999995e-5)
+    @example(1e8)
+    @example(123456789.0)
+    @example(99999999.95)
+    @example(1e15)
+    @example(1e16)
     def test_json_number_is_the_repr_of_the_9_digit_value(self, x):
         # every value of a row is written as json.dumps writes the value
         # rounded to 9 significant digits

@@ -73,13 +73,14 @@ def two_step_gmcs_point(eta_ch, params, eps, eta_dmu):
     chi_hom = (1.0 + params.v_el) / eta_prime - 1.0
     chi_tot = chi_line + chi_hom / eta_ch
     i_ab = 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
-    sqrt_b = eta_ch * (v * chi_line + 1.0)
     denom = eta_ch * (v + chi_tot)
     if not math.isfinite(denom):
         raise out_of_range()
     one_minus_t = 1.0 - eta_ch
     t_eps = eta_ch * eps
     channel_gap = params.v_a * one_minus_t - t_eps
+    sqrt_b_minus_1 = params.v_a * one_minus_t + v * t_eps
+    sqrt_b = 1.0 + sqrt_b_minus_1
     a = channel_gap * channel_gap + 2.0 * sqrt_b
     c = (v * sqrt_b + eta_ch * (v + chi_line) + a * chi_hom) / denom
     d = sqrt_b * (v + sqrt_b * chi_hom) / denom
@@ -87,7 +88,6 @@ def two_step_gmcs_point(eta_ch, params, eps, eta_dmu):
         raise out_of_range()
     v_sq_minus_1 = params.v_a * (params.v_a + 2.0)
     impurity = v_sq_minus_1 * t_eps * (2.0 * one_minus_t + t_eps)
-    sqrt_b_minus_1 = params.v_a * one_minus_t + v * t_eps
     d_minus_1 = (v_sq_minus_1 * (one_minus_t + t_eps) + chi_hom * sqrt_b_minus_1 * (sqrt_b + 1.0)) / denom
     sqrt_d = math.sqrt(d)
     sqrt_d_minus_1 = d_minus_1 / (sqrt_d + 1.0)
@@ -412,6 +412,25 @@ class TestGmcsPoint:
             eta_ch, eps = 1.0 - log_uniform(rng, -16, -9), log_uniform(rng, -30, -20)
             point = gmcs_point(eta_ch, det, eps, rng.uniform(0.5, 1.0))
             assert all(abs(s - 1.0) < 1e-8 for s in point.sigma), (det, eta_ch, eps)
+
+    def test_large_modulation_variance_near_a_pure_state_is_a_point(self):
+        # sqrt(b) formed as T*(V*chi_line + 1) kept the rounding of
+        # chi_line = 1/T - 1 + eps, which V = 5.66e7 magnified until sigma_2
+        # fell 1e-9 below 1 and its theta argument below -THETA_TOL
+        det = GmcsParams(v_a=5.66e7, v_el=0.0, eta_bob=1.0)
+        point = gmcs_point(0.9999999817627512, det, 2.56e-154, 1.0)
+        assert point.sigma[1] == point.sigma[3] == 1.0
+        assert point.rate > 0
+
+    def test_large_modulation_variances_near_a_pure_state_are_points(self):
+        # v_a in [1e7, 1e8] on links within 1e-7 of lossless: sqrt(b) formed
+        # from chi_line raised a theta DomainError on about 0.8% of these
+        rng = random.Random(30)
+        for _ in range(2_000):
+            det = GmcsParams(v_a=log_uniform(rng, 7, 8), v_el=0.0, eta_bob=rng.uniform(0.5, 1.0))
+            eta_ch, eps = 1.0 - log_uniform(rng, -9, -7), log_uniform(rng, -200, -20)
+            point = gmcs_point(eta_ch, det, eps, rng.uniform(0.5, 1.0))
+            assert all(s > 1.0 - 1e-12 for s in point.sigma), (det, eta_ch, eps)
 
     def test_points_leave_no_resized_tuples_behind(self):
         # a tuple built from a generator is resized, and CPython keeps each
