@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -17,7 +16,7 @@ from .noise import (
     db_field_to_linear,
     fit_raman_coefficient,
 )
-from .output import emit, round9
+from .output import emit, point_to_json, round9
 from .scenarios import DEFAULT_MU_GRID, Evaluation, Scenario, builtin_scenarios, evaluate, run_sweep, scenario_by_name
 from .units import dbm_to_watts
 
@@ -45,7 +44,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _print_json(doc, out: str | None) -> None:
-    _write(json.dumps(doc, indent=2) + "\n", out)
+    _write(point_to_json(doc) + "\n", out)
 
 
 @functools.cache

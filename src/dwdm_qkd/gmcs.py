@@ -197,13 +197,15 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
     )
     if not isfinite(i_ab + chi_be):
         raise _out_of_range(eta_ch, eps)
-    rate = params.gamma * i_ab - chi_be
     # max(0.0, v) written as v if v > 0.0 else 0.0, which agrees with it on
-    # every finite v; tuple.__new__ builds the record that the namedtuple's
-    # Python __new__ would
+    # every finite v. chi_be is clamped before the rate is formed from it: a
+    # chi_be that cancelled to below 0 would otherwise lift the rate above
+    # gamma * i_ab, which no state allows
+    chi_be = chi_be if chi_be > 0.0 else 0.0
+    rate = params.gamma * i_ab - chi_be
+    # tuple.__new__ builds the record that the namedtuple's Python __new__ would
     return tuple.__new__(
-        GmcsPoint,
-        (eps, i_ab, chi_be if chi_be > 0.0 else 0.0, rate if rate > 0.0 else 0.0, (sigma_1, sigma_2, sigma_3, sigma_4)),
+        GmcsPoint, (eps, i_ab, chi_be, rate if rate > 0.0 else 0.0, (sigma_1, sigma_2, sigma_3, sigma_4))
     )
 
 

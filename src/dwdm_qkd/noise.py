@@ -335,7 +335,13 @@ def fit_raman_coefficient(
             "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) underflows to 0"
         )
     num = sum(p * z for z, p in points)
-    denominator = scale * sum(z * z for z, _ in points)
+    sum_z2 = sum(z * z for z, _ in points)
+    if sum_z2 == 0:
+        # every z * z underflowed, the largest distance's too
+        raise DomainError(
+            f"measurement point {max(z for z, _ in points)} km: the square of the distance underflows to 0"
+        )
+    denominator = scale * sum_z2
     beta = num / denominator if denominator > 0 else math.inf
     if not math.isfinite(beta):
         raise DomainError("the fitted Raman coefficient overflows a float")

@@ -1,9 +1,9 @@
-"""CSV and JSON emission for sweep results.
+"""CSV and JSON emission for sweep results, and JSON for point documents.
 
 Numbers are serialized at 9 significant digits in both formats so the two
 emissions of one sweep carry identical values and fixtures stay stable.
 Both writers take their values from one pass, which rejects a NaN or an
-infinity: JSON has no literal for either.
+infinity: JSON has no literal for either, and neither does the point writer.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import json
 import math
 import re
 from io import TextIOBase
+from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
 from .noise import DomainError, NoiseBudget
@@ -92,6 +93,49 @@ def sweep_to_json(result: SweepResult) -> str:
         f'  "noise_crossover_km": {"null" if crossover is None else repr(crossover)}\n'
         "}\n"
     )
+
+
+def _json_scalar(name: str, value) -> str:
+    """value's JSON literal as json.dumps writes it; a float must be finite."""
+    if isinstance(value, float):
+        return float.__repr__(_finite(name, value))
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{name} = {value!r} is not a JSON scalar")
+
+
+def _json_list(name: str, values, indent: str) -> str:
+    """A list of scalars as json.dumps(..., indent=2) lays it out at indent."""
+    if not values:
+        return "[]"
+    items = f",\n{indent}  ".join([_json_scalar(f"{name}[{i}]", value) for i, value in enumerate(values)])
+    return f"[\n{indent}  {items}\n{indent}]"
+
+
+def point_to_json(doc: dict | list) -> str:
+    """The text json.dumps(doc, indent=2) writes for one point document,
+    written in one direct pass: with an indent, json.dumps runs its
+    pure-Python encoder, which took longer than computing the point. doc
+    is a dict of scalars and lists of scalars, or a list of scalars. A NaN
+    or an infinity raises DomainError naming its key, where json.dumps
+    would write NaN or Infinity; a str is escaped by the function
+    json.dumps escapes it with."""
+    if isinstance(doc, list):
+        return _json_list("", doc, "")
+    if not doc:
+        return "{}"
+    return "{\n" + ",\n".join([
+        f"  {_escape(key)}: {_json_list(key, value, '  ') if isinstance(value, list) else _json_scalar(key, value)}"
+        for key, value in doc.items()
+    ]) + "\n}"
 
 
 def emit(result: SweepResult, fmt: str, destination: str | TextIOBase) -> None:

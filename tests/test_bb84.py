@@ -125,6 +125,11 @@ class TestBackgroundRate:
     def test_cap_at_one(self):
         assert background_rate(0.5, 1.0, 10.0) == 1.0
 
+    @pytest.mark.parametrize("inputs, rate", [((5e-6, 0.0, 0.35), 5e-6), ((0.0, 0.0, 0.0), 0.0)])
+    def test_zero_inputs_are_valid(self, inputs, rate):
+        # Bb84Params rejects eta_bob = 0, but the function itself takes it
+        assert background_rate(*inputs) == rate
+
     @pytest.mark.parametrize("position", range(3))
     def test_nan_input_rejected(self, position):
         # min(...) < 0 is false for a NaN, which then came back as the cap 1.0

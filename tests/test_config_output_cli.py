@@ -26,7 +26,7 @@ from dwdm_qkd.config import (
 )
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint, PhysicalityError
 from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel
-from dwdm_qkd.output import CSV_HEADER, emit, round9, sweep_to_csv, sweep_to_json
+from dwdm_qkd.output import CSV_HEADER, emit, point_to_json, round9, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import Evaluation, SweepResult, builtin_scenarios, run_sweep, scenario_by_name
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -728,7 +728,69 @@ class TestOutput:
             emit(result, "xml", str(p1))
 
 
+# the values of a point document: finite floats, the awkward ones among
+# them, and the other scalars json.dumps writes
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7, 3.0, 123456789.0]
+)
+JSON_SCALARS = JSON_FLOATS | st.integers() | st.booleans() | st.none() | st.text()
+POINT_DOCUMENTS = st.dictionaries(
+    st.text(max_size=12), JSON_SCALARS | st.lists(JSON_FLOATS, max_size=5) | st.lists(st.text(), max_size=5), max_size=12
+) | st.lists(st.text(), max_size=8)
+
 FIT = ["fit-beta", "--delta-lambda-nm", "0.6"]
+POINT_COMMANDS = [
+    ["noise", "--z", "20"],
+    ["bb84", "--z", "20"],
+    ["bb84", "--z", "20", "--mu", "0.5"],
+    ["gmcs", "--z", "10"],
+    ["--conservative", "--strict-eps-out", "gmcs", "--z", "0"],
+    FIT + ["--p-out-dbm", "0", "--point", "20:1e-10", "--point", "40:2.1e-10"],
+    ["--format", "json", "scenarios"],
+]
+
+
+class TestPointJson:
+    @settings(max_examples=150, deadline=None)
+    @given(POINT_DOCUMENTS)
+    @example({"z_km": -0.0, "a": 5e-324, "b": 1e16, "c": 1e-7, "d": 2.0, "e": 1e8})
+    @example({'a "quoted" \\ key': 'a "quoted" \\ back\\slash, Zürich λ→∞\n', "n": None, "t": True, "f": False, "i": -3})
+    @example({"sigma": [], "names": ["x", "y"], "values": [1.0, -0.0, 5e-324]})
+    @example({})
+    @example([])
+    @example(["gmcs-38ch", "bb84-0dBm"])
+    def test_equals_the_indent_encoder(self, doc):
+        assert point_to_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            (lambda bad: {"z_km": 1.0, "rate": bad}, "rate"),
+            (lambda bad: {"rate": 0.0, "sigma": [1.0, bad]}, "sigma[1]"),
+            (lambda bad: [1.0, bad], "[1]"),
+        ],
+        ids=["value", "list-item", "top-level-item"],
+    )
+    def test_non_finite_number_is_named(self, doc, name, bad):
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} = {bad} cannot be written: it must be finite$"):
+            point_to_json(doc(bad))
+
+    @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_point_commands_print_the_indent_encoders_text(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out, parse_constant=pytest.fail)
+        assert captured.out == json.dumps(doc, indent=2) + "\n"
+
+    def test_non_finite_point_value_is_an_error_line(self, monkeypatch, capsys):
+        # json.dumps would have printed NaN; the writer refuses it and names the key
+        monkeypatch.setattr(scenarios, "gmcs_point", lambda *args: GmcsPoint(0.1, 1.0, 0.5, math.nan, (2.0,) * 4))
+        assert main(["gmcs", "--z", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate = nan cannot be written: it must be finite\n"
 
 
 class TestCli:
@@ -977,6 +1039,8 @@ class TestCli:
             # commands that read no config reject --config, as sweep does
             ["--config", "/nonexistent", "scenarios"],
             ["--config", "/nonexistent"] + FIT + ["--p-out-dbm", "0", "--point", "20:1e-10"],
+            # the square of the distance underflows to 0
+            FIT + ["--p-out-dbm", "0", "--point", "1e-200:1e-12"],
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):

@@ -108,8 +108,9 @@ def two_step_gmcs_point(eta_ch, params, eps, eta_dmu):
     )
     if not math.isfinite(i_ab + chi_be):
         raise out_of_range()
+    chi_be = max(0.0, chi_be)
     rate = max(0.0, params.gamma * i_ab - chi_be)
-    return GmcsPoint(eps, i_ab, max(0.0, chi_be), rate, sigma)
+    return GmcsPoint(eps, i_ab, chi_be, rate, sigma)
 
 
 def log_uniform(rng, lo, hi):
@@ -356,6 +357,7 @@ class TestGmcsPoint:
                 assert getattr(point, name) == getattr(expected, name), (name, params, eta_ch, eps, eta_dmu)
             assert len(point.sigma) == 4
             assert all(s == e for s, e in zip(point.sigma, expected.sigma)), (params, eta_ch, eps, eta_dmu)
+            assert point.rate <= params.gamma * point.i_ab, (params, eta_ch, eps, eta_dmu)
             points += 1
         # both outcomes are exercised
         assert points > 8_000 and errors > 200
@@ -431,6 +433,15 @@ class TestGmcsPoint:
             eta_ch, eps = 1.0 - log_uniform(rng, -9, -7), log_uniform(rng, -200, -20)
             point = gmcs_point(eta_ch, det, eps, rng.uniform(0.5, 1.0))
             assert all(s > 1.0 - 1e-12 for s in point.sigma), (det, eta_ch, eps)
+
+    def test_cancelled_chi_be_lifts_no_rate(self):
+        # sigma_1 ~ sigma_3 ~ V: the four theta terms cancel to a raw chi_BE
+        # of -2.3e-13, which, subtracted from gamma * I_AB = 0, gave a rate
+        # of 2.33e-13 with I_AB and the reported chi_BE both 0
+        det = GmcsParams(v_a=235.46684476888367, eta_bob=0.6, v_el=0.0, gamma=0.9)
+        point = gmcs_point(2.5971768574591613e-39, det, 0.00036027051165420137, 0.7)
+        assert point.i_ab == point.chi_be == point.rate == 0.0
+        assert point.rate <= det.gamma * point.i_ab
 
     def test_points_leave_no_resized_tuples_behind(self):
         # a tuple built from a generator is resized, and CPython keeps each

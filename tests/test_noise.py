@@ -6,6 +6,7 @@ import os
 import pathlib
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -512,6 +513,31 @@ class TestRamanFit:
         # each has its own message, not the product's "underflows to 0"
         with pytest.raises(DomainError, match=rf"^{name} must be positive, got 0\.0$"):
             fit_raman_coefficient([(20.0, 1e-10)], p_out_w, delta_lambda_nm)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(math.inf, 1e-10)], "measurement point inf km: 1e-10 W "),
+            ([(20, math.inf)], "measurement point 20 km: inf W "),
+        ],
+        ids=["distance", "power"],
+    )
+    def test_infinite_point_is_named(self, points, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}must be finite and >= 0$"):
+            fit_raman_coefficient(points, 1e-3, 0.6)
+
+    @pytest.mark.parametrize("points", [[(1e-200, 1e-12)], [(1e-170, 1e-12), (1e-180, 0.0)]], ids=["one", "two"])
+    def test_distance_whose_square_underflows_is_named(self, points):
+        # z * z underflows to 0 for every point: the message names the largest z
+        z = max(z for z, _ in points)
+        with pytest.raises(DomainError, match=rf"^measurement point {z} km: the square of the distance underflows to 0$"):
+            fit_raman_coefficient(points, 1e-3, 0.6)
+
+    def test_underflowing_denominator_is_an_overflowing_coefficient(self):
+        # z * z = 1e-200 is a float, but times the scale 1e-300 it is 0: the
+        # coefficient, 1e-12 / (1e-300 * 1e-100), overflows
+        with pytest.raises(DomainError, match="^the fitted Raman coefficient overflows a float$"):
+            fit_raman_coefficient([(1e-100, 1e-12)], 1e-300, 1.0)
 
 
 _BUDGET = NoiseBudget(1e-3, 2.5e4, 3e-4, 1e-5, 2e-5, 3e-5, 6e-5, 4e-4, 5e-4, 8e-4, 9e-7)
