@@ -341,6 +341,11 @@ def fit_raman_coefficient(
         raise DomainError(
             f"measurement point {max(z for z, _ in points)} km: the square of the distance underflows to 0"
         )
+    if sum_z2 == math.inf:
+        # the fit num / (scale * sum_z2) would read 0, though it may be a float
+        raise DomainError(
+            f"measurement point {max(z for z, _ in points)} km: the sum of squared distances overflows a float"
+        )
     denominator = scale * sum_z2
     beta = num / denominator if denominator > 0 else math.inf
     if not math.isfinite(beta):

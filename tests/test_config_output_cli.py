@@ -1041,6 +1041,8 @@ class TestCli:
             ["--config", "/nonexistent"] + FIT + ["--p-out-dbm", "0", "--point", "20:1e-10"],
             # the square of the distance underflows to 0
             FIT + ["--p-out-dbm", "0", "--point", "1e-200:1e-12"],
+            # the square of the distance overflows
+            FIT + ["--p-out-dbm", "0", "--point", "1e200:1e-12"],
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
@@ -1081,6 +1083,14 @@ class TestCli:
         doc = json.loads(captured.out, parse_constant=pytest.fail)
         assert doc["z_km"] == float(z) and doc["rate"] == 0.0
 
+    def test_point_commands_echo_the_same_distance(self, capsys):
+        # the distance is echoed as given, past round9's 9 digits
+        echoed = []
+        for command in ("noise", "bb84", "gmcs"):
+            assert main([command, "--z", "12.3456789012"]) == 0
+            echoed.append(json.loads(capsys.readouterr().out)["z_km"])
+        assert echoed == [12.3456789012] * 3
+
     def test_physicality_error_is_an_error_line(self, monkeypatch, capsys):
         def unphysical(*args, **kwargs):
             raise PhysicalityError("negative discriminant for channel spectrum: -1.0")
@@ -1120,6 +1130,11 @@ class TestCli:
             (["fit-beta", "--p-out-dbm", "-3000", "--delta-lambda-nm", "1e-30", "--point", "20:1e-10"], "underflows"),
             # 1e-3 * 10 ** (-400) underflows to 0 W
             (FIT + ["--p-out-dbm", "-4000", "--point", "20:1e-10"], "--p-out-dbm"),
+            # z * z = inf would fit 0, though 1e-12 / (1e-3 * 0.6 * 1e200) is a float
+            (
+                FIT + ["--p-out-dbm", "0", "--point", "1e200:1e-12"],
+                "error: measurement point 1e+200 km: the sum of squared distances overflows a float\n",
+            ),
         ],
     )
     def test_bad_fit_and_mu_inputs_are_named(self, argv, name, capsys):
@@ -1240,12 +1255,15 @@ class TestCli:
 
 @pytest.fixture
 def fresh_caches():
-    # the parser and the default config are built once per process
+    # the parser and the default config are built once per process, and
+    # each --config document is parsed once
     cli.build_parser.cache_clear()
     config.default_config.cache_clear()
+    cli._parse_config_text.cache_clear()
     yield
     cli.build_parser.cache_clear()
     config.default_config.cache_clear()
+    cli._parse_config_text.cache_clear()
 
 
 def run_main(argv, capsys):
@@ -1280,6 +1298,7 @@ class TestRepeatedMain:
         for argv in sequence:
             cli.build_parser.cache_clear()
             config.default_config.cache_clear()
+            cli._parse_config_text.cache_clear()
             alone.append(run_main(argv, capsys))
         assert [run_main(argv, capsys) for argv in sequence] == alone
         assert alone[0] != alone[1]
@@ -1313,3 +1332,59 @@ class TestRepeatedMain:
         # the top-level parser and each subparser, once
         assert built.count("dwdm-qkd") == 1 and len(built) == len(set(built))
         assert len(parsed_empty) == 1
+
+
+class TestConfigCache:
+    """main parses each distinct --config text once per process."""
+
+    @pytest.fixture
+    def parses(self, fresh_caches, monkeypatch):
+        texts = []
+
+        def counting_parse(text):
+            texts.append(text)
+            return parse_config(text)
+
+        monkeypatch.setattr(cli, "parse_config", counting_parse)
+        return texts
+
+    def test_same_document_is_parsed_once(self, parses, tmp_path, capsys):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("[link]\nclassical_channel_count = 2\n")
+        argvs = [["--config", str(cfg), "gmcs", "--z", "5"], ["--config", str(cfg), "bb84", "--z", "30"]]
+        cached = [run_main(argv, capsys) for argv in argvs]
+        assert len(parses) == 1
+        alone = []
+        for argv in argvs:
+            cli._parse_config_text.cache_clear()
+            alone.append(run_main(argv, capsys))
+        assert cached == alone and all(code == 0 for code, _, _ in cached)
+
+    def test_edited_file_is_parsed_again(self, parses, tmp_path, capsys):
+        cfg = tmp_path / "x.cfg"
+        argv = ["--config", str(cfg), "noise", "--z", "20"]
+        cfg.write_text("[link]\nclassical_channel_count = 2\n")
+        first = run_main(argv, capsys)
+        cfg.write_text("[link]\nclassical_channel_count = 3\n")
+        second = run_main(argv, capsys)
+        assert first[0] == second[0] == 0 and first[1] != second[1]
+        assert len(parses) == 2
+
+    def test_invalid_document_fails_on_every_call(self, parses, tmp_path, capsys):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("[bb84]\nmu = -1\n")
+        argv = ["--config", str(cfg), "bb84", "--z", "20"]
+        first, second = run_main(argv, capsys), run_main(argv, capsys)
+        assert first == second
+        code, out, err = first
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        # no exception is cached, so each call parses the document again
+        assert len(parses) == 2
+
+    def test_cache_is_bounded(self, fresh_caches, tmp_path, capsys):
+        cfg = tmp_path / "x.cfg"
+        for i in range(40):
+            cfg.write_text(f"[link]\nclassical_channel_count = {i}\n")
+            assert run_main(["--config", str(cfg), "noise", "--z", "20"], capsys)[0] == 0
+        info = cli._parse_config_text.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize

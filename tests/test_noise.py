@@ -533,6 +533,14 @@ class TestRamanFit:
         with pytest.raises(DomainError, match=rf"^measurement point {z} km: the square of the distance underflows to 0$"):
             fit_raman_coefficient(points, 1e-3, 0.6)
 
+    @pytest.mark.parametrize("points", [[(1e200, 1e-12)], [(1e154, 1e-12), (1e154, 1e-12), (5.0, 0.0)]], ids=["one", "sum"])
+    def test_overflowing_sum_of_squared_distances_is_named(self, points):
+        # sum z^2 = inf would fit beta = 0, though the fit may be a float
+        # (1e-12 / (1e-3 * 0.6 * 1e200) = 1.7e-212)
+        z = max(z for z, _ in points)
+        with pytest.raises(DomainError, match=f"^measurement point {re.escape(str(z))} km: the sum of squared distances overflows a float$"):
+            fit_raman_coefficient(points, 1e-3, 0.6)
+
     def test_underflowing_denominator_is_an_overflowing_coefficient(self):
         # z * z = 1e-200 is a float, but times the scale 1e-300 it is 0: the
         # coefficient, 1e-12 / (1e-300 * 1e-100), overflows
