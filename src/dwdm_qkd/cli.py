@@ -32,17 +32,6 @@ def _load_config(path: str | None) -> Config:
             raise ConfigError(
                 f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
             ) from None
-    return _parse_config_text(text)
-
-
-@functools.lru_cache(maxsize=16)
-def _parse_config_text(text: str) -> Config:
-    """parse_config(text), once per distinct document text in this process.
-
-    Keyed on the text, not the path, so an edited file is parsed again; an
-    invalid document raises on every call, as lru_cache keeps no exception.
-    Sharing the result is safe: Config and its parameter records are frozen.
-    """
     return parse_config(text)
 
 
@@ -152,9 +141,15 @@ def cmd_bb84(args, config: Config) -> int:
     if args.mu is not None and not (math.isfinite(args.mu) and args.mu > 0):
         raise DomainError(f"--mu must be finite and > 0, got {args.mu}")
     evaluation = _evaluate_point(args, config, config.bb84, DEFAULT_MU_GRID if args.mu is None else (args.mu,))
-    doc = {"protocol": "BB84", "mu": evaluation.mu, "z_km": args.z, **evaluation.point.as_dict()}
-    # the distance is echoed as given, as noise and gmcs echo it
-    _print_json({k: (round9(v) if isinstance(v, float) and k != "z_km" else v) for k, v in doc.items()}, args.out)
+    _print_json(
+        {
+            "protocol": "BB84",
+            "mu": round9(evaluation.mu),
+            "z_km": args.z,
+            **{k: round9(v) for k, v in evaluation.point.as_dict().items()},
+        },
+        args.out,
+    )
     return 0
 
 

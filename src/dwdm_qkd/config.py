@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -147,9 +146,6 @@ _KEYS["link"]["fiber_length_km"] = ("z_km", float, _plain_text)
 _KEYS["scenario"] = {key: (key, float, _plain_text) for key in _SCENARIO_DEFAULTS}
 
 
-_DELIMITER = re.compile("[=:]")
-
-
 def _read_ini(text: str) -> list[tuple[str, str, str]]:
     """The (section, key, raw value) of each option line, in document order.
 
@@ -161,39 +157,47 @@ def _read_ini(text: str) -> list[tuple[str, str, str]]:
     in configparser, and is rejected.
     """
     options = []
-    seen = set()  # section names, and (section, key) pairs
+    sections = set()
+    keys = set()  # the keys of the current section: a section is read once
     section = key = None
     indent = 0
     for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
-        if not stripped or stripped[0] in "#;":
+        if not stripped:
             continue
-        depth = len(line) - len(line.lstrip())
+        first = stripped[0]
+        if first in "#;":
+            continue
+        # first is not whitespace, so its first place in line is past the indent
+        depth = line.find(first)
         if key is not None and depth > indent:
             raise ConfigError(f"malformed config: line {lineno}: {section}.{key} continues on an indented line")
         indent = depth
-        if stripped[0] == "[":
+        if first == "[":
             if stripped[-1] != "]":
                 raise ConfigError(f"malformed config: line {lineno}: {stripped!r} is not a [section] header")
             section, key = stripped[1:-1], None
             if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]")
-            if section in seen:
+            if section in sections:
                 raise ConfigError(f"malformed config: line {lineno}: section [{section}] repeated")
-            seen.add(section)
+            sections.add(section)
+            keys = set()
             continue
-        delimiter = _DELIMITER.search(stripped)
-        if delimiter is None:
+        key, delimiter, raw = stripped.partition("=")
+        if ":" in key:
+            key, delimiter, raw = stripped.partition(":")
+        if not delimiter:
             raise ConfigError(f"malformed config: line {lineno}: no '=' or ':' in {stripped!r}")
-        key = stripped[: delimiter.start()].rstrip().lower()
+        key = key.rstrip().lower()
         if not key:
-            raise ConfigError(f"malformed config: line {lineno}: no key before {delimiter[0]!r}")
+            raise ConfigError(f"malformed config: line {lineno}: no key before {delimiter!r}")
         if section is None:
             raise ConfigError(f"malformed config: line {lineno}: key {key!r} before any [section] header")
-        if (section, key) in seen:
+        if key in keys:
             raise ConfigError(f"malformed config: line {lineno}: key {section}.{key} repeated")
-        seen.add((section, key))
-        options.append((section, key, stripped[delimiter.end() :].lstrip()))
+        keys.add(key)
+        options.append((section, key, raw.lstrip()))
     return options
 
 
@@ -226,9 +230,10 @@ def parse_config(text: str) -> Config:
     """
     values = {section: {} for section in _KEYS}
     for section, key, raw in _read_ini(text):
-        if key not in _KEYS[section]:
+        entry = _KEYS[section].get(key)
+        if entry is None:
             raise ConfigError(f"unknown key {section}.{key}")
-        field, parse, _ = _KEYS[section][key]
+        field, parse, _ = entry
         try:
             values[section][field] = parse(raw)
         except DomainError as exc:

@@ -341,12 +341,19 @@ def fit_raman_coefficient(
         raise DomainError(
             f"measurement point {max(z for z, _ in points)} km: the square of the distance underflows to 0"
         )
-    if sum_z2 == math.inf:
-        # the fit num / (scale * sum_z2) would read 0, though it may be a float
+    if sum_z2 == math.inf and num > 0:
+        # the fit num / (scale * sum_z2) would read 0, though it may be a
+        # float; with every power 0 the fit is 0 exactly
         raise DomainError(
             f"measurement point {max(z for z, _ in points)} km: the sum of squared distances overflows a float"
         )
     denominator = scale * sum_z2
+    if denominator == math.inf and num > 0:
+        # as above
+        raise DomainError(
+            f"measurement point {max(z for z, _ in points)} km: the sum of squared distances times "
+            "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) overflows a float"
+        )
     beta = num / denominator if denominator > 0 else math.inf
     if not math.isfinite(beta):
         raise DomainError("the fitted Raman coefficient overflows a float")

@@ -562,12 +562,28 @@ class TestConfigGrammar:
             ("[bb84]\nmu = 0.3\nMU: 0.4\n", "line 3: key bb84.mu repeated"),
             ("[gmcs]\n[bb84]\n[gmcs]\n", "line 3: section [gmcs] repeated"),
             ("[gmcs]\nv_a = 10\n  ; a comment\n\n   v_el = 0.1\n", "line 5: gmcs.v_a continues on an indented line"),
+            # the indent is the line's leading whitespace, any Unicode space included
+            ("[gmcs]\nv_a = 10\n\xa0v_el = 0.1\n", "line 3: gmcs.v_a continues on an indented line"),
+            ("[gmcs]\n \tv_a = 10\n\t\xa0 v_el = 0.1\n", "line 3: gmcs.v_a continues on an indented line"),
         ],
     )
     def test_grammar_errors_name_their_line(self, text, message):
         with pytest.raises(ConfigError) as caught:
             parse_config(text)
         assert str(caught.value) == f"malformed config: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mu: 0.3=1", "bb84.mu: malformed value '0.3=1'"),
+            ("mu = 0.3:1", "bb84.mu: malformed value '0.3:1'"),
+            ("m:u = 0.3", "unknown key bb84.m"),
+            ("m=u: 0.3", "unknown key bb84.m"),
+        ],
+    )
+    def test_option_splits_at_its_first_delimiter(self, line, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"[bb84]\n{line}\n")
 
     def test_empty_unknown_section_is_rejected(self):
         with pytest.raises(ConfigError, match=r"^unknown section \[turbo\]$"):
@@ -1091,6 +1107,11 @@ class TestCli:
             echoed.append(json.loads(capsys.readouterr().out)["z_km"])
         assert echoed == [12.3456789012] * 3
 
+    def test_bb84_rounds_the_mu_it_echoes(self, capsys):
+        # --mu is rounded to 9 digits, as every printed number but z_km is
+        assert main(["bb84", "--z", "20", "--mu", "0.123456789012"]) == 0
+        assert json.loads(capsys.readouterr().out)["mu"] == 0.123456789
+
     def test_physicality_error_is_an_error_line(self, monkeypatch, capsys):
         def unphysical(*args, **kwargs):
             raise PhysicalityError("negative discriminant for channel spectrum: -1.0")
@@ -1134,6 +1155,12 @@ class TestCli:
             (
                 FIT + ["--p-out-dbm", "0", "--point", "1e200:1e-12"],
                 "error: measurement point 1e+200 km: the sum of squared distances overflows a float\n",
+            ),
+            # sum z^2 = 1e200 times the scale 1e197 W*nm is inf, though the fit is a float
+            (
+                ["fit-beta", "--p-out-dbm", "2000", "--delta-lambda-nm", "1", "--point", "1e100:1e100"],
+                "error: measurement point 1e+100 km: the sum of squared distances times "
+                "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) overflows a float\n",
             ),
         ],
     )
@@ -1255,15 +1282,12 @@ class TestCli:
 
 @pytest.fixture
 def fresh_caches():
-    # the parser and the default config are built once per process, and
-    # each --config document is parsed once
+    # the parser and the default config are built once per process
     cli.build_parser.cache_clear()
     config.default_config.cache_clear()
-    cli._parse_config_text.cache_clear()
     yield
     cli.build_parser.cache_clear()
     config.default_config.cache_clear()
-    cli._parse_config_text.cache_clear()
 
 
 def run_main(argv, capsys):
@@ -1298,7 +1322,6 @@ class TestRepeatedMain:
         for argv in sequence:
             cli.build_parser.cache_clear()
             config.default_config.cache_clear()
-            cli._parse_config_text.cache_clear()
             alone.append(run_main(argv, capsys))
         assert [run_main(argv, capsys) for argv in sequence] == alone
         assert alone[0] != alone[1]
@@ -1332,59 +1355,3 @@ class TestRepeatedMain:
         # the top-level parser and each subparser, once
         assert built.count("dwdm-qkd") == 1 and len(built) == len(set(built))
         assert len(parsed_empty) == 1
-
-
-class TestConfigCache:
-    """main parses each distinct --config text once per process."""
-
-    @pytest.fixture
-    def parses(self, fresh_caches, monkeypatch):
-        texts = []
-
-        def counting_parse(text):
-            texts.append(text)
-            return parse_config(text)
-
-        monkeypatch.setattr(cli, "parse_config", counting_parse)
-        return texts
-
-    def test_same_document_is_parsed_once(self, parses, tmp_path, capsys):
-        cfg = tmp_path / "x.cfg"
-        cfg.write_text("[link]\nclassical_channel_count = 2\n")
-        argvs = [["--config", str(cfg), "gmcs", "--z", "5"], ["--config", str(cfg), "bb84", "--z", "30"]]
-        cached = [run_main(argv, capsys) for argv in argvs]
-        assert len(parses) == 1
-        alone = []
-        for argv in argvs:
-            cli._parse_config_text.cache_clear()
-            alone.append(run_main(argv, capsys))
-        assert cached == alone and all(code == 0 for code, _, _ in cached)
-
-    def test_edited_file_is_parsed_again(self, parses, tmp_path, capsys):
-        cfg = tmp_path / "x.cfg"
-        argv = ["--config", str(cfg), "noise", "--z", "20"]
-        cfg.write_text("[link]\nclassical_channel_count = 2\n")
-        first = run_main(argv, capsys)
-        cfg.write_text("[link]\nclassical_channel_count = 3\n")
-        second = run_main(argv, capsys)
-        assert first[0] == second[0] == 0 and first[1] != second[1]
-        assert len(parses) == 2
-
-    def test_invalid_document_fails_on_every_call(self, parses, tmp_path, capsys):
-        cfg = tmp_path / "x.cfg"
-        cfg.write_text("[bb84]\nmu = -1\n")
-        argv = ["--config", str(cfg), "bb84", "--z", "20"]
-        first, second = run_main(argv, capsys), run_main(argv, capsys)
-        assert first == second
-        code, out, err = first
-        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
-        # no exception is cached, so each call parses the document again
-        assert len(parses) == 2
-
-    def test_cache_is_bounded(self, fresh_caches, tmp_path, capsys):
-        cfg = tmp_path / "x.cfg"
-        for i in range(40):
-            cfg.write_text(f"[link]\nclassical_channel_count = {i}\n")
-            assert run_main(["--config", str(cfg), "noise", "--z", "20"], capsys)[0] == 0
-        info = cli._parse_config_text.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize

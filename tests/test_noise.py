@@ -541,6 +541,23 @@ class TestRamanFit:
         with pytest.raises(DomainError, match=f"^measurement point {re.escape(str(z))} km: the sum of squared distances overflows a float$"):
             fit_raman_coefficient(points, 1e-3, 0.6)
 
+    @pytest.mark.parametrize("z, p_out_w", [(1e200, 1e-3), (1e100, 1e197)], ids=["sum", "product"])
+    def test_zero_powers_fit_zero_past_an_overflowing_denominator(self, z, p_out_w):
+        # with every power 0, num / inf = 0 is the exact fit
+        assert fit_raman_coefficient([(z, 0.0)], p_out_w, 1.0) == 0.0
+
+    def test_overflowing_denominator_is_named(self):
+        # sum z^2 = 1e200 is a float, but times the scale 1e197 W*nm it is
+        # inf and would fit beta = 0, though the fit 1e200 / 1e397 is a float
+        with pytest.raises(
+            DomainError,
+            match=re.escape(
+                "measurement point 1e+100 km: the sum of squared distances times "
+                "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) overflows a float"
+            ),
+        ):
+            fit_raman_coefficient([(1e100, 1e100)], 1e197, 1.0)
+
     def test_underflowing_denominator_is_an_overflowing_coefficient(self):
         # z * z = 1e-200 is a float, but times the scale 1e-300 it is 0: the
         # coefficient, 1e-12 / (1e-300 * 1e-100), overflows
