@@ -7,7 +7,7 @@ import math
 import re
 import sys
 
-from .config import Config, ConfigError, default_config, parse_config
+from .config import DEFAULT_Z_KM, Config, ConfigError, default_config, parse_config
 from .gmcs import PhysicalityError
 from .noise import (
     DomainError,
@@ -18,7 +18,6 @@ from .noise import (
 )
 from .output import emit, point_to_json, round9
 from .scenarios import DEFAULT_MU_GRID, Evaluation, Scenario, builtin_scenarios, evaluate, run_sweep, scenario_by_name
-from .units import dbm_to_watts
 
 
 def _load_config(path: str | None) -> Config:
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gmcs = sub.add_parser("gmcs", help="GMCS homodyne key-rate point")
     for p_point in (p_noise, p_bb84, p_gmcs):
         p_point.add_argument(
-            "--z", type=float, help="fiber length, km (default: from --config, else 20)"
+            "--z", type=float, help=f"fiber length, km (default: from --config, else {DEFAULT_Z_KM:g})"
         )
 
     p_sweep = sub.add_parser("sweep", help="run a built-in scenario sweep")
@@ -191,8 +190,7 @@ def cmd_fit_beta(args) -> int:
             raise DomainError(f"malformed --point {spec!r}; expected Z_KM:POWER_W")
     if not math.isfinite(args.p_out_dbm):
         raise DomainError(f"--p-out-dbm must be finite, got {args.p_out_dbm}")
-    db_field_to_linear("--p-out-dbm", args.p_out_dbm)
-    p_out_w = dbm_to_watts(args.p_out_dbm)
+    p_out_w = 1e-3 * db_field_to_linear("--p-out-dbm", args.p_out_dbm)
     if p_out_w == 0:
         raise DomainError(f"--p-out-dbm = {args.p_out_dbm} underflows to 0 W")
     beta = fit_raman_coefficient(

@@ -301,7 +301,9 @@ def fit_raman_coefficient(
     the model is P = P_out * beta * z * delta_lambda * 10^(-IL/10).
     Least-squares through the origin; a single point is exact inversion.
     Each distance and power must be finite and >= 0; a point at z = 0
-    carries no weight.
+    carries no weight. The result is the exact fit to within a few rounding
+    errors whenever that is a float; a fit past the float max is a
+    DomainError, and one below the least subnormal reads 0.
     """
     for name, value in (
         ("p_out_w", p_out_w),
@@ -329,35 +331,24 @@ def fit_raman_coefficient(
         raise DomainError(f"p_out_w must be positive, got {p_out_w}")
     if delta_lambda_nm <= 0:
         raise DomainError(f"delta_lambda_nm must be positive, got {delta_lambda_nm}")
-    scale = p_out_w * delta_lambda_nm * il
-    if scale == 0:
-        raise DomainError(
-            "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) underflows to 0"
-        )
-    num = sum(p * z for z, p in points)
-    sum_z2 = sum(z * z for z, _ in points)
-    if sum_z2 == 0:
-        # every z * z underflowed, the largest distance's too
-        raise DomainError(
-            f"measurement point {max(z for z, _ in points)} km: the square of the distance underflows to 0"
-        )
-    if sum_z2 == math.inf and num > 0:
-        # the fit num / (scale * sum_z2) would read 0, though it may be a
-        # float; with every power 0 the fit is 0 exactly
-        raise DomainError(
-            f"measurement point {max(z for z, _ in points)} km: the sum of squared distances overflows a float"
-        )
-    denominator = scale * sum_z2
-    if denominator == math.inf and num > 0:
-        # as above
-        raise DomainError(
-            f"measurement point {max(z for z, _ in points)} km: the sum of squared distances times "
-            "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) overflows a float"
-        )
-    beta = num / denominator if denominator > 0 else math.inf
-    if not math.isfinite(beta):
-        raise DomainError("the fitted Raman coefficient overflows a float")
-    return beta
+    # beta = sum(p*z) / (p_out_w * delta_lambda_nm * il * sum(z*z)), formed
+    # from mantissas and a sum of powers of two (frexp and ldexp round
+    # nothing): the distances are scaled by the largest one's power of two,
+    # and each p*z is a product of mantissas scaled by the largest term's
+    # (a power of 0 sets no scale). Each product and sum then rounds as it
+    # would unscaled, none can leave the float range, and the final ldexp
+    # is the one range check
+    frexp, ldexp = math.frexp, math.ldexp
+    e_z = max(frexp(z)[1] for z, _ in points)
+    sum_u2 = sum(u * u for u in [ldexp(z, -e_z) for z, _ in points])
+    terms = [(mp * mz, ep + ez) for (mp, ep), (mz, ez) in [(frexp(p), frexp(z)) for z, p in points if p > 0]]
+    e_num = max([e for _, e in terms], default=0)
+    num = sum(ldexp(m, e - e_num) for m, e in terms)
+    (m_p, e_p), (m_d, e_d), (m_il, e_il) = frexp(p_out_w), frexp(delta_lambda_nm), frexp(il)
+    try:
+        return ldexp(num / (m_p * m_d * m_il * sum_u2), e_num - 2 * e_z - e_p - e_d - e_il)
+    except OverflowError:
+        raise DomainError("the fitted Raman coefficient overflows a float") from None
 
 
 class NoiseModel:

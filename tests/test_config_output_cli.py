@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import typing
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -1055,10 +1056,8 @@ class TestCli:
             # commands that read no config reject --config, as sweep does
             ["--config", "/nonexistent", "scenarios"],
             ["--config", "/nonexistent"] + FIT + ["--p-out-dbm", "0", "--point", "20:1e-10"],
-            # the square of the distance underflows to 0
-            FIT + ["--p-out-dbm", "0", "--point", "1e-200:1e-12"],
-            # the square of the distance overflows
-            FIT + ["--p-out-dbm", "0", "--point", "1e200:1e-12"],
+            # the exact fit, 1e10 / (1e-3 * 0.6 * 1e-300) = 1.7e313, overflows
+            FIT + ["--p-out-dbm", "0", "--point", "1e-300:1e10"],
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
@@ -1147,21 +1146,13 @@ class TestCli:
             # 10 ** (-400) underflows the insertion-loss factor to 0
             (FIT + ["--p-out-dbm", "0", "--insertion-loss-db", "4000", "--point", "20:1e-10"], "insertion_loss_db"),
             (["fit-beta", "--p-out-dbm", "0", "--delta-lambda-nm", "0", "--point", "20:1e-10"], "delta_lambda_nm"),
-            # 1e-303 W times 1e-30 nm: both positive, their product underflows
-            (["fit-beta", "--p-out-dbm", "-3000", "--delta-lambda-nm", "1e-30", "--point", "20:1e-10"], "underflows"),
+            # 1e-303 W times 1e-30 nm: the exact fit, 1e-10 * 20 / (1e-333 * 400) = 5e321, overflows
+            (
+                ["fit-beta", "--p-out-dbm", "-3000", "--delta-lambda-nm", "1e-30", "--point", "20:1e-10"],
+                "error: the fitted Raman coefficient overflows a float\n",
+            ),
             # 1e-3 * 10 ** (-400) underflows to 0 W
             (FIT + ["--p-out-dbm", "-4000", "--point", "20:1e-10"], "--p-out-dbm"),
-            # z * z = inf would fit 0, though 1e-12 / (1e-3 * 0.6 * 1e200) is a float
-            (
-                FIT + ["--p-out-dbm", "0", "--point", "1e200:1e-12"],
-                "error: measurement point 1e+200 km: the sum of squared distances overflows a float\n",
-            ),
-            # sum z^2 = 1e200 times the scale 1e197 W*nm is inf, though the fit is a float
-            (
-                ["fit-beta", "--p-out-dbm", "2000", "--delta-lambda-nm", "1", "--point", "1e100:1e100"],
-                "error: measurement point 1e+100 km: the sum of squared distances times "
-                "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) overflows a float\n",
-            ),
         ],
     )
     def test_bad_fit_and_mu_inputs_are_named(self, argv, name, capsys):
@@ -1188,6 +1179,7 @@ class TestCli:
                 ["fit-beta", "--p-out-dbm", "0", "--delta-lambda-nm", "1", "--point", "10:-1e-9"],
                 "error: measurement point 10.0 km: -1e-09 W must be finite and >= 0\n",
             ),
+            (None, FIT + ["--p-out-dbm", "0", "--point", "1e-300:1e10"], "error: the fitted Raman coefficient overflows a float\n"),
         ],
     )
     def test_smoke_step_error_lines(self, config_text, argv, message, tmp_path, capsys):
@@ -1202,6 +1194,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message
+
+    @pytest.mark.parametrize(
+        "p_out_dbm, delta_lambda_nm, point, line",
+        [
+            # z * z underflows to 0
+            ("0", "0.6", "1e-200:1e-12", '  "beta_raman": 1.66666667e+191,'),
+            # z * z overflows
+            ("0", "0.6", "1e200:1e-12", '  "beta_raman": 1.66666667e-209,'),
+            # sum z^2 = 1e200 times the scale 1e197 W*nm overflows
+            ("2000", "1", "1e100:1e100", '  "beta_raman": 1e-197,'),
+            # p * z overflows
+            ("0", "0.6", "1e154:1e160", '  "beta_raman": 1666666670.0,'),
+            # z * z underflows and the power is 0
+            ("0", "0.6", "1e-200:0", '  "beta_raman": 0.0,'),
+            # the scale times z^2, 6e-4 * 6.1e-312, is subnormal
+            ("0", "0.6", "2.47e-156:1.2e-15", '  "beta_raman": 8.09716599e+143,'),
+        ],
+    )
+    def test_smoke_step_fit_values(self, p_out_dbm, delta_lambda_nm, point, line, capsys):
+        # the CI smoke step's fits past the range of the fit's sums: each
+        # exits 0 and prints the exact fit, rounded to 9 digits, on the line
+        # the step greps for
+        argv = ["fit-beta", "--p-out-dbm", p_out_dbm, "--delta-lambda-nm", delta_lambda_nm, "--point", point]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "") and line in out.splitlines()
+        z, p = (Fraction(float(x)) for x in point.split(":"))
+        exact = p * z / (Fraction(1e-3 * 10 ** (float(p_out_dbm) / 10)) * Fraction(float(delta_lambda_nm)) * z * z)
+        assert json.loads(out)["beta_raman"] == round9(float(exact))
 
     def test_near_pure_gmcs_point(self, tmp_path, capsys):
         # no classical channel, eps0 = 1e-8 and a noiseless detector at 0 km:

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import gc
 import math
 import random
@@ -19,6 +20,7 @@ from dwdm_qkd.gmcs import (
     theta,
     total_excess_noise,
 )
+from dwdm_qkd.config import parse_config
 from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
@@ -27,6 +29,7 @@ from dwdm_qkd.noise import (
     channel_transmittance,
     compute_noise_budget,
 )
+from dwdm_qkd.scenarios import Scenario, evaluate
 
 PARAMS = GmcsParams()
 COMP = ComponentParams()
@@ -111,6 +114,42 @@ def two_step_gmcs_point(eta_ch, params, eps, eta_dmu):
     chi_be = max(0.0, chi_be)
     rate = max(0.0, params.gamma * i_ab - chi_be)
     return GmcsPoint(eps, i_ab, chi_be, rate, sigma)
+
+
+def exact_rate(eta_ch, params, eps, eta_dmu):
+    """gamma * I_AB - chi_BE of the realistic homodyne model in the textbook
+    forms of Lodewyck et al., PRA 76, 042305 (2007), in decimal arithmetic
+    at 60 digits: A, B, C and D as written there, each pair of
+    squared symplectic eigenvalues from the quadratic formula, and chi_BE as
+    the signed sum of the four entropies. Float rounding enters only through
+    the arguments."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        D = decimal.Decimal
+        t, v, e = D(eta_ch), D(params.v_a) + 1, D(eps)
+        ln2 = D(2).ln()
+        log2 = lambda x: x.ln() / ln2  # noqa: E731
+        chi_line = 1 / t - 1 + e
+        chi_hom = (1 + D(params.v_el)) / (D(eta_dmu) * D(params.eta_bob)) - 1
+        chi_tot = chi_line + chi_hom / t
+        i_ab = log2((v + chi_tot) / (1 + chi_tot)) / 2
+        a = v * v * (1 - 2 * t) + 2 * t + t * t * (v + chi_line) ** 2
+        b = t * t * (v * chi_line + 1) ** 2
+        c = (a * chi_hom + v * b.sqrt() + t * (v + chi_line)) / (t * (v + chi_tot))
+        d = b.sqrt() * (v + b.sqrt() * chi_hom) / (t * (v + chi_tot))
+
+        def roots(total, product_sq):
+            # the discriminant is >= 0 exactly; rounding may take it below
+            root = max(total * total - 4 * product_sq, D(0)).sqrt()
+            return ((total + root) / 2).sqrt(), ((total - root) / 2).sqrt()
+
+        def g(sigma):
+            x = max((sigma - 1) / 2, D(0))
+            return (x + 1) * log2(x + 1) - (x * log2(x) if x > 0 else 0)
+
+        s1, s2 = roots(a, b)
+        s3, s4 = roots(c, d)
+        return float(D(params.gamma) * i_ab - (g(s1) + g(s2) - g(s3) - g(s4)))
 
 
 def log_uniform(rng, lo, hi):
@@ -457,6 +496,30 @@ class TestGmcsPoint:
         finally:
             gc.enable()
         assert grown < 500
+
+
+class TestExactRate:
+    def test_rate_matches_the_decimal_oracle(self):
+        # 300 seeded points over the built-in scenarios' domain: the float
+        # rate is the exact rate, floored at 0, to within 1e-12
+        rng = random.Random(1)
+        for _ in range(300):
+            params = GmcsParams(v_a=rng.uniform(1, 100), v_el=rng.choice([0.0, 0.01, 0.1]))
+            eta_ch, eps = log_uniform(rng, -2, 0), rng.uniform(0, 0.2)
+            rate = gmcs_point(eta_ch, params, eps, COMP.eta_dmu).rate
+            exact = exact_rate(eta_ch, params, eps, COMP.eta_dmu)
+            assert abs(rate - max(exact, 0.0)) <= 1e-12, (eta_ch, params, eps)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: chi_BE cancels in the far tail and the float rate is positive where the exact rate is not",
+    )
+    def test_no_key_in_the_far_tail(self):
+        config = parse_config("[link]\nclassical_channel_count = 0\n[gmcs]\nv_a = 235\neps0 = 0.00036\nv_el = 0\n")
+        evaluation = evaluate(Scenario("gmcs", config.link, config.comp, config.gmcs), 647.7)
+        exact = exact_rate(evaluation.eta_ch, config.gmcs, evaluation.point.eps, config.comp.eta_dmu)
+        assert exact < 0
+        assert evaluation.point.rate == 0.0
 
 
 class TestSecureDistance:

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -463,6 +464,19 @@ class TestNoiseModel:
             NoiseModel(link, ComponentParams(), 1e-9).at(10.0)
 
 
+def exact_fit(points, p_out_w, delta_lambda_nm):
+    """float() of the least-squares Raman fit in rational arithmetic;
+    OverflowError when it is past the float max."""
+    num = sum(Fraction(p) * Fraction(z) for z, p in points)
+    sum_z2 = sum(Fraction(z) ** 2 for z, _ in points)
+    return float(num / (Fraction(p_out_w) * Fraction(delta_lambda_nm) * sum_z2))
+
+
+def assert_exact_fit(beta, points, p_out_w, delta_lambda_nm):
+    exact = exact_fit(points, p_out_w, delta_lambda_nm)
+    assert abs(beta - exact) <= 4 * math.ulp(exact), (beta, exact)
+
+
 class TestRamanFit:
     def test_single_point_round_trip(self):
         beta = 4e-9
@@ -526,37 +540,61 @@ class TestRamanFit:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}must be finite and >= 0$"):
             fit_raman_coefficient(points, 1e-3, 0.6)
 
-    @pytest.mark.parametrize("points", [[(1e-200, 1e-12)], [(1e-170, 1e-12), (1e-180, 0.0)]], ids=["one", "two"])
-    def test_distance_whose_square_underflows_is_named(self, points):
-        # z * z underflows to 0 for every point: the message names the largest z
-        z = max(z for z, _ in points)
-        with pytest.raises(DomainError, match=rf"^measurement point {z} km: the square of the distance underflows to 0$"):
-            fit_raman_coefficient(points, 1e-3, 0.6)
-
-    @pytest.mark.parametrize("points", [[(1e200, 1e-12)], [(1e154, 1e-12), (1e154, 1e-12), (5.0, 0.0)]], ids=["one", "sum"])
-    def test_overflowing_sum_of_squared_distances_is_named(self, points):
-        # sum z^2 = inf would fit beta = 0, though the fit may be a float
-        # (1e-12 / (1e-3 * 0.6 * 1e200) = 1.7e-212)
-        z = max(z for z, _ in points)
-        with pytest.raises(DomainError, match=f"^measurement point {re.escape(str(z))} km: the sum of squared distances overflows a float$"):
-            fit_raman_coefficient(points, 1e-3, 0.6)
+    @pytest.mark.parametrize(
+        "points, p_out_w, delta_lambda_nm",
+        [
+            # every z * z underflows to 0
+            ([(1e-200, 1e-12)], 1e-3, 0.6),
+            ([(1e-170, 1e-12), (1e-180, 0.0)], 1e-3, 0.6),
+            # sum z^2 overflows a float
+            ([(1e200, 1e-12)], 1e-3, 0.6),
+            ([(1e154, 1e-12), (1e154, 1e-12), (5.0, 0.0)], 1e-3, 0.6),
+            # sum z^2 = 1e200 is a float, but times the scale 1e197 W*nm it is not
+            ([(1e100, 1e100)], 1e197, 1.0),
+            # sum p*z overflows a float, the fit 1.7e9 does not
+            ([(1e154, 1e160)], 1e-3, 0.6),
+            # the powers are 0 and sum z^2 underflows: the fit is 0 exactly
+            ([(1e-200, 0.0)], 1e-3, 0.6),
+            # the scale times sum z^2, 6e-4 * 6.1e-312, is subnormal
+            ([(2.47e-156, 1.2e-15)], 1e-3, 0.6),
+            # p*z = 1e-296 is 2^-1083 of the far point's z, whose power is 0
+            ([(1e30, 0.0), (1e-150, 1e-146)], 1e-100, 1e-3),
+        ],
+        ids=["square-underflows", "squares-underflow", "square-overflows", "sum-overflows", "denominator-overflows",
+             "numerator-overflows", "zero-powers", "subnormal-denominator", "far-zero-power"],
+    )
+    def test_fit_past_the_range_of_its_sums_is_exact(self, points, p_out_w, delta_lambda_nm):
+        # no sum or product inside the fit leaves the float range, so only
+        # the fit itself can overflow or round to a subnormal or 0
+        assert_exact_fit(fit_raman_coefficient(points, p_out_w, delta_lambda_nm), points, p_out_w, delta_lambda_nm)
 
     @pytest.mark.parametrize("z, p_out_w", [(1e200, 1e-3), (1e100, 1e197)], ids=["sum", "product"])
     def test_zero_powers_fit_zero_past_an_overflowing_denominator(self, z, p_out_w):
         # with every power 0, num / inf = 0 is the exact fit
         assert fit_raman_coefficient([(z, 0.0)], p_out_w, 1.0) == 0.0
 
-    def test_overflowing_denominator_is_named(self):
-        # sum z^2 = 1e200 is a float, but times the scale 1e197 W*nm it is
-        # inf and would fit beta = 0, though the fit 1e200 / 1e397 is a float
-        with pytest.raises(
-            DomainError,
-            match=re.escape(
-                "measurement point 1e+100 km: the sum of squared distances times "
-                "p_out_w * delta_lambda_nm * 10^(-insertion_loss_db/10) overflows a float"
-            ),
-        ):
-            fit_raman_coefficient([(1e100, 1e100)], 1e197, 1.0)
+    def test_fit_is_within_4_ulp_of_the_exact_value(self):
+        # 2,000 seeded fits spanning 300 decades of distance and power: each
+        # is the rational fit rounded to a float within 4 ulp, and the fit
+        # is rejected exactly when the rational fit is past the float max
+        rng = random.Random(33)
+        log_uniform = lambda lo, hi: 10 ** rng.uniform(lo, hi)  # noqa: E731
+        overflows = 0
+        for _ in range(2000):
+            points = [
+                (log_uniform(-150, 150), log_uniform(-150, 150) if rng.random() > 0.1 else 0.0)
+                for _ in range(rng.randint(1, 4))
+            ]
+            p_out_w, delta_lambda_nm = log_uniform(-100, 100), log_uniform(-3, 3)
+            try:
+                exact_fit(points, p_out_w, delta_lambda_nm)
+            except OverflowError:
+                overflows += 1
+                with pytest.raises(DomainError, match="^the fitted Raman coefficient overflows a float$"):
+                    fit_raman_coefficient(points, p_out_w, delta_lambda_nm)
+            else:
+                assert_exact_fit(fit_raman_coefficient(points, p_out_w, delta_lambda_nm), points, p_out_w, delta_lambda_nm)
+        assert 0 < overflows < 2000
 
     def test_underflowing_denominator_is_an_overflowing_coefficient(self):
         # z * z = 1e-200 is a float, but times the scale 1e-300 it is 0: the
