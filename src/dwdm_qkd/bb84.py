@@ -4,7 +4,6 @@ Noise photons reaching the gated single-photon detector raise the background
 count rate, which feeds the standard gain/QBER estimates and the GLLP-style
 rate R = 1/2 [Q1 - f Qmu H2(Emu) - Q1 H2(e1)], clamped at zero.
 """
-from __future__ import annotations
 
 import math
 from collections import namedtuple

@@ -1,5 +1,4 @@
 """Command-line interface: point computations, sweeps and the Raman fit."""
-from __future__ import annotations
 
 import argparse
 import functools

@@ -10,7 +10,6 @@ Config.z_km, the distance of the point commands when --z is not given.
 are checked and kept in Config as given, and no grid is built from them: no
 command reads them, and each sweep runs on its built-in scenario's grid.
 """
-from __future__ import annotations
 
 import functools
 import math

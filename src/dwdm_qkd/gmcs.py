@@ -6,7 +6,6 @@ conditional covariance matrices. Excess noise from multiplexed classical
 channels enters through the matched-mode term; unmatched-mode noise is
 reported and only added to epsilon in strict mode.
 """
-from __future__ import annotations
 
 import warnings
 from collections import namedtuple

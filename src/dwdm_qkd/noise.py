@@ -10,7 +10,6 @@ Covers the three physical noise sources seen by the quantum channel:
 The budget is expressed per spatiotemporal mode, per detector gating window
 (single-photon detection) and per local-oscillator mode (homodyne detection).
 """
-from __future__ import annotations
 
 import math
 from collections import namedtuple

@@ -5,13 +5,11 @@ emissions of one sweep carry identical values and fixtures stay stable.
 Both writers take their values from one pass, which rejects a NaN or an
 infinity: JSON has no literal for either, and neither does the point writer.
 """
-from __future__ import annotations
 
-import json
 import math
 import re
+from _json import encode_basestring_ascii as _escape
 from io import TextIOBase
-from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
 from .noise import DomainError, NoiseBudget
@@ -87,7 +85,7 @@ def sweep_to_json(result: SweepResult) -> str:
         crossover = round9(_finite("noise_crossover_km", crossover))
     return (
         "{\n"
-        f'  "scenario": {json.dumps(result.scenario)},\n'
+        f'  "scenario": {_escape(result.scenario)},\n'
         + (f'  "rows": [\n{rows}\n  ],\n' if rows else '  "rows": [],\n')
         + f'  "secure_distance_km": {distance!r},\n'
         f'  "noise_crossover_km": {"null" if crossover is None else repr(crossover)}\n'
@@ -127,7 +125,8 @@ def point_to_json(doc: dict | list) -> str:
     is a dict of scalars and lists of scalars, or a list of scalars. A NaN
     or an infinity raises DomainError naming its key, where json.dumps
     would write NaN or Infinity; a str is escaped by the function
-    json.dumps escapes it with."""
+    json.dumps escapes it with, encode_basestring_ascii of CPython's _json
+    accelerator (json.encoder's name for it is this same function)."""
     if isinstance(doc, list):
         return _json_list("", doc, "")
     if not doc:

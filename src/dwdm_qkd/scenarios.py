@@ -5,7 +5,6 @@ decoy-BB84 case and the five homodyne-detection conditions (no classical
 channel, one non-adjacent, one adjacent, 38 channels, and the 100 MHz
 detector with the conservative excess-noise estimate).
 """
-from __future__ import annotations
 
 import functools
 import math

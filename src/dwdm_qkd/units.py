@@ -3,7 +3,6 @@
 All internal computation uses linear SI units; decibel quantities exist
 only at the I/O boundary.
 """
-from __future__ import annotations
 
 PLANCK_H = 6.62607015e-34  # J*s
 SPEED_OF_LIGHT = 299792458.0  # m/s

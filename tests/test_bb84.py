@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import random
 
@@ -16,6 +17,7 @@ from dwdm_qkd.bb84 import (
     binary_entropy,
     optimize_mu,
 )
+from dwdm_qkd.config import parse_config
 from dwdm_qkd.noise import (
     ComponentParams,
     DomainError,
@@ -53,11 +55,11 @@ def optimize_at(link, z, params, mu_grid=DEFAULT_MU_GRID):
     return optimize_mu(eta_ch, COMP, params, budget, mu_grid)
 
 
-def efficiency_and_background(link, z, params):
+def efficiency_and_background(link, z, params, comp=COMP):
     """(eta, y0): the overall efficiency and background rate per gate, as
     the scan forms them from NoiseModel.at."""
-    eta_ch, budget = NoiseModel(link, COMP, params.delta_t_s).at(z)
-    eta = eta_ch * COMP.eta_dmu * params.eta_bob
+    eta_ch, budget = NoiseModel(link, comp, params.delta_t_s).at(z)
+    eta = eta_ch * comp.eta_dmu * params.eta_bob
     return eta, background_rate(params.y0_base, params.eta_bob, budget.n_spd_window)
 
 
@@ -110,6 +112,35 @@ def rate_oracle(eta, y0, params, mu):
     e1 = (params.e0 * y0 + params.e_det * eta) * mu * math.exp(-mu) / q1
     h2 = lambda p: 0.0 if p in (0, 1) else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
     return 0.5 * (q1 - params.f_ec * q_mu * h2(e_mu) - q1 * h2(e1))
+
+
+def exact_rate(eta, y0, params, mu):
+    """(Q_mu, R) of the infinite-decoy GLLP rate in the textbook forms of
+    Lo, Ma & Chen, PRL 94, 230504 (2005) and Ma et al., PRA 72, 012326
+    (2005), in decimal arithmetic at 40 digits: Q_mu = Y0 + 1 - exp(-eta*mu),
+    E_mu*Q_mu = e0*Y0 + e_det*(1 - exp(-eta*mu)), Y1 = Y0 + eta,
+    Q1 = Y1*mu*exp(-mu), e1 = (e0*Y0 + e_det*eta)/Y1 and
+    R = 1/2 [Q1 (1 - h(e1)) - f Q_mu h(E_mu)], unclamped. The package caps
+    each QBER at 1/2 inside h; with e0 = 1/2 and e_det <= 1/2 both QBERs are
+    weighted means of the two, so the cap changes nothing exactly. Float
+    rounding enters only through the arguments."""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        D = decimal.Decimal
+        eta, y0, mu = D(eta), D(y0), D(mu)
+        e0, e_det = D(params.e0), D(params.e_det)
+        ln2 = D(2).ln()
+
+        def h(p):
+            return -sum(x * x.ln() for x in (p, 1 - p) if x > 0) / ln2
+
+        x = 1 - (-eta * mu).exp()
+        q_mu = y0 + x
+        e_mu = (e0 * y0 + e_det * x) / q_mu
+        y1 = y0 + eta
+        q1 = y1 * mu * (-mu).exp()
+        e1 = (e0 * y0 + e_det * eta) / y1
+        return float(q_mu), float((q1 * (1 - h(e1)) - D(params.f_ec) * q_mu * h(e_mu)) / 2)
 
 
 class TestBackgroundRate:
@@ -559,3 +590,53 @@ class TestGridBound:
         mu, point = optimize_at(UNMULTIPLEXED, 20, PARAMS)
         assert (mu, point) == first_max_over_point_builder(UNMULTIPLEXED, 20, PARAMS, DEFAULT_MU_GRID)
         assert point.rate > 0.0
+
+
+# the largest |rate - max(exact, 0)| allowed: a few ulp of 1, the rounding
+# of y0 + 1 - exp(-eta*mu) that Q_mu and E_mu carry
+EXACT_RATE_TOL = 1e-15
+
+
+class TestExactRate:
+    def test_rates_match_the_decimal_oracle(self):
+        # 300 seeded points over the built-in scenarios' domain, eta_ch in
+        # [0.01, 1] with and without classical channels: the rate at a grid
+        # mu and optimize_mu's winner are the exact rate, floored at 0, to
+        # within EXACT_RATE_TOL (worst seen 1.2e-17), and are 0 wherever the
+        # exact rate is below -EXACT_RATE_TOL
+        rng = random.Random(1)
+        alpha = LinkParams().alpha_db_per_km
+        rates = []
+        for _ in range(300):
+            link = LinkParams(classical_channel_count=rng.choice((0, 1, 4, 38)), p_out_dbm=rng.uniform(-90.0, 0.0))
+            params = PARAMS.replace(
+                y0_base=rng.choice((0.0, 1e-7, 5e-6, 1e-4)),
+                e_det=rng.uniform(0.0, 0.05),
+                f_ec=rng.choice((1.0, 1.22, 1.5)),
+            )
+            z = 10.0 / alpha * rng.uniform(0.0, 2.0)  # eta_ch from 1 down to 0.01
+            eta, y0 = efficiency_and_background(link, z, params)
+            grid_mu = rng.choice(DEFAULT_MU_GRID)
+            at_grid_mu = (grid_mu, bb84_point_from_rates(eta, y0, params, grid_mu))
+            for mu, point in (at_grid_mu, optimize_at(link, z, params)):
+                exact = exact_rate(eta, y0, params, mu)[1]
+                assert abs(point.rate - max(exact, 0.0)) <= EXACT_RATE_TOL, (link, params, z, mu)
+                if exact < -EXACT_RATE_TOL:
+                    assert point.rate == 0.0, (link, params, z, mu)
+                rates.append(point.rate)
+        assert 0.0 in rates and max(rates) > 0.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1 step 3: 1.0 - exp(-eta*mu) cancels in the far tail, where expm1 would not",
+    )
+    def test_gain_in_the_far_tail(self):
+        # 500 km with no classical channel, no intrinsic background and a
+        # lossless DEMUX: Q_mu = 1 - exp(-eta*mu) with eta*mu near 6e-13 is
+        # 6.0085e-13 against an exact 6.0083e-13
+        config = parse_config("[link]\nclassical_channel_count = 0\n[components]\neta_dmu = 1\n[bb84]\ny0_base = 0\n")
+        eta, y0 = efficiency_and_background(config.link, 500, config.bb84, config.comp)
+        point = bb84_point_from_rates(eta, y0, config.bb84, 0.5)
+        exact = exact_rate(eta, y0, config.bb84, 0.5)[0]
+        assert abs(point.q_mu - exact) <= 1e-9 * exact

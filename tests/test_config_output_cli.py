@@ -616,27 +616,28 @@ class TestConfigGrammar:
         else:
             assert parse_config(text) == expected
 
-    def test_cli_import_leaves_out_configparser(self):
+    def test_cli_run_leaves_out_modules_it_does_not_need(self):
+        # a sweep and a point through main, in a fresh interpreter, import
+        # none of configparser (parse_config reads the INI itself), typing
+        # (annotations are built-in generics, X | None and collections.abc
+        # generics), json (strings are escaped by _json's escaper) and
+        # __future__; -S keeps out site, which imports typing on some installs
         package_root = pathlib.Path(config.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(package_root)}
-        probe = "import sys, dwdm_qkd.cli; print('configparser' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        probe = (
+            "import io, sys\n"
+            "import dwdm_qkd.cli\n"
+            "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+            "codes = [dwdm_qkd.cli.main(['--format', 'json', 'sweep', '--scenario', 'gmcs-38ch']),"
+            " dwdm_qkd.cli.main(['gmcs', '--z', '10'])]\n"
+            "written, sys.stdout = sys.stdout.getvalue(), stdout\n"
+            "print(codes, written.count('\"scenario\": \"gmcs-38ch\"'), written.count('\"protocol\": \"GMCS\"'))\n"
+            "print(sorted({'configparser', 'typing', 'json', '__future__'} & set(sys.modules)))\n"
         )
-        assert result.stdout == "False\n"
-
-
-    def test_cli_import_leaves_out_typing(self):
-        # every annotation is a string, written with built-in generics and
-        # X | None, so no module of the package imports typing; -S keeps out
-        # site, which imports typing on some installs
-        package_root = pathlib.Path(config.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(package_root)}
-        probe = "import sys, dwdm_qkd.cli; print('typing' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
         )
-        assert result.stdout == "False\n"
+        assert result.stdout == "[0, 0] 1 1\n[]\n"
 
 
 class TestOutput:
