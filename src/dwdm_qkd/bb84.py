@@ -8,7 +8,7 @@ rate R = 1/2 [Q1 - f Qmu H2(Emu) - Q1 H2(e1)], clamped at zero.
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from math import exp, log2
+from math import expm1, log2
 
 from .noise import (
     ComponentParams,
@@ -76,11 +76,12 @@ def binary_entropy(p: float) -> float:
 
 def bb84_point_from_rates(eta: float, y0: float, params: Bb84Params, mu: float) -> Bb84Point:
     """Gains, QBERs and rate from the overall efficiency and background rate."""
-    q_mu = y0 + 1.0 - math.exp(-eta * mu)
+    em1 = expm1(-eta * mu)
+    q_mu = y0 - em1
     q1 = (y0 + eta) * mu * math.exp(-mu)
     if q_mu <= 0 or q1 <= 0:
         return Bb84Point(y0, q_mu, 0.0, q1, 0.0, 0.0)
-    e_mu = (params.e0 * y0 + params.e_det * (1.0 - math.exp(-eta * mu))) / q_mu
+    e_mu = (params.e0 * y0 - params.e_det * em1) / q_mu
     e1 = (params.e0 * y0 + params.e_det * eta) * mu * math.exp(-mu) / q1
 
     rate = 0.5 * (
@@ -155,35 +156,42 @@ def _row_bound(
 
     In floats, a and b are grid points whose q, E and h use the scan's own
     expressions, so they are its values bit for bit; h(min(p, 1/2)) is
-    written out as the scan writes it. With w = exp(-eta*mu) monotone in mu,
-    q_mu = fl(fl(y0 + 1) - w) >= q_a exactly, and E_mu is a fixed monotone
-    function of w times (1 + a few ulps). The scan's e1 is e_bar times
-    (1 + a few ulps), and p*log2((1 - p)/p) < 1 on (0, 1/2), so its
-    h(min(e1, 1/2)) is within a few ulps of 1 of h_bar. The pad covers the
-    rest: 1e-9*(q1_max + f_ec*q_a*h_min) for the few-ulp errors of q1, E and
-    the products, and for h_1's (q1 <= q1_max), and 2**-40*f_ec*q_b for the
-    entropy formula's absolute error of a few ulps of 1 in h_mu
-    (q_mu <= q_b). q_a <= 0 or a NaN gives inf or NaN, so the scan runs; a
-    negative E or e_bar raises DomainError through binary_entropy, as in the
-    scan. h_bar is formed at the first set whose q_a is > 0, after its h_a
-    and h_b, so the first such set raises as a lone set would.
+    written out as the scan writes it. Let u = 2**-53, with exp, expm1 and
+    log2 within 1 ulp. x = -expm1(fl(-eta*mu)) is within 3u of the exact x,
+    whose relative condition number t*exp(-t)/(1 - exp(-t)) is at most 1,
+    and the exact x does not decrease as mu grows, so q_mu >= q_a*(1 - 8u).
+    E is monotone in x with condition number at most 1, so each float E is
+    within 8u of its exact value, and the exact E_mu lies between E_a and
+    E_b. p*log2((1 - p)/p) < 1 on (0, 1/2), and the written-out entropy errs
+    by under 5u, so h_mu >= min(h_a, h_b) - 26u; e1 is within 8u of e_bar,
+    so h_1 >= h_bar - 22u; and q1 <= q1_max*(1 + 8u). With the roundings of
+    the scan's head - q1*h_1 and of the bound, the rate can be > 0 only where
+    0.5*(q1_max*(1 - h_bar) - f_ec*q_a*h_min) > -(20u*(q1_max +
+    f_ec*q_a*h_min) + 13u*f_ec*q_b). The pad, 1e-9*(q1_max + f_ec*q_a*h_min)
+    + 2**-40*f_ec*q_b, exceeds those terms over 4e5 and 600 times, so a libm
+    a few ulps worse is covered too; past that, the pad's size decides only
+    which zero rows are settled and which scan, for the same record, and a
+    test pins it with rows half a pad and two pads below 0. q_a <= 0 or a
+    NaN gives inf or NaN, so the scan runs; a negative E or e_bar raises
+    DomainError through binary_entropy, as in the scan. h_bar is formed at
+    the first set whose q_a is > 0, after its h_a and h_b, so the first such
+    set raises as a lone set would.
     """
     neg_eta = -eta
-    y0_plus_1 = y0 + 1.0
     y0_plus_eta = y0 + eta
     e0_y0, e_det, f_ec = params.e0 * y0, params.e_det, params.f_ec
     pad_b = 2**-40 * f_ec
     one_minus_h_bar = q_whole = e_whole = None
     for a, b, m, exp_m in sets:
-        exp_a = exp(neg_eta * a)
-        q_a = y0_plus_1 - exp_a
+        em1_a = expm1(neg_eta * a)
+        q_a = y0 - em1_a
         if not q_a > 0:
             bound, e_a = math.inf, 0.0
         else:
-            exp_b = exp(neg_eta * b)
-            q_b = y0_plus_1 - exp_b
-            e_a = (e0_y0 + e_det * (1.0 - exp_a)) / q_a
-            e_b = (e0_y0 + e_det * (1.0 - exp_b)) / q_b
+            em1_b = expm1(neg_eta * b)
+            q_b = y0 - em1_b
+            e_a = (e0_y0 - e_det * em1_a) / q_a
+            e_b = (e0_y0 - e_det * em1_b) / q_b
             if e_a >= 0.5:
                 h_a = 1.0
             elif e_a > 0:
@@ -297,18 +305,17 @@ def optimize_mu(
         return mu, tuple.__new__(Bb84Point, (y0, q_a, e_a, q1, e1, 0.0))
     e_det, f_ec = params.e_det, params.f_ec
     neg_eta = -eta
-    y0_plus_1 = y0 + 1.0
     y0_plus_eta = y0 + eta
     e0_y0 = params.e0 * y0
     e1_numerator = e0_y0 + e_det * eta
     best_mu, best_rate = mu_grid[0], 0.0
     for mu, exp_mu in zip(mu_grid, grid.exp_neg):
-        exp_eta_mu = exp(neg_eta * mu)
-        q_mu = y0_plus_1 - exp_eta_mu
+        em1 = expm1(neg_eta * mu)
+        q_mu = y0 - em1
         q1 = y0_plus_eta * mu * exp_mu
         if q_mu <= 0 or q1 <= 0:
             continue
-        e_mu = (e0_y0 + e_det * (1.0 - exp_eta_mu)) / q_mu
+        e_mu = (e0_y0 - e_det * em1) / q_mu
         if e_mu >= 0.5:
             h_mu = 1.0
         elif e_mu > 0:

@@ -9,7 +9,7 @@ reported and only added to epsilon in strict mode.
 
 import warnings
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from math import isfinite, log2, sqrt
 
 from .noise import DomainError, FrozenRecord, Record, frozen_params
@@ -19,8 +19,7 @@ DISCRIMINANT_RTOL = 1e-9
 # rounding leaves one that should be 1 only a few ulp below it; the clamp
 # stays at the scale of DISCRIMINANT_RTOL
 THETA_TOL = 1e-9
-SCAN_STEP_KM = 1.0  # secure_distance's scan grid step
-TOLERANCE_KM = 0.05  # and the width at which its bisection stops
+TOLERANCE_KM = 0.05  # the width at which secure_distance's bisection stops
 
 
 class PhysicalityError(ValueError):
@@ -208,33 +207,26 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
     )
 
 
-def secure_distance(rate_fn: Callable[[float], float], z_max_km: float) -> float:
-    """Largest distance with strictly positive rate, by scan then bisection.
-
-    rate_fn is called once at each point of a SCAN_STEP_KM grid from 0 to
-    z_max_km, then once per bisection step between the last positive grid
-    point and the next one, until the bracket is at most TOLERANCE_KM wide.
-    Returns 0 when the rate is never positive on the grid; returns z_max_km
-    (with a warning) when it is still positive at z_max_km. When the rate
-    crosses zero more than once on the grid it warns and keeps the largest
-    root.
-    """
-    grid = [i * SCAN_STEP_KM for i in range(int(z_max_km / SCAN_STEP_KM) + 1)]
-    if grid[-1] < z_max_km:
-        grid.append(z_max_km)
-    signs = [rate_fn(z) > 0 for z in grid]
+def secure_distance(z_grid: Sequence[float], rates: Sequence[float], rate_fn: Callable[[float], float]) -> float:
+    """Largest distance with strictly positive rate, from the signs of a
+    sweep's rates at its z_grid rows, then rate_fn once per bisection step
+    between the last positive row and the next, to TOLERANCE_KM. The grid
+    sets the resolution: key between two rows is not seen. Returns 0 when no
+    rate is positive, and z_grid[-1] (with a warning) when the last one is;
+    when the rates cross zero more than once it warns and keeps the largest
+    root."""
+    if not z_grid or len(rates) != len(z_grid):
+        raise DomainError(f"z_grid ({len(z_grid)}) and rates ({len(rates)}) must be nonempty and of one length")
+    signs = [rate > 0 for rate in rates]
     if not any(signs):
         return 0.0
     if signs[-1]:
-        warnings.warn(f"rate still positive at z_max = {z_max_km} km")
-        return z_max_km
-
-    changes = sum(1 for i in range(1, len(signs)) if signs[i] != signs[i - 1])
-    if changes > 1:
+        warnings.warn(f"rate still positive at z_max = {z_grid[-1]} km")
+        return z_grid[-1]
+    if sum(a != b for a, b in zip(signs, signs[1:])) > 1:
         warnings.warn("key rate crosses zero more than once; using largest root")
-
     last = max(i for i, positive in enumerate(signs) if positive)
-    lo, hi = grid[last], grid[last + 1]
+    lo, hi = z_grid[last], z_grid[last + 1]
     while hi - lo > TOLERANCE_KM:
         mid = 0.5 * (lo + hi)
         if rate_fn(mid) > 0:

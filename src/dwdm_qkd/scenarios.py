@@ -139,17 +139,9 @@ def _model_and_row(
 def run_sweep(scenario: Scenario, strict_eps_out: bool = False) -> SweepResult:
     """Evaluate noise budget and key rate at every grid distance."""
     model, row_at = _model_and_row(scenario, strict_eps_out)
-    rows = tuple([row_at(z) for z in scenario.z_grid])
-
-    # secure_distance's 1 km scan and bisection revisit distances the sweep
-    # has evaluated; evaluate is deterministic, so reuse those rates
-    rate_by_z = {row.z_km: row.rate for row in rows}
-
-    def rate_fn(z: float) -> float:
-        rate = rate_by_z.get(z)
-        return row_at(z).rate if rate is None else rate
-
-    dist = secure_distance(rate_fn, scenario.z_grid[-1])
+    z_grid = scenario.z_grid
+    rows = tuple([row_at(z) for z in z_grid])
+    dist = secure_distance(z_grid, [row.rate for row in rows], lambda z: row_at(z).rate)
     return SweepResult(
         scenario=scenario.name,
         rows=rows,

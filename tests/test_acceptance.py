@@ -57,7 +57,9 @@ def scenario_rate(name, strict=False, eps_scale=1.0):
 
 
 def scenario_distance(name, strict=False, eps_scale=1.0):
-    return secure_distance(scenario_rate(name, strict, eps_scale), 80)
+    rate = scenario_rate(name, strict, eps_scale)
+    z_grid = scenario_by_name(name).z_grid
+    return secure_distance(z_grid, [rate(z) for z in z_grid], rate)
 
 
 def noise_scale_for_38ch_distance(distance_km):

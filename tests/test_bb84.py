@@ -310,24 +310,18 @@ class TestOptimizeMu:
 
     def test_zero_gain_gives_the_zero_record(self):
         # Q_mu = 0 must return the zero record, not divide by it: with no
-        # efficiency and no background both gains are 0, and with eta*mu
-        # below half an ulp of 1, exp(-eta*mu) rounds to 1.0, so Q_mu is 0
-        # while Q_1 > 0
+        # efficiency and no background both gains are 0
         assert bb84_point_from_rates(0.0, 0.0, Bb84Params(), 0.5) == Bb84Point(*(0.0,) * 6)
-        point = bb84_point_from_rates(1e-18, 0.0, Bb84Params(), 0.5)
-        assert point.q_mu == 0.0 and point.q1 > 0.0
-        assert point == Bb84Point(0.0, 0.0, 0.0, point.q1, 0.0, 0.0)
 
     def test_zero_gain_row_scans_to_the_point_builder(self):
-        # q_a = 0 at every set sends the row to the scan, which skips every
-        # mu as Q_mu = 0 and returns the first mu's record
+        # no transmittance and no background: q_a = 0 at every set sends the
+        # row to the scan, which skips every mu as Q_mu = 0 and returns the
+        # first mu's record
         params = Bb84Params(y0_base=0.0)
         budget = NoiseBudget(*(0.0,) * 11)
-        mu, point = optimize_mu(1e-16, COMP, params, budget)
-        eta = 1e-16 * COMP.eta_dmu * params.eta_bob
+        mu, point = optimize_mu(0.0, COMP, params, budget)
         assert mu == DEFAULT_MU_GRID[0]
-        assert point == bb84_point_from_rates(eta, 0.0, params, mu)
-        assert point.q_mu == 0.0 and point.q1 > 0.0 and point.rate == 0.0
+        assert point == bb84_point_from_rates(0.0, 0.0, params, mu) == Bb84Point(*(0.0,) * 6)
 
     @pytest.mark.parametrize(
         "params, z",
@@ -454,6 +448,40 @@ class TestGridBound:
         assert sum(bound <= 0.0 for bound in bounds) == 148
         assert [bound <= 0.0 for bound in bounds] == [row.z_km > 6.0 for row in result.rows]
         assert all(row.rate == 0.0 for row in result.rows)
+
+    @pytest.mark.parametrize(
+        "mu_grid",
+        [(20.0, 30.0), DEFAULT_MU_GRID],
+        ids=["pad-of-the-gain-entropy", "pad-of-the-products"],
+    )
+    def test_pad_settles_a_row_two_pads_below_zero_and_scans_one_half_a_pad_below(self, mu_grid):
+        # _row_bound's docstring derives the pad 1e-9*(q1_max + f_ec*q_a*h_min)
+        # + 2**-40*f_ec*q_b. With no background, E_mu = e1 = e_det at every
+        # mu, so the unpadded bound is 0.5*(q1_max*(1 - h) - f_ec*q_a*h) with
+        # h = h(e_det), and e_det is solved for to put it k pads below 0. At
+        # mu in [20, 30] q1_max is tiny and the 2**-40 term is the pad; on
+        # the default grid the 1e-9 term is. Every rate is 0 either way
+        eta, f_ec = 1e-3, 2.0
+        a, b = min(mu_grid), max(mu_grid)
+        m = min(max(1.0, a), b)
+        q_a, q_b, q1_max = -math.expm1(-eta * a), -math.expm1(-eta * b), eta * m * math.exp(-m)
+
+        def unpadded_and_pad(e_det):
+            h = binary_entropy(e_det)
+            neg = f_ec * q_a * h
+            return 0.5 * (q1_max * (1 - h) - neg), 1e-9 * (q1_max + neg) + 2**-40 * f_ec * q_b
+
+        for k, settled in ((0.5, False), (2.0, True)):
+            lo, hi = 0.0, 0.5  # the unpadded bound falls as e_det grows
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                unpadded, pad = unpadded_and_pad(mid)
+                lo, hi = (mid, hi) if unpadded > -k * pad else (lo, mid)
+            unpadded, pad = unpadded_and_pad(hi)
+            assert unpadded / pad == pytest.approx(-k, rel=1e-6)
+            params = Bb84Params(y0_base=0.0, e_det=hi, f_ec=f_ec)
+            assert (whole_bound(eta, 0.0, params, mu_grid) <= 0.0) is settled
+            assert all(bb84_point_from_rates(eta, 0.0, params, mu).rate == 0.0 for mu in mu_grid)
 
     def test_bound_counts_single_photon_errors_past_one_half(self):
         # every background count errs (e0 = 1) and background is 9 times the
@@ -593,7 +621,7 @@ class TestGridBound:
 
 
 # the largest |rate - max(exact, 0)| allowed: a few ulp of 1, the rounding
-# of y0 + 1 - exp(-eta*mu) that Q_mu and E_mu carry
+# that Q_mu and E_mu would carry if Q_mu were formed as y0 + 1 - exp(-eta*mu)
 EXACT_RATE_TOL = 1e-15
 
 
@@ -602,7 +630,7 @@ class TestExactRate:
         # 300 seeded points over the built-in scenarios' domain, eta_ch in
         # [0.01, 1] with and without classical channels: the rate at a grid
         # mu and optimize_mu's winner are the exact rate, floored at 0, to
-        # within EXACT_RATE_TOL (worst seen 1.2e-17), and are 0 wherever the
+        # within EXACT_RATE_TOL (worst seen 1.3e-18), and are 0 wherever the
         # exact rate is below -EXACT_RATE_TOL
         rng = random.Random(1)
         alpha = LinkParams().alpha_db_per_km
@@ -626,15 +654,11 @@ class TestExactRate:
                 rates.append(point.rate)
         assert 0.0 in rates and max(rates) > 0.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1 step 3: 1.0 - exp(-eta*mu) cancels in the far tail, where expm1 would not",
-    )
     def test_gain_in_the_far_tail(self):
         # 500 km with no classical channel, no intrinsic background and a
-        # lossless DEMUX: Q_mu = 1 - exp(-eta*mu) with eta*mu near 6e-13 is
-        # 6.0085e-13 against an exact 6.0083e-13
+        # lossless DEMUX: Q_mu = 1 - exp(-eta*mu) with eta*mu near 6e-13.
+        # Formed as 1.0 - exp(-eta*mu) it is 6.0085e-13 against an exact
+        # 6.0083e-13; -expm1(-eta*mu) keeps its digits
         config = parse_config("[link]\nclassical_channel_count = 0\n[components]\neta_dmu = 1\n[bb84]\ny0_base = 0\n")
         eta, y0 = efficiency_and_background(config.link, 500, config.bb84, config.comp)
         point = bb84_point_from_rates(eta, y0, config.bb84, 0.5)

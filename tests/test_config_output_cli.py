@@ -953,11 +953,10 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_spd_window"] == 0.0
 
-    def test_zero_gain_bb84_point_is_the_point_builders(self, tmp_path, capsys):
-        # no classical channel and no intrinsic background: at 800 km
-        # exp(-eta*mu) rounds to 1.0, so Q_mu is 0 at every mu, no bound
-        # set can be formed and the row scans; the point printed is
-        # bb84_point_from_rates' at the reported mu
+    def test_no_background_bb84_point_is_the_point_builders(self, tmp_path, capsys):
+        # the CI smoke case: no classical channel and no intrinsic background
+        # at 800 km, where Q_mu is about 4e-19 and the row scans; the point
+        # printed is bb84_point_from_rates' at the reported mu
         cfg = tmp_path / "quiet.cfg"
         cfg.write_text("[link]\nclassical_channel_count = 0\n[bb84]\ny0_base = 0\n")
         assert main(["--config", str(cfg), "bb84", "--z", "800"]) == 0
@@ -975,6 +974,19 @@ class TestCli:
             "z_km": 800.0,
             **{k: round9(v) for k, v in point.as_dict().items()},
         }
+
+    def test_far_tail_bb84_point_has_a_gain_and_a_key(self, tmp_path, capsys):
+        # the CI smoke case: at 700 km and mu = 0.5 with no classical channel
+        # and no intrinsic background, eta*mu is about 2.7e-17, so Q_mu
+        # formed as 1.0 - exp(-eta*mu) rounded to 0 and the rate with it;
+        # -expm1(-eta*mu) keeps both
+        cfg = tmp_path / "quiet.cfg"
+        cfg.write_text("[link]\nclassical_channel_count = 0\n[bb84]\ny0_base = 0\n")
+        assert main(["--config", str(cfg), "bb84", "--z", "700", "--mu", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["q_mu"] > 0 and doc["rate"] > 0
 
     def test_tiny_modulation_variance_gmcs_point(self, tmp_path, capsys):
         # the CI smoke case: V^2 - 1 formed as v*v - 1 with v = v_a + 1

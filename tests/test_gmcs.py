@@ -29,7 +29,7 @@ from dwdm_qkd.noise import (
     channel_transmittance,
     compute_noise_budget,
 )
-from dwdm_qkd.scenarios import Scenario, evaluate
+from dwdm_qkd.scenarios import Scenario, evaluate, run_sweep
 
 PARAMS = GmcsParams()
 COMP = ComponentParams()
@@ -522,58 +522,102 @@ class TestExactRate:
         assert evaluation.point.rate == 0.0
 
 
+def distance_on(rate_fn, z_max, step=0.5):
+    """secure_distance of rate_fn on a grid from 0 to z_max km in steps of
+    step km, given the rates at its rows."""
+    z_grid = [step * i for i in range(round(z_max / step) + 1)]
+    return secure_distance(z_grid, [rate_fn(z) for z in z_grid], rate_fn)
+
+
 class TestSecureDistance:
     def test_zero_when_never_positive(self):
-        assert secure_distance(lambda z: 0.0, 80) == 0.0
+        assert distance_on(lambda z: 0.0, 80) == 0.0
 
     def test_linear_rate_root(self):
-        dist = secure_distance(lambda z: max(0.0, 25.0 - z), 80)
+        dist = distance_on(lambda z: max(0.0, 25.0 - z), 80)
         assert dist == pytest.approx(25.0, abs=0.05)
 
     def test_single_crossing_does_not_warn(self):
         # one sign change on the grid is the ordinary case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert secure_distance(lambda z: max(0.0, 25.0 - z), 80) == pytest.approx(25.0, abs=0.05)
+            assert distance_on(lambda z: max(0.0, 25.0 - z), 80) == pytest.approx(25.0, abs=0.05)
 
     def test_warns_when_positive_at_zmax(self):
         with pytest.warns(UserWarning):
-            assert secure_distance(lambda z: 1.0, 30) == 30
+            assert distance_on(lambda z: 1.0, 30) == 30
 
     @pytest.mark.parametrize(
-        "rate, z_max, bisections",
+        "z_grid, rates, message",
         [
-            (lambda z: 10.3 - z, 20.0, 5),  # bracket [10, 11] halves to 1/32 km
-            (lambda z: 0.0, 20.0, 0),
-            (lambda z: 5.0 - z, 20.5, 5),  # z_max off the 1 km grid is scanned too
+            ([], [], r"z_grid \(0\) and rates \(0\)"),
+            ([0.0], [1.0, 0.0], r"z_grid \(1\) and rates \(2\)"),
+            ([0.0, 0.5], [1.0], r"z_grid \(2\) and rates \(1\)"),
         ],
     )
-    def test_one_call_per_grid_point_and_bisection_step(self, rate, z_max, bisections):
+    def test_rates_must_match_the_grid(self, z_grid, rates, message):
+        with pytest.raises(DomainError, match=f"^{message} must be nonempty and of one length$"):
+            secure_distance(z_grid, rates, lambda z: pytest.fail("rate_fn called"))
+
+    @pytest.mark.parametrize(
+        "rate, bisections",
+        [
+            (lambda z: 10.3 - z, 4),  # bracket [10, 10.5] halves to 1/32 km
+            (lambda z: 0.0, 0),
+            (lambda z: 1.0, 0),  # still positive at the grid's end
+        ],
+    )
+    def test_calls_rate_fn_only_for_bisection_steps(self, rate, bisections):
+        z_grid = [0.5 * i for i in range(41)]
         calls = []
 
         def counting(z):
             calls.append(z)
             return rate(z)
 
-        secure_distance(counting, z_max)
-        grid_points = int(z_max) + 1 + (z_max != int(z_max))
-        assert len(calls) == grid_points + bisections
-        assert len(set(calls)) == len(calls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            secure_distance(z_grid, [rate(z) for z in z_grid], counting)
+        assert len(calls) == bisections
+        assert len(set(calls)) == len(calls) and not set(calls) & set(z_grid)
 
     def test_warns_on_several_crossings_and_keeps_largest_root(self):
         rate = lambda z: 1.0 if z < 3 or 10 < z < 15.5 else 0.0  # noqa: E731
         with pytest.warns(UserWarning, match="more than once"):
-            dist = secure_distance(rate, 30)
+            dist = distance_on(rate, 30)
         assert dist == pytest.approx(15.5, abs=0.05)
+
+    def test_positive_row_between_two_1_km_points_is_the_largest_root(self):
+        # after the first crossing near 3 km, only the row at 10.5 km is
+        # positive again: a 1 km scan sees no key past 3 km, the rows see
+        # the second crossing, at 10.75 km
+        rate = lambda z: 1.0 if z < 3 or abs(z - 10.5) < 0.25 else 0.0  # noqa: E731
+        assert [z for z in range(31) if rate(z) > 0] == [0, 1, 2]
+        with pytest.warns(UserWarning, match="more than once"):
+            dist = distance_on(rate, 30)
+        assert dist == pytest.approx(10.75, abs=0.05)
+
+    def test_tail_config_distance_lies_between_its_rows(self):
+        # ROADMAP item 1's tail config on a 0.25 km grid to 660 km: whatever
+        # rows come out positive, the distance lies between the last of them
+        # and the next row, as the benchmark's check requires of a sweep
+        config = parse_config("[link]\nclassical_channel_count = 0\n[gmcs]\nv_a = 235\neps0 = 0.00036\nv_el = 0\n")
+        z_grid = tuple(0.25 * i for i in range(2641))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_sweep(Scenario("tail", config.link, config.comp, config.gmcs, z_grid))
+        positive = [i for i, row in enumerate(result.rows) if row.rate > 0]
+        assert positive and positive[-1] + 1 < len(z_grid)
+        assert z_grid[positive[-1]] <= result.secure_distance_km <= z_grid[positive[-1] + 1]
 
     def test_38_channel_scenario_near_10km(self):
         det = PARAMS
-        dist = secure_distance(lambda z: rate_at(z, m=38).rate, 80)
+        dist = distance_on(lambda z: rate_at(z, m=38).rate, 80)
         assert 8 <= dist <= 12
 
     def test_conservative_100mhz_detector_near_14km(self):
         det = dataclasses.replace(
             PARAMS, v_el=0.1, detector_bandwidth_hz=100e6, conservative=True
         )
-        dist = secure_distance(lambda z: rate_at(z, m=1, det=det).rate, 80)
+        dist = distance_on(lambda z: rate_at(z, m=1, det=det).rate, 80)
         assert 12 <= dist <= 16

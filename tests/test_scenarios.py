@@ -226,11 +226,15 @@ class TestRunSweep:
         monkeypatch.setattr(
             scenarios,
             "secure_distance",
-            lambda rate_fn, z_max: search(lambda z: asked.append(z) or rate_fn(z), z_max),
+            lambda z_grid, rates, rate_fn: search(z_grid, rates, lambda z: asked.append(z) or rate_fn(z)),
         )
         scenario = scenario_by_name(name)
         result = run_sweep(scenario)
-        assert len(calls) == len(scenario.z_grid) + len(set(asked) - set(scenario.z_grid))
+        # bisection alone asks for a rate: 4 steps halve a 0.5 km bracket to
+        # TOLERANCE_KM, and a sweep with no key asks for none
+        assert len(asked) == (4 if result.secure_distance_km else 0)
+        assert len(calls) == len(scenario.z_grid) + len(asked)
+        assert not set(asked) & set(scenario.z_grid)
         assert result.noise_crossover_km == noise_crossover_km(scenario)
 
     @pytest.mark.filterwarnings("ignore:rate still positive")
@@ -273,9 +277,8 @@ class TestBuiltinSweeps:
         text = sweep_to_csv(result) + sweep_to_json(result)
         assert hashlib.sha256(text.encode()).hexdigest() == EMISSION_SHA256[(name, strict)]
 
-    def test_secure_distance_matches_uncached_rates(self, name, strict):
+    def test_secure_distance_matches_fresh_rates(self, name, strict):
         scenario = scenario_by_name(name)
-        fresh = secure_distance(
-            lambda z: evaluate(scenario, z, strict).rate, scenario.z_grid[-1]
-        )
+        rate_fn = lambda z: evaluate(scenario, z, strict).rate  # noqa: E731
+        fresh = secure_distance(scenario.z_grid, [rate_fn(z) for z in scenario.z_grid], rate_fn)
         assert run_sweep(scenario, strict_eps_out=strict).secure_distance_km == fresh
