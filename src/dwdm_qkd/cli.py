@@ -6,17 +6,29 @@ import math
 import re
 import sys
 
+from .bb84 import Bb84Point
 from .config import DEFAULT_Z_KM, Config, ConfigError, default_config, parse_config
 from .gmcs import PhysicalityError
 from .noise import (
     DomainError,
+    NoiseBudget,
     UnfittableError,
     compute_noise_budget,
     db_field_to_linear,
     fit_raman_coefficient,
 )
-from .output import emit, point_to_json, round9
+from .output import COUNT, EXACT, ROUNDED, JsonTemplate, emit
 from .scenarios import DEFAULT_MU_GRID, Evaluation, Scenario, builtin_scenarios, evaluate, run_sweep, scenario_by_name
+
+# each point command's document: z_km is echoed as given, and every other
+# number is written at 9 significant digits
+_NOISE_JSON = JsonTemplate({"z_km": EXACT, **dict.fromkeys(NoiseBudget._fields, ROUNDED)})
+_BB84_JSON = JsonTemplate(
+    {"protocol": "BB84", "mu": ROUNDED, "z_km": EXACT, **dict.fromkeys(Bb84Point._fields, ROUNDED)}
+)
+_GMCS_FIELDS = ("eps", "eps_in", "eps_out", "i_ab", "chi_be", "rate")
+_GMCS_JSON = JsonTemplate({"protocol": "GMCS", "z_km": EXACT, **dict.fromkeys(_GMCS_FIELDS, ROUNDED), "sigma": [ROUNDED] * 4})
+_FIT_JSON = JsonTemplate({"beta_raman": ROUNDED, "points": COUNT})
 
 
 def _load_config(path: str | None) -> Config:
@@ -39,10 +51,6 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _print_json(doc, out: str | None) -> None:
-    _write(point_to_json(doc) + "\n", out)
 
 
 @functools.cache
@@ -115,10 +123,7 @@ def cmd_noise(args, config: Config) -> int:
         detector_bandwidth_hz=config.gmcs.detector_bandwidth_hz,
         n_lo=config.gmcs.n_lo,
     )
-    _print_json(
-        {"z_km": args.z, **{k: round9(v) for k, v in budget.as_dict().items()}},
-        args.out,
-    )
+    _write(_NOISE_JSON.fill((args.z, *budget)), args.out)
     return 0
 
 
@@ -139,35 +144,15 @@ def cmd_bb84(args, config: Config) -> int:
     if args.mu is not None and not (math.isfinite(args.mu) and args.mu > 0):
         raise DomainError(f"--mu must be finite and > 0, got {args.mu}")
     evaluation = _evaluate_point(args, config, config.bb84, DEFAULT_MU_GRID if args.mu is None else (args.mu,))
-    _print_json(
-        {
-            "protocol": "BB84",
-            "mu": round9(evaluation.mu),
-            "z_km": args.z,
-            **{k: round9(v) for k, v in evaluation.point.as_dict().items()},
-        },
-        args.out,
-    )
+    _write(_BB84_JSON.fill((evaluation.mu, args.z, *evaluation.point)), args.out)
     return 0
 
 
 def cmd_gmcs(args, config: Config) -> int:
     evaluation = _evaluate_point(args, config, config.gmcs)
     point, budget = evaluation.point, evaluation.budget
-    _print_json(
-        {
-            "protocol": "GMCS",
-            "z_km": args.z,
-            "eps": round9(point.eps),
-            "eps_in": round9(budget.eps_in),
-            "eps_out": round9(budget.eps_out),
-            "i_ab": round9(point.i_ab),
-            "chi_be": round9(point.chi_be),
-            "rate": round9(point.rate),
-            "sigma": [round9(s) for s in point.sigma],
-        },
-        args.out,
-    )
+    values = (args.z, point.eps, budget.eps_in, budget.eps_out, point.i_ab, point.chi_be, point.rate, *point.sigma)
+    _write(_GMCS_JSON.fill(values), args.out)
     return 0
 
 
@@ -198,7 +183,7 @@ def cmd_fit_beta(args) -> int:
         args.delta_lambda_nm,
         insertion_loss_db=args.insertion_loss_db,
     )
-    _print_json({"beta_raman": round9(beta), "points": len(points)}, args.out)
+    _write(_FIT_JSON.fill((beta, len(points))), args.out)
     return 0
 
 
@@ -221,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{args.command} does not read --config")
         if args.command == "scenarios":
             names = [s.name for s in builtin_scenarios()]
-            if args.format == "json":
-                _print_json(names, args.out)
-            else:
-                _write("\n".join(names) + "\n", args.out)
+            _write(JsonTemplate(names).fill(()) if args.format == "json" else "\n".join(names) + "\n", args.out)
             return 0
         if args.command == "fit-beta":
             return cmd_fit_beta(args)

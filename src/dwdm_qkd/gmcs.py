@@ -20,6 +20,12 @@ DISCRIMINANT_RTOL = 1e-9
 # stays at the scale of DISCRIMINANT_RTOL
 THETA_TOL = 1e-9
 TOLERANCE_KM = 0.05  # the width at which secure_distance's bisection stops
+# gmcs_point's rate is 0 where gamma * I_AB - chi_BE is at most SIGN_MARGIN
+# times the magnitudes that cancel in it, the four theta terms and
+# gamma * I_AB. Against a decimal oracle its rounding reached 5,710 units of
+# 2**-53 of them for T in [1e-40, 0.01] and v_a in [1e-3, 1e4], 5.7 times
+# below the margin, and grows as v_a or 1 / v_a outside; built-in rates lie 2e9 units from 0.
+SIGN_MARGIN = 2.0**15 * 2.0**-53
 
 
 class PhysicalityError(ValueError):
@@ -187,24 +193,26 @@ def gmcs_point(eta_ch: float, params: GmcsParams, eps: float, eta_dmu: float) ->
     if x1 < -THETA_TOL or x2 < -THETA_TOL or x3 < -THETA_TOL or x4 < -THETA_TOL:
         bad = next(x for x in (x1, x2, x3, x4) if x < -THETA_TOL)
         raise DomainError(f"theta argument {bad} must be >= 0")
-    chi_be = (
-        (0.0 if x1 <= 0 else (x1 + 1.0) * log2(x1 + 1.0) - x1 * log2(x1))
-        + (0.0 if x2 <= 0 else (x2 + 1.0) * log2(x2 + 1.0) - x2 * log2(x2))
-        - (0.0 if x3 <= 0 else (x3 + 1.0) * log2(x3 + 1.0) - x3 * log2(x3))
-        - (0.0 if x4 <= 0 else (x4 + 1.0) * log2(x4 + 1.0) - x4 * log2(x4))
-    )
+    theta_1 = 0.0 if x1 <= 0 else (x1 + 1.0) * log2(x1 + 1.0) - x1 * log2(x1)
+    theta_2 = 0.0 if x2 <= 0 else (x2 + 1.0) * log2(x2 + 1.0) - x2 * log2(x2)
+    theta_3 = 0.0 if x3 <= 0 else (x3 + 1.0) * log2(x3 + 1.0) - x3 * log2(x3)
+    theta_4 = 0.0 if x4 <= 0 else (x4 + 1.0) * log2(x4 + 1.0) - x4 * log2(x4)
+    chi_be = theta_1 + theta_2 - theta_3 - theta_4
     if not isfinite(i_ab + chi_be):
         raise _out_of_range(eta_ch, eps)
-    # max(0.0, v) written as v if v > 0.0 else 0.0, which agrees with it on
-    # every finite v. chi_be is clamped before the rate is formed from it: a
-    # chi_be that cancelled to below 0 would otherwise lift the rate above
-    # gamma * i_ab, which no state allows
+    gamma_i_ab = params.gamma * i_ab
+    rate = gamma_i_ab - chi_be
+    # a rate within SIGN_MARGIN of what cancels in it has no certain sign. A
+    # chi_be that cancelled below 0 is clamped at 0, where the rate is
+    # gamma * i_ab: no state allows more. max(0.0, v) is written v if v > 0.0
+    # else 0.0, which agrees with it on every finite v
+    if rate <= 0.0 or rate <= SIGN_MARGIN * (theta_1 + theta_2 + theta_3 + theta_4 + gamma_i_ab):
+        rate = 0.0
+    elif chi_be < 0.0:
+        rate = gamma_i_ab
     chi_be = chi_be if chi_be > 0.0 else 0.0
-    rate = params.gamma * i_ab - chi_be
     # tuple.__new__ builds the record that the namedtuple's Python __new__ would
-    return tuple.__new__(
-        GmcsPoint, (eps, i_ab, chi_be, rate if rate > 0.0 else 0.0, (sigma_1, sigma_2, sigma_3, sigma_4))
-    )
+    return tuple.__new__(GmcsPoint, (eps, i_ab, chi_be, rate, (sigma_1, sigma_2, sigma_3, sigma_4)))
 
 
 def secure_distance(z_grid: Sequence[float], rates: Sequence[float], rate_fn: Callable[[float], float]) -> float:

@@ -2,8 +2,9 @@
 
 Numbers are serialized at 9 significant digits in both formats so the two
 emissions of one sweep carry identical values and fixtures stay stable.
-Both writers take their values from one pass, which rejects a NaN or an
-infinity: JSON has no literal for either, and neither does the point writer.
+Every JSON document is one str.format over a template of {:.9} slots, whose
+text _relay mends, so sweeps and points share one number writer. A NaN or
+an infinity is rejected by name: JSON has no literal for either.
 """
 
 import math
@@ -15,6 +16,14 @@ from operator import itemgetter
 from .noise import DomainError, NoiseBudget
 from .scenarios import SweepResult
 
+
+class _Slot(str):
+    """A str.format field in a JsonTemplate's shape, where any other str is a string value."""
+
+
+# the slots of a JSON template: a float at 9 significant digits, a number
+# echoed as given, and an int
+ROUNDED, EXACT, COUNT = _Slot("{:.9}"), _Slot("{!r}"), _Slot("{:d}")
 CSV_HEADER = "z_km,ase_window,leak_window,sasrs_window,total_window,eps_in,eps_out,rate"
 _FIELDS = CSV_HEADER.split(",")
 # the budget's columns of a row, between z_km and rate; total_window is n_spd_window
@@ -22,25 +31,78 @@ _BUDGET_COLUMNS = itemgetter(*[
     NoiseBudget._fields.index(name)
     for name in ("ase_window", "leak_window", "sasrs_window", "n_spd_window", "eps_in", "eps_out")
 ])
-_DIGITS = "%.9g"
-_CSV_ROW = ",".join([_DIGITS] * len(_FIELDS))
-# one row laid out as json.dumps(doc, indent=2) lays it out; see sweep_to_json
-_JSON_ROW = "    {{\n" + ",\n".join(f'      "{name}": {{:.9}}' for name in _FIELDS) + "\n    }}"
+_CSV_ROW = ",".join(["%.9g"] * len(_FIELDS))
 # the cells whose {:.9} text is not repr's: a positive exponent, which repr
 # writes out up to 15, and a three-digit negative one, where subnormals live
 _RELAID = re.compile(r"[\d.]+e(?:\+\d+|-3\d\d)")
 _SUBNORMAL_EXPONENT = re.compile(r"e-3\d\d")
 
 
-def round9(x: float) -> float:
-    """x at 9 significant digits, the precision of every number the tool writes."""
-    return float(_DIGITS % x)
-
-
 def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} = {value} cannot be written: it must be finite")
     return value
+
+
+def _relay(text: str) -> str:
+    """JSON text of {:.9} and {!r} cells, each number as json.dumps writes
+    float("%.9g" % x). Like %.9g, .9 keeps 9 significant digits, already the
+    shortest decimal that reads back as the rounded double, and like repr it
+    writes .0 after an integral value. Only where it takes an exponent that
+    repr does not (8 to 15), or repr writes a subnormal with fewer digits, is
+    its text not repr's. Two cheap searches rule such cells out; otherwise
+    they go through repr, which leaves a cell that repr wrote as it is."""
+    if "+" in text or _SUBNORMAL_EXPONENT.search(text):
+        return _RELAID.sub(lambda cell: repr(float(cell[0])), text)
+    return text
+
+
+def _layout(shape, name: str, indent: str, names: list[str]) -> str:
+    """shape as json.dumps(..., indent=2) lays it out at indent, as a
+    str.format template; each slot's name is appended to names."""
+    if isinstance(shape, _Slot):
+        names.append(name)
+        return shape
+    if isinstance(shape, str):
+        return _escape(shape).replace("{", "{{").replace("}", "}}")
+    inner = indent + "  "
+    if isinstance(shape, dict):
+        items = [_layout(key, "", "", names) + ": " + _layout(value, key, inner, names) for key, value in shape.items()]
+        opening, closing = "{{", "}}"
+    else:
+        items = [_layout(value, f"{name}[{i}]", inner, names) for i, value in enumerate(shape)]
+        opening, closing = "[", "]"
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
+class JsonTemplate:
+    """The text json.dumps(doc, indent=2) writes for each document of one
+    shape, and a newline, as one str.format template built once. shape is
+    such a document with a slot in place of each number: ROUNDED, EXACT or
+    COUNT. A slot in a list is named by its key and index, as in sigma[1]."""
+
+    __slots__ = ("template", "names")
+
+    def __init__(self, shape: dict | list):
+        names: list[str] = []
+        self.template = _layout(shape, "", "", names) + "\n"
+        if _RELAID.search(self.template):
+            raise ValueError(f"{shape!r} holds text that the number writer would rewrite")
+        self.names = tuple(names)
+
+    def fill(self, values: tuple) -> str:
+        """The document with values in its slots, in order. A NaN or an
+        infinity raises DomainError naming its slot."""
+        if not all(map(math.isfinite, values)):
+            for name, value in zip(self.names, values):
+                _finite(name, value)
+        return _relay(self.template.format(*values))
+
+
+# one sweep row, laid out as it sits in the rows list of sweep_to_json
+_JSON_ROW = "    " + _layout(dict.fromkeys(_FIELDS, ROUNDED), "", "    ", [])
 
 
 def _row_values(result: SweepResult) -> list[float]:
@@ -67,74 +129,20 @@ def sweep_to_json(result: SweepResult) -> str:
     """The document json.dumps(doc, indent=2) would write, byte for byte.
 
     It is built from text directly: with an indent, json.dumps runs its
-    pure-Python encoder, which took longer than the sweep it wrote. The rows
-    are one str.format over a template of {:.9} slots. Like %.9g, .9 keeps 9
-    significant digits, which are already the shortest decimal that reads
-    back as the rounded double, and like repr it writes .0 after an integral
-    value. Its text is repr(float("%.9g" % x)) except where it takes an
-    exponent that repr does not (8 to 15) and where repr writes a subnormal
-    with fewer digits. Two cheap searches, for a + and for a three-digit
-    negative exponent, rule such cells out; otherwise they go through repr.
+    pure-Python encoder, which took longer than the sweep it wrote. Its
+    numbers are one str.format over rows laid out as JsonTemplate lays out
+    a point, and _relay writes them.
     """
-    rows = ",\n".join([_JSON_ROW] * len(result.rows)).format(*_row_values(result))
-    if "+" in rows or _SUBNORMAL_EXPONENT.search(rows):
-        rows = _RELAID.sub(lambda cell: repr(float(cell[0])), rows)
-    distance = round9(_finite("secure_distance_km", result.secure_distance_km))
+    values = _row_values(result)
+    values.append(_finite("secure_distance_km", result.secure_distance_km))
     crossover = result.noise_crossover_km
     if crossover is not None:
-        crossover = round9(_finite("noise_crossover_km", crossover))
-    return (
-        "{\n"
-        f'  "scenario": {_escape(result.scenario)},\n'
-        + (f'  "rows": [\n{rows}\n  ],\n' if rows else '  "rows": [],\n')
-        + f'  "secure_distance_km": {distance!r},\n'
-        f'  "noise_crossover_km": {"null" if crossover is None else repr(crossover)}\n'
-        "}\n"
+        values.append(_finite("noise_crossover_km", crossover))
+    rows = ",\n".join([_JSON_ROW] * len(result.rows))
+    numbers = (f'  "rows": [\n{rows}\n  ],\n' if rows else '  "rows": [],\n') + (
+        f'  "secure_distance_km": {ROUNDED},\n  "noise_crossover_km": {"null" if crossover is None else ROUNDED}'
     )
-
-
-def _json_scalar(name: str, value) -> str:
-    """value's JSON literal as json.dumps writes it; a float must be finite."""
-    if isinstance(value, float):
-        return float.__repr__(_finite(name, value))
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"{name} = {value!r} is not a JSON scalar")
-
-
-def _json_list(name: str, values, indent: str) -> str:
-    """A list of scalars as json.dumps(..., indent=2) lays it out at indent."""
-    if not values:
-        return "[]"
-    items = f",\n{indent}  ".join([_json_scalar(f"{name}[{i}]", value) for i, value in enumerate(values)])
-    return f"[\n{indent}  {items}\n{indent}]"
-
-
-def point_to_json(doc: dict | list) -> str:
-    """The text json.dumps(doc, indent=2) writes for one point document,
-    written in one direct pass: with an indent, json.dumps runs its
-    pure-Python encoder, which took longer than computing the point. doc
-    is a dict of scalars and lists of scalars, or a list of scalars. A NaN
-    or an infinity raises DomainError naming its key, where json.dumps
-    would write NaN or Infinity; a str is escaped by the function
-    json.dumps escapes it with, encode_basestring_ascii of CPython's _json
-    accelerator (json.encoder's name for it is this same function)."""
-    if isinstance(doc, list):
-        return _json_list("", doc, "")
-    if not doc:
-        return "{}"
-    return "{\n" + ",\n".join([
-        f"  {_escape(key)}: {_json_list(key, value, '  ') if isinstance(value, list) else _json_scalar(key, value)}"
-        for key, value in doc.items()
-    ]) + "\n}"
+    return f'{{\n  "scenario": {_escape(result.scenario)},\n{_relay(numbers.format(*values))}\n}}\n'
 
 
 def emit(result: SweepResult, fmt: str, destination: str | TextIOBase) -> None:

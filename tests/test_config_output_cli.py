@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from dwdm_qkd.config import (
 )
 from dwdm_qkd.gmcs import GmcsParams, GmcsPoint, PhysicalityError
 from dwdm_qkd.noise import ComponentParams, DomainError, LinkParams, NoiseBudget, NoiseModel
-from dwdm_qkd.output import CSV_HEADER, emit, point_to_json, round9, sweep_to_csv, sweep_to_json
+from dwdm_qkd.output import COUNT, CSV_HEADER, EXACT, ROUNDED, JsonTemplate, emit, sweep_to_csv, sweep_to_json
 from dwdm_qkd.scenarios import Evaluation, SweepResult, builtin_scenarios, run_sweep, scenario_by_name
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -746,15 +747,39 @@ class TestOutput:
             emit(result, "xml", str(p1))
 
 
-# the values of a point document: finite floats, the awkward ones among
-# them, and the other scalars json.dumps writes
+# the numbers of a point document: finite floats, the awkward ones among them
 JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, 1e16, 1e-7, 3.0, 123456789.0]
+    [-0.0, 5e-324, 1e16, 1e-7, 3.0, 123456789.0, 999999999.5, 1e8, 2.2250738585072014e-308]
 )
-JSON_SCALARS = JSON_FLOATS | st.integers() | st.booleans() | st.none() | st.text()
-POINT_DOCUMENTS = st.dictionaries(
-    st.text(max_size=12), JSON_SCALARS | st.lists(JSON_FLOATS, max_size=5) | st.lists(st.text(), max_size=5), max_size=12
-) | st.lists(st.text(), max_size=8)
+# a shape of each kind the point commands use: a string, an echoed number,
+# rounded ones, a list of them and an int
+POINT_SHAPE = {"protocol": "GMCS", "z_km": EXACT, "mu": ROUNDED, "sigma": [ROUNDED] * 3, "points": COUNT}
+
+
+def round9(x):
+    """x at 9 significant digits, as every number the tool writes but z_km."""
+    return float("%.9g" % x)
+
+
+def seeded_point_config(seed):
+    """A config whose points reach cells of every exponent the writer
+    meets, 8 to 15 included: leakage counts per second grow past 1e8 with
+    the launch power."""
+    rng = random.Random(seed)
+    return "\n".join([
+        "[link]",
+        f"p_out_dbm = {rng.uniform(-20, 20)!r}",
+        f"classical_channel_count = {rng.choice([0, 1, 4, 38])}",
+        f"beta_raman = {rng.uniform(1, 6)!r}e-9",
+        "[gmcs]",
+        f"v_a = {10 ** rng.uniform(-2, 3)!r}",
+        f"eps0 = {rng.choice([0.0, 0.00036, rng.uniform(0, 0.05)])!r}",
+        f"v_el = {rng.choice([0.0, 0.01])}",
+        "[bb84]",
+        f"y0_base = {rng.choice([0.0, 1e-6])}",
+        "",
+    ])
+
 
 FIT = ["fit-beta", "--delta-lambda-nm", "0.6"]
 POINT_COMMANDS = [
@@ -770,29 +795,62 @@ POINT_COMMANDS = [
 
 class TestPointJson:
     @settings(max_examples=150, deadline=None)
-    @given(POINT_DOCUMENTS)
-    @example({"z_km": -0.0, "a": 5e-324, "b": 1e16, "c": 1e-7, "d": 2.0, "e": 1e8})
-    @example({'a "quoted" \\ key': 'a "quoted" \\ back\\slash, Zürich λ→∞\n', "n": None, "t": True, "f": False, "i": -3})
-    @example({"sigma": [], "names": ["x", "y"], "values": [1.0, -0.0, 5e-324]})
-    @example({})
-    @example([])
-    @example(["gmcs-38ch", "bb84-0dBm"])
-    def test_equals_the_indent_encoder(self, doc):
-        assert point_to_json(doc) == json.dumps(doc, indent=2)
+    @given(
+        # a string that holds no number with an exponent once escaped
+        st.text(max_size=8).filter(lambda text: not re.search(r"[\d.]e(\+|-3\d\d)", json.dumps(text))),
+        JSON_FLOATS,
+        JSON_FLOATS,
+        st.lists(JSON_FLOATS, min_size=3, max_size=3),
+        st.integers(),
+    )
+    @example("BB84", -0.0, 5e-324, [1e16, 1e-7, 3.0], 0)
+    @example('a "quoted" \\ back\\slash, Zürich λ→∞ {0}\n', 1e8, 123456789.0, [999999999.5, 1e15, -1e-300], -3)
+    def test_fill_writes_the_indent_encoders_text(self, protocol, z_km, mu, sigma, points):
+        doc = {"protocol": protocol, "z_km": z_km, "mu": round9(mu), "sigma": [round9(s) for s in sigma], "points": points}
+        text = JsonTemplate({**POINT_SHAPE, "protocol": protocol}).fill((z_km, mu, *sigma, points))
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("shape", [{}, [], {"a": {}, "b": [], "c": "d"}])
+    def test_empty_shapes_are_laid_out_as_the_indent_encoder_lays_them_out(self, shape):
+        assert JsonTemplate(shape).fill(()) == json.dumps(shape, indent=2) + "\n"
+
+    def test_text_that_the_number_writer_would_rewrite_is_refused(self):
+        with pytest.raises(ValueError, match="number writer would rewrite"):
+            JsonTemplate({"protocol": "2.5e+3", "z_km": EXACT})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "doc, name",
+        "shape, values, name",
         [
-            (lambda bad: {"z_km": 1.0, "rate": bad}, "rate"),
-            (lambda bad: {"rate": 0.0, "sigma": [1.0, bad]}, "sigma[1]"),
-            (lambda bad: [1.0, bad], "[1]"),
+            ({"z_km": EXACT, "rate": ROUNDED}, lambda bad: (1.0, bad), "rate"),
+            ({"rate": ROUNDED, "sigma": [ROUNDED] * 2}, lambda bad: (0.0, 1.0, bad), "sigma[1]"),
+            ([ROUNDED] * 2, lambda bad: (1.0, bad), "[1]"),
         ],
         ids=["value", "list-item", "top-level-item"],
     )
-    def test_non_finite_number_is_named(self, doc, name, bad):
+    def test_non_finite_number_is_named(self, shape, values, name, bad):
         with pytest.raises(DomainError, match=rf"^{re.escape(name)} = {bad} cannot be written: it must be finite$"):
-            point_to_json(doc(bad))
+            JsonTemplate(shape).fill(values(bad))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_points_print_the_indent_encoders_text(self, seed, tmp_path, capsys):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(seeded_point_config(seed))
+        rng = random.Random(seed)
+        for z in ("0", repr(rng.uniform(0, 100)), repr(10 ** rng.uniform(-3, 3))):
+            for argv in (["noise"], ["bb84"], [*rng.choice([[], ["--conservative"], ["--strict-eps-out"]]), "gmcs"]):
+                code, out, err = run_main(["--config", str(cfg), *argv, "--z", z], capsys)
+                assert (code, err) == (0, ""), argv
+                assert out == json.dumps(json.loads(out, parse_constant=pytest.fail), indent=2) + "\n", argv
+
+    def test_large_cells_go_through_the_number_writer(self, tmp_path, capsys):
+        # {:.9} writes 246876107.0 as 2.46876107e+08, which json.dumps does not
+        cfg = tmp_path / "5dBm.cfg"
+        cfg.write_text("[link]\np_out_dbm = 5\n")
+        code, out, err = run_main(["--config", str(cfg), "noise", "--z", "20"], capsys)
+        assert (code, err) == (0, "")
+        assert '  "n_leak_per_s_at_c": 246876107.0,\n' in out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_point_commands_print_the_indent_encoders_text(self, argv, capsys):
@@ -987,6 +1045,16 @@ class TestCli:
         assert captured.err == ""
         doc = json.loads(captured.out)
         assert doc["q_mu"] > 0 and doc["rate"] > 0
+
+    def test_far_tail_gmcs_point_has_no_key(self, tmp_path, capsys):
+        # the CI smoke case: at 647.7 km the four theta terms of chi_BE
+        # cancel to rounding, which printed a rate of 3.46e-14 where the
+        # exact rate is -1.73e-13
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("[link]\nclassical_channel_count = 0\n[gmcs]\nv_a = 235\neps0 = 0.00036\nv_el = 0\n")
+        code, out, err = run_main(["--config", str(cfg), "gmcs", "--z", "647.7"], capsys)
+        assert (code, err) == (0, "")
+        assert '  "rate": 0.0,' in out.splitlines()
 
     def test_tiny_modulation_variance_gmcs_point(self, tmp_path, capsys):
         # the CI smoke case: V^2 - 1 formed as v*v - 1 with v = v_a + 1

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dwdm_qkd.gmcs import (
     DISCRIMINANT_RTOL,
+    SIGN_MARGIN,
     GmcsParams,
     GmcsPoint,
     PhysicalityError,
@@ -103,28 +104,27 @@ def two_step_gmcs_point(eta_ch, params, eps, eta_dmu):
     s1sq, s2sq = split_roots(a, sqrt_b, channel_gap * channel_gap)
     s3sq, s4sq = split_roots(c, sqrt_d, conditional_gap_sq)
     sigma = (math.sqrt(s1sq), math.sqrt(s2sq), math.sqrt(s3sq), math.sqrt(s4sq))
-    chi_be = (
-        theta((sigma[0] - 1.0) / 2.0)
-        + theta((sigma[1] - 1.0) / 2.0)
-        - theta((sigma[2] - 1.0) / 2.0)
-        - theta((sigma[3] - 1.0) / 2.0)
-    )
+    thetas = [theta((s - 1.0) / 2.0) for s in sigma]
+    chi_be = thetas[0] + thetas[1] - thetas[2] - thetas[3]
     if not math.isfinite(i_ab + chi_be):
         raise out_of_range()
+    raw = params.gamma * i_ab - chi_be
     chi_be = max(0.0, chi_be)
     rate = max(0.0, params.gamma * i_ab - chi_be)
+    if raw <= SIGN_MARGIN * (sum(thetas) + params.gamma * i_ab):
+        rate = 0.0
     return GmcsPoint(eps, i_ab, chi_be, rate, sigma)
 
 
-def exact_rate(eta_ch, params, eps, eta_dmu):
+def exact_rate(eta_ch, params, eps, eta_dmu, digits=60):
     """gamma * I_AB - chi_BE of the realistic homodyne model in the textbook
     forms of Lodewyck et al., PRA 76, 042305 (2007), in decimal arithmetic
-    at 60 digits: A, B, C and D as written there, each pair of
+    at the given digits: A, B, C and D as written there, each pair of
     squared symplectic eigenvalues from the quadratic formula, and chi_BE as
     the signed sum of the four entropies. Float rounding enters only through
     the arguments."""
     with decimal.localcontext() as context:
-        context.prec = 60
+        context.prec = digits
         D = decimal.Decimal
         t, v, e = D(eta_ch), D(params.v_a) + 1, D(eps)
         ln2 = D(2).ln()
@@ -510,10 +510,32 @@ class TestExactRate:
             exact = exact_rate(eta_ch, params, eps, COMP.eta_dmu)
             assert abs(rate - max(exact, 0.0)) <= 1e-12, (eta_ch, params, eps)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: chi_BE cancels in the far tail and the float rate is positive where the exact rate is not",
-    )
+    def test_no_key_where_the_exact_rate_is_not_positive_in_the_far_tail(self):
+        # 300 seeded points where the four theta terms cancel, the oracle at
+        # 40 + |log10 T| digits: no float rate is > 0 where the exact one is
+        # <= 0, and SIGN_MARGIN keeps a factor of 4 over the worst rounding
+        # of gamma * I_AB - chi_BE, in units of the sum that cancels in it
+        rng = random.Random(36)
+        worst = 0.0
+        signs = set()
+        for _ in range(300):
+            log_t = rng.uniform(-40, -2)
+            eta_ch = 10.0**log_t
+            params = GmcsParams(
+                v_a=log_uniform(rng, -3, 4), v_el=rng.choice([0.0, 0.01]), gamma=rng.choice([0.9, 1.0])
+            )
+            eps = rng.choice([0.0, log_uniform(rng, -6, -1)])
+            point = gmcs_point(eta_ch, params, eps, COMP.eta_dmu)
+            exact = exact_rate(eta_ch, params, eps, COMP.eta_dmu, digits=40 + math.ceil(-log_t))
+            thetas = [theta((s - 1.0) / 2.0) for s in point.sigma]
+            raw = params.gamma * point.i_ab - (thetas[0] + thetas[1] - thetas[2] - thetas[3])
+            worst = max(worst, abs(raw - exact) / (sum(thetas) + params.gamma * point.i_ab))
+            assert not (point.rate > 0 and exact <= 0), (eta_ch, params, eps, point.rate, exact)
+            signs.add((point.rate > 0, exact > 0))
+        assert 4 * worst < SIGN_MARGIN
+        # key is kept where there is key, and the cancelling points are met
+        assert signs == {(True, True), (False, True), (False, False)}
+
     def test_no_key_in_the_far_tail(self):
         config = parse_config("[link]\nclassical_channel_count = 0\n[gmcs]\nv_a = 235\neps0 = 0.00036\nv_el = 0\n")
         evaluation = evaluate(Scenario("gmcs", config.link, config.comp, config.gmcs), 647.7)
